@@ -214,9 +214,9 @@ int usage(const char* argv0) {
                "             FLOPSIM_THREADS, then hardware concurrency)\n"
                "  --backend= campaign trial evaluation backend: interpreted,\n"
                "             compiled, or bitsliced (default: FLOPSIM_BACKEND,\n"
-               "             then interpreted); the matmul campaign has no\n"
-               "             fast path yet and falls back (counted in\n"
-               "             campaign.matmul.backend_fallback)\n"
+               "             then interpreted); compiled and bitsliced\n"
+               "             replay only the struck PE in the matmul\n"
+               "             campaign, with identical tallies\n"
                "  --json     append per-campaign timing records (JSON lines,\n"
                "             conventionally BENCH_campaign.json)\n"
                "  --metrics= dump the metrics registry as JSON lines at exit\n"

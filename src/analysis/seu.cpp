@@ -723,6 +723,25 @@ struct PeFault {
   fault::Fault fault;
 };
 
+/// Attach the trial's injector (nullptr detaches) to the structure
+/// `target` names inside `pe`.
+void attach_fault(kernel::ProcessingElement& pe, PeFault::Target target,
+                  fault::FaultInjector* injector) {
+  switch (target) {
+    case PeFault::kMultLatch:
+    case PeFault::kConfigMult:
+      pe.multiplier().set_latch_observer(injector);
+      break;
+    case PeFault::kAddLatch:
+    case PeFault::kConfigAdd:
+      pe.adder().set_latch_observer(injector);
+      break;
+    case PeFault::kAccumulator:
+      pe.set_storage_observer(injector);
+      break;
+  }
+}
+
 /// Per-trial verdict of one kernel-campaign fault.
 struct KernelTrial {
   bool corrupted = false;
@@ -785,13 +804,13 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   auto campaign_span = tracer.span("matmul_campaign", "campaign");
   const int n = camp.n;
   std::mt19937_64 rng(camp.seed);
-
-  // Kernel trials re-run the whole stateful array; the unit evaluators
-  // cannot stand in for that, so a compiled/bitsliced request downgrades
-  // to the interpreted kernel loop (documented fallback, counted).
-  if (rtl::resolve_backend(camp.backend) != rtl::EvalBackend::kInterpreted) {
-    reg.counter("campaign.matmul.backend_fallback").inc();
-  }
+  // Compiled and bitsliced requests replay only the struck PE (the kernel
+  // fast path); kInterpreted re-runs the whole array per trial, the
+  // reference the fast path is checked against.
+  const bool replay_pe =
+      rtl::resolve_backend(camp.backend) != rtl::EvalBackend::kInterpreted;
+  // Resolved once: the per-worker slots below are indexed by worker.
+  const int threads = exec::resolve_threads(camp.threads);
 
   kernel::PeConfig pe_cfg = cfg;
   pe_cfg.ecc_accumulators = camp.scheme == fault::Scheme::kEcc;
@@ -807,10 +826,22 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   const kernel::Matrix a = kernel::matrix_from_doubles(av, n, cfg.fmt);
   const kernel::Matrix b = kernel::matrix_from_doubles(bv, n, cfg.fmt);
 
-  // One shared golden run; every trial compares against it.
+  // One shared golden run; every trial compares against it. The fast path
+  // records it PE by PE across the workers, snapshotting each PE's state.
   auto golden_span = tracer.span("golden", "campaign");
   kernel::LinearArrayMatmul array(n, pe_cfg);
-  const kernel::MatmulRun clean = array.run(a, b);
+  std::optional<kernel::MatmulReplay> replay;
+  if (replay_pe) {
+    replay.emplace(array, a, b);
+    exec::parallel_for_chunked(
+        static_cast<std::size_t>(n), threads,
+        [&](int /*worker*/, std::size_t begin, std::size_t end) {
+          for (std::size_t j = begin; j < end; ++j) {
+            replay->record(static_cast<int>(j));
+          }
+        });
+  }
+  const kernel::MatmulRun clean = replay ? array.result() : array.run(a, b);
   const long horizon = clean.cycles;
   golden_span.end();
   // Per-PE MAC utilization + unit occupancy of the clean kernel run,
@@ -960,9 +991,12 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   exec::CancelToken* cancel =
       control.cancel != nullptr ? control.cancel : &local_token;
 
-  // Trial loop: each worker re-runs the kernel on its own array replica
-  // (run() clears every PE first, so a replica's trial is bit-identical to
-  // the legacy reuse of one array). Verdicts land in per-fault slots.
+  // Trial loop. The fast path replays the struck PE on the worker's own
+  // PE; the reference re-runs the whole kernel on the worker's own array
+  // replica (run() clears every PE first, so a replica's trial is
+  // bit-identical to the legacy reuse of one array). Either is built on
+  // the worker's first chunk and kept for the campaign; worker 0's
+  // replica is the golden array. Verdicts land in per-fault slots.
   obs::ProgressReporter progress("matmul campaign",
                                  static_cast<long>(count));
   for (long i = 0; i < done_trials; ++i) progress.tick();
@@ -999,46 +1033,54 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
     }
   };
 
+  const auto slots = static_cast<std::size_t>(threads);
+  std::vector<std::optional<kernel::ProcessingElement>> worker_pes(slots);
+  std::vector<std::optional<kernel::LinearArrayMatmul>> replicas(slots);
   const exec::GridResult grid = exec::parallel_for_grid(
-      count, camp.threads,
+      count, threads,
       [&](int worker, std::size_t begin, std::size_t end) {
-        // Worker 0 reuses the golden array (exactly the legacy serial
-        // loop); the others run on their own replicas.
-        std::optional<kernel::LinearArrayMatmul> replica;
-        if (worker != 0) replica.emplace(array.clone());
-        kernel::LinearArrayMatmul& worker_array =
-            worker == 0 ? array : *replica;
+        const std::size_t slot = static_cast<std::size_t>(worker);
         for (std::size_t i = begin; i < end; ++i) {
           const PeFault& pf = faults[i];
           fault::FaultInjector injector({pf.fault});
-          kernel::ProcessingElement& pe = worker_array.pe(pf.pe);
-          switch (pf.target) {
-            case PeFault::kMultLatch:
-            case PeFault::kConfigMult:
-              pe.multiplier().set_latch_observer(&injector);
-              break;
-            case PeFault::kAddLatch:
-            case PeFault::kConfigAdd:
-              pe.adder().set_latch_observer(&injector);
-              break;
-            case PeFault::kAccumulator:
-              pe.set_storage_observer(&injector);
-              break;
-          }
-          const kernel::MatmulRun faulty = worker_array.run(a, b);
-          pe.multiplier().set_latch_observer(nullptr);
-          pe.adder().set_latch_observer(nullptr);
-          pe.set_storage_observer(nullptr);
-
           KernelTrial& trial = trials[i];
-          trial.corrupted =
-              faulty.c.bits != clean.c.bits || faulty.flags != clean.flags;
-          trial.ecc_detected = pe.ecc_detections() > 0;
-          trial.ecc_corrected = pe.ecc_corrections() > 0;
+          if (replay) {
+            if (!worker_pes[slot]) {
+              worker_pes[slot].emplace(array.pe(0).config());
+            }
+            kernel::ProcessingElement& pe = *worker_pes[slot];
+            attach_fault(pe, pf.target, &injector);
+            const kernel::MatmulReplay::Verdict v =
+                replay->replay(pe, pf.pe, pf.fault.cycle,
+                               fault::last_active_cycle(pf.fault));
+            attach_fault(pe, pf.target, nullptr);
+            trial.corrupted = v.corrupted;
+            trial.ecc_detected = v.ecc_detections > 0;
+            trial.ecc_corrected = v.ecc_corrections > 0;
+          } else {
+            if (worker != 0 && !replicas[slot]) {
+              replicas[slot].emplace(array.clone());
+            }
+            kernel::LinearArrayMatmul& worker_array =
+                worker == 0 ? array : *replicas[slot];
+            kernel::ProcessingElement& pe = worker_array.pe(pf.pe);
+            attach_fault(pe, pf.target, &injector);
+            const kernel::MatmulRun faulty = worker_array.run(a, b);
+            attach_fault(pe, pf.target, nullptr);
+            trial.corrupted =
+                faulty.c.bits != clean.c.bits || faulty.flags != clean.flags;
+            trial.ecc_detected = pe.ecc_detections() > 0;
+            trial.ecc_corrected = pe.ecc_corrections() > 0;
+          }
           progress.tick();
         }
       },
       grid_opts);
+  // Free the worker structures and the golden snapshots here, where the
+  // inject span accounts for the cost.
+  worker_pes.clear();
+  replicas.clear();
+  replay.reset();
   inject_span.end();
   if (ckpt.writer != nullptr) ckpt.writer->flush();
 

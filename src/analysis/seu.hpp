@@ -262,15 +262,19 @@ struct MatmulSeuConfig {
   /// Scrub period for those config upsets, in kernel cycles; a struck
   /// piece repairs at the next scrub boundary. <= 0: persists all run.
   long scrub_period_cycles = 0;
-  /// Worker threads for the per-fault loop; each worker re-runs the kernel
-  /// on its own array replica against the shared golden run. 0 = auto
+  /// Worker threads for the golden pass (PEs split across workers) and
+  /// the per-fault loop, where each worker keeps one PE (fast path) or one
+  /// array replica (reference) for the whole campaign. 0 = auto
   /// (FLOPSIM_THREADS, then hardware_concurrency); 1 = serial. Tallies
   /// reduce in fault-list order: bit-identical at any thread count.
   int threads = 0;
-  /// Requested evaluation backend. The kernel campaign's trials are whole
-  /// matmul runs with stateful PEs — outside the unit evaluators' scope —
-  /// so any non-interpreted request falls back to the interpreted kernel
-  /// loop (campaign.matmul.backend_fallback counts the downgrades).
+  /// Requested evaluation backend; kAuto resolves like the unit campaign's.
+  /// kCompiled and kBitsliced take the kernel fast path
+  /// (kernel::MatmulReplay): a trial steps only the struck PE, resuming
+  /// from the golden snapshot before the fault and stopping once the PE
+  /// is back in its golden state; the PE's units still step interpreted
+  /// pipelines. kInterpreted re-runs the whole array per trial, the
+  /// reference. Both give bit-identical tallies and checkpoint bytes.
   rtl::EvalBackend backend = rtl::EvalBackend::kAuto;
 };
 

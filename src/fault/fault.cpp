@@ -1,5 +1,6 @@
 #include "fault/fault.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "fault/secded.hpp"
@@ -13,6 +14,12 @@ const char* to_string(FaultSite site) {
     case FaultSite::kConfig: return "config";
   }
   return "unknown";
+}
+
+long last_active_cycle(const Fault& f) {
+  if (f.site != FaultSite::kConfig) return f.cycle;
+  return f.repair_cycle >= 0 ? f.repair_cycle - 1
+                             : std::numeric_limits<long>::max();
 }
 
 FaultInjector::FaultInjector(std::vector<Fault> faults)

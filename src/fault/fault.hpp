@@ -54,6 +54,12 @@ struct Fault {
   friend bool operator==(const Fault&, const Fault&) = default;
 };
 
+/// Last clock edge at which `f` can alter the state it strikes: the strike
+/// edge of a one-shot upset, the edge before a configuration upset's scrub
+/// repair, or LONG_MAX for one never repaired. A replay that has passed
+/// this edge with its state back to the clean one has masked the fault.
+long last_active_cycle(const Fault& f);
+
 /// One fault the injector actually applied, with the touched word before
 /// and after the flip (the valid bit is reported as 0/1).
 struct AppliedFault {

@@ -1,5 +1,6 @@
 #include "kernel/matmul.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "fp/ops.hpp"
@@ -39,15 +40,34 @@ LinearArrayMatmul::LinearArrayMatmul(int n, const PeConfig& cfg)
   for (int j = 0; j < n; ++j) pes_.emplace_back(pe_cfg);
 }
 
+std::optional<ProcessingElement::MacIssue> scheduled_issue(
+    const Schedule& sched, const Matrix& a, const Matrix& b, int j, long t) {
+  const long tj = t - j;  // systolic skew: PE j runs j cycles behind
+  if (tj < 0 || tj >= sched.issues_per_pe()) return std::nullopt;
+  const int k = static_cast<int>(tj / sched.n_eff);
+  const int i = static_cast<int>(tj % sched.n_eff);
+  // Zero padding: the unit computes 0*0 + acc_pad — real switching, wasted
+  // work (the paper's Section 5 energy-waste source).
+  if (i >= sched.n) return ProcessingElement::MacIssue{0, 0, i};
+  return ProcessingElement::MacIssue{a.at(i, k), b.at(k, j), i};
+}
+
+Schedule LinearArrayMatmul::schedule() const {
+  return make_schedule(
+      n_, pad_override_ >= 0 ? pad_override_ : pes_[0].total_latency());
+}
+
+long LinearArrayMatmul::cycles() const {
+  // The drain is the real latency, whatever the padding threshold.
+  return schedule().issues_per_pe() + (n_ - 1) + pes_[0].total_latency() + 1;
+}
+
 MatmulRun LinearArrayMatmul::run(const Matrix& a, const Matrix& b,
                                  const Matrix* c0) {
   if (a.n != n_ || b.n != n_ || (c0 != nullptr && c0->n != n_)) {
     throw std::invalid_argument("LinearArrayMatmul: operand size mismatch");
   }
-  const int pl = pes_[0].total_latency();
-  const Schedule sched =
-      make_schedule(n_, pad_override_ >= 0 ? pad_override_ : pl);
-
+  const Schedule sched = schedule();
   for (int j = 0; j < n_; ++j) {
     pes_[static_cast<std::size_t>(j)].clear();
     if (c0 != nullptr) {
@@ -56,34 +76,22 @@ MatmulRun LinearArrayMatmul::run(const Matrix& a, const Matrix& b,
       }
     }
   }
-
-  MatmulRun run;
-  run.schedule = sched;
-  const long issue_span = static_cast<long>(n_) * sched.n_eff;
-  const long total = issue_span + (n_ - 1) + pl + 1;
+  const long total = cycles();
   for (long t = 0; t < total; ++t) {
     for (int j = 0; j < n_; ++j) {
-      ProcessingElement& pe = pes_[static_cast<std::size_t>(j)];
-      const long tj = t - j;  // systolic skew: PE j runs j cycles behind
-      std::optional<ProcessingElement::MacIssue> issue;
-      if (tj >= 0 && tj < issue_span) {
-        const int k = static_cast<int>(tj / sched.n_eff);
-        const int i = static_cast<int>(tj % sched.n_eff);
-        if (i < n_) {
-          issue = ProcessingElement::MacIssue{a.at(i, k), b.at(k, j), i};
-        } else {
-          // Zero padding: the unit computes 0*0 + acc_pad — real switching,
-          // wasted work (the paper's Section 5 energy-waste source).
-          issue = ProcessingElement::MacIssue{0, 0, i};
-          ++run.padded_issues;
-        }
-        ++run.mac_issues;
-      }
-      pe.step(issue);
+      pes_[static_cast<std::size_t>(j)].step(
+          scheduled_issue(sched, a, b, j, t));
     }
   }
-  run.cycles = total;
+  return result();
+}
 
+MatmulRun LinearArrayMatmul::result() const {
+  MatmulRun run;
+  run.schedule = schedule();
+  run.cycles = cycles();
+  run.mac_issues = n_ * run.schedule.issues_per_pe();
+  run.padded_issues = n_ * run.schedule.padded_issues_per_pe();
   run.c = Matrix::zero(n_, cfg_.fmt);
   for (int j = 0; j < n_; ++j) {
     const ProcessingElement& pe = pes_[static_cast<std::size_t>(j)];
@@ -94,11 +102,96 @@ MatmulRun LinearArrayMatmul::run(const Matrix& a, const Matrix& b,
     run.flags |= pe.flags();
     for (int i = 0; i < n_; ++i) run.c.at(i, j) = pe.acc(i);
   }
-  if (run.hazards > 0 && pad_override_ < 0) {
+  if (run.hazards > 0 && !pad_overridden()) {
     throw std::runtime_error(
         "LinearArrayMatmul: RAW hazard despite default padding");
   }
   return run;
+}
+
+MatmulReplay::MatmulReplay(LinearArrayMatmul& array, const Matrix& a,
+                           const Matrix& b)
+    : array_(array),
+      a_(a),
+      b_(b),
+      sched_(array.schedule()),
+      cycles_(array.cycles()),
+      golden_(static_cast<std::size_t>(array.n())) {
+  if (a.n != array.n() || b.n != array.n()) {
+    throw std::invalid_argument("MatmulReplay: operand size mismatch");
+  }
+}
+
+void MatmulReplay::record(int j) {
+  ProcessingElement& pe = array_.pe(j);
+  Golden& g = golden_.at(static_cast<std::size_t>(j));
+  pe.clear();
+  g.snapshots.clear();
+  // Snapshots keep only the rows the schedule issues to: the ones a run
+  // reads. Anything a fault flips elsewhere is never read back.
+  for (long t = 0; t < cycles_; ++t) {
+    if (t % kSnapshotInterval == 0) {
+      g.snapshots.push_back(pe.save(sched_.n_eff));
+    }
+    pe.step(scheduled_issue(sched_, a_, b_, j, t));
+  }
+  g.column.resize(static_cast<std::size_t>(sched_.n));
+  for (int i = 0; i < sched_.n; ++i) {
+    g.column[static_cast<std::size_t>(i)] = pe.acc(i);
+  }
+  g.flags = pe.flags();
+  g.ecc_corrections = pe.ecc_corrections();
+  g.ecc_detections = pe.ecc_detections();
+}
+
+MatmulReplay::Verdict MatmulReplay::replay(ProcessingElement& pe, int j,
+                                           long first_active,
+                                           long last_active) const {
+  const Golden& g = golden_.at(static_cast<std::size_t>(j));
+  const std::size_t from =
+      std::min(static_cast<std::size_t>(std::max(first_active, 0L) /
+                                        kSnapshotInterval),
+               g.snapshots.size() - 1);
+  const long start = static_cast<long>(from) * kSnapshotInterval;
+  pe.restore(g.snapshots[from]);
+  Verdict v;
+  for (long t = start; t < cycles_; ++t) {
+    // Past the fault's last active cycle, a state equal to the golden one
+    // evolves exactly as the golden run did: the trial is masked.
+    if (t > last_active && t % kSnapshotInterval == 0 &&
+        pe.matches(g.snapshots[static_cast<std::size_t>(
+            t / kSnapshotInterval)])) {
+      v.ecc_corrections = g.ecc_corrections;
+      v.ecc_detections = g.ecc_detections;
+      v.cycles_stepped = t - start;
+      return v;
+    }
+    pe.step(scheduled_issue(sched_, a_, b_, j, t));
+  }
+  v.cycles_stepped = cycles_ - start;
+
+  // Ran to the end: the same guards and readout as result(), for PE j.
+  if (!pe.drained()) {
+    throw std::logic_error("LinearArrayMatmul: pipeline not drained");
+  }
+  if (pe.hazards() > 0 && !array_.pad_overridden()) {
+    throw std::runtime_error(
+        "LinearArrayMatmul: RAW hazard despite default padding");
+  }
+  std::uint8_t flags = pe.flags();
+  std::uint8_t clean_flags = 0;
+  for (std::size_t k = 0; k < golden_.size(); ++k) {
+    clean_flags |= golden_[k].flags;
+    if (k != static_cast<std::size_t>(j)) flags |= golden_[k].flags;
+  }
+  v.corrupted = flags != clean_flags;
+  for (int i = 0; i < sched_.n; ++i) {
+    // Read every row: each read runs the ECC corrector, as in result().
+    v.corrupted |= pe.acc(i) != g.column[static_cast<std::size_t>(i)];
+  }
+  v.ecc_corrections = pe.ecc_corrections();
+  v.ecc_detections = pe.ecc_detections();
+  return v;
 }
 
 Matrix reference_gemm(const Matrix& a, const Matrix& b, fp::FpFormat fmt,

@@ -2,6 +2,7 @@
 // units — the kernel the paper uses to evaluate its cores (Section 4.2).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "kernel/pe.hpp"
@@ -35,6 +36,13 @@ struct MatmulRun {
   std::uint8_t flags = 0;  ///< accumulated FP exception flags
 };
 
+/// PE j's MAC issue at array cycle t: PE j runs j cycles behind PE 0 (the
+/// systolic skew) through the padded (k, i) loop, and rows i >= n issue
+/// zero operands. nullopt outside PE j's issue window. The one schedule
+/// definition LinearArrayMatmul::run and MatmulReplay both step PEs by.
+std::optional<ProcessingElement::MacIssue> scheduled_issue(
+    const Schedule& sched, const Matrix& a, const Matrix& b, int j, long t);
+
 class LinearArrayMatmul {
  public:
   /// Array of p = n PEs (one C column each).
@@ -51,6 +59,18 @@ class LinearArrayMatmul {
   /// Override the padding threshold (default: PL = Lmul + Ladd, the paper's
   /// rule). Used by tests to demonstrate the hazard window.
   void set_pad_threshold(int pl) { pad_override_ = pl; }
+  /// With an override, hazards are counted instead of thrown.
+  bool pad_overridden() const { return pad_override_ >= 0; }
+
+  /// The schedule run() follows: PL padding, or the override.
+  Schedule schedule() const;
+  /// Clocks run() steps: n issue phases, the skew across the array and the
+  /// pipeline drain.
+  long cycles() const;
+  /// The product as the PEs hold it once each has stepped its whole
+  /// schedule: C read out through each PE's ECC path, the flags OR-ed, and
+  /// run()'s drain and hazard guards applied.
+  MatmulRun result() const;
 
   /// A fresh array with the same geometry and PE configuration (pad
   /// override included) — one replica per campaign worker.
@@ -72,6 +92,59 @@ class LinearArrayMatmul {
   PeConfig cfg_;
   std::vector<ProcessingElement> pes_;
   int pad_override_ = -1;
+};
+
+/// Single-PE replay of the array's product, the kernel SEU fast path. PE j
+/// reads only a(i, k), b(k, j) and its own state, so stepping PE j alone
+/// over its skewed schedule does exactly what a full array run does to
+/// it. record() runs that golden pass for one PE and snapshots its whole
+/// state every kSnapshotInterval cycles; replay() re-runs one PE under a
+/// fault from the last snapshot at or before the fault, and stops early
+/// once the fault can no longer act and the state equals the golden
+/// snapshot for that cycle.
+class MatmulReplay {
+ public:
+  static constexpr long kSnapshotInterval = 16;
+
+  /// Replays of `array`'s product a * b (C0 = 0). Borrows all three; they
+  /// must outlive the replay.
+  MatmulReplay(LinearArrayMatmul& array, const Matrix& a, const Matrix& b);
+
+  /// Golden pass of PE j on the array's own PE. Calls for distinct j touch
+  /// disjoint state and may run on different threads. Once every PE is
+  /// recorded the array holds what run(a, b) leaves, and
+  /// LinearArrayMatmul::result() returns the clean product.
+  void record(int j);
+
+  struct Verdict {
+    bool corrupted = false;  ///< C or the array's flags differ from golden
+    long ecc_corrections = 0;  ///< PE j's counters after the readout
+    long ecc_detections = 0;
+    long cycles_stepped = 0;  ///< from the resume snapshot; an early exit
+                              ///< stops short of the last cycle
+  };
+  /// Re-run PE j's share of the product on `pe`, a PE configured like the
+  /// array's, with the fault observers the caller attached to it. The
+  /// fault may change state only on cycles [first_active, last_active].
+  /// Thread-safe on distinct `pe`s once every PE is recorded.
+  Verdict replay(ProcessingElement& pe, int j, long first_active,
+                 long last_active) const;
+
+ private:
+  struct Golden {
+    std::vector<ProcessingElement::State> snapshots;  // every interval
+    std::vector<fp::u64> column;  // C(:, j) as read out
+    std::uint8_t flags = 0;
+    long ecc_corrections = 0;
+    long ecc_detections = 0;
+  };
+
+  LinearArrayMatmul& array_;
+  const Matrix& a_;
+  const Matrix& b_;
+  Schedule sched_;
+  long cycles_;
+  std::vector<Golden> golden_;  // per PE
 };
 
 /// Reference GEMM with the same arithmetic and accumulation order as the

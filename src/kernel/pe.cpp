@@ -8,6 +8,22 @@
 
 namespace flopsim::kernel {
 
+namespace {
+
+template <typename T>
+std::vector<T> first_rows(const std::vector<T>& v, int rows) {
+  const auto kept = std::min(static_cast<std::size_t>(rows), v.size());
+  return {v.begin(), v.begin() + static_cast<std::ptrdiff_t>(kept)};
+}
+
+template <typename T>
+bool is_prefix(const std::vector<T>& part, const std::vector<T>& whole) {
+  return part.size() <= whole.size() &&
+         std::equal(part.begin(), part.end(), whole.begin());
+}
+
+}  // namespace
+
 units::UnitConfig PeConfig::adder_config() const {
   units::UnitConfig c;
   c.stages = adder_stages;
@@ -116,7 +132,7 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
       if (pending_writes_[row] > 0) ++hazards_;
       mac_->step(
           units::UnitInput{issue->a, issue->b, false, read_acc(issue->row)});
-      adder_rows_.push(issue->row);
+      adder_rows_.push_back(issue->row);
       ++pending_writes_[row];
       ++mac_issues_;
       ++in_flight_;
@@ -125,7 +141,7 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
     }
     if (const auto out = mac_->output()) {
       const int row = adder_rows_.front();
-      adder_rows_.pop();
+      adder_rows_.pop_front();
       write_acc(row, out->result);
       flags_ |= out->flags;
       --pending_writes_[static_cast<std::size_t>(row)];
@@ -147,7 +163,7 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
       throw std::out_of_range("ProcessingElement: accumulator row");
     }
     mult_.step(units::UnitInput{issue->a, issue->b, false});
-    mult_rows_.push(issue->row);
+    mult_rows_.push_back(issue->row);
     ++mac_issues_;
     ++in_flight_;
   } else {
@@ -161,18 +177,18 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
   add_stage_reg_.reset();
   if (const auto prod = mult_.output()) {
     const int row = mult_rows_.front();
-    mult_rows_.pop();
+    mult_rows_.pop_front();
     if (pending_writes_[static_cast<std::size_t>(row)] > 0) ++hazards_;
     add_stage_reg_ = units::UnitInput{prod->result, read_acc(row), false};
     flags_ |= prod->flags;
-    adder_rows_.push(row);
+    adder_rows_.push_back(row);
     ++pending_writes_[static_cast<std::size_t>(row)];
   }
 
   // Writeback.
   if (const auto sum = adder_.output()) {
     const int row = adder_rows_.front();
-    adder_rows_.pop();
+    adder_rows_.pop_front();
     write_acc(row, sum->result);
     flags_ |= sum->flags;
     --pending_writes_[static_cast<std::size_t>(row)];
@@ -191,8 +207,8 @@ void ProcessingElement::clear() {
   std::fill(acc_.begin(), acc_.end(), 0);
   std::fill(acc_check_.begin(), acc_check_.end(), fault::secded_encode(0));
   std::fill(pending_writes_.begin(), pending_writes_.end(), 0);
-  mult_rows_ = {};
-  adder_rows_ = {};
+  mult_rows_.clear();
+  adder_rows_.clear();
   mult_.reset();
   adder_.reset();
   if (mac_.has_value()) mac_->reset();
@@ -204,6 +220,70 @@ void ProcessingElement::clear() {
   flags_ = 0;
   ecc_corrections_ = 0;
   ecc_detections_ = 0;
+}
+
+ProcessingElement::State ProcessingElement::save(int rows) const {
+  if (rows < 0 || rows > cfg_.storage_rows) {
+    throw std::out_of_range("ProcessingElement: snapshot rows");
+  }
+  State s;
+  s.units = {mult_.sim().state(), adder_.sim().state()};
+  if (mac_.has_value()) s.units.push_back(mac_->sim().state());
+  s.add_stage_reg = add_stage_reg_;
+  s.mult_rows.assign(mult_rows_.begin(), mult_rows_.end());
+  s.adder_rows.assign(adder_rows_.begin(), adder_rows_.end());
+  s.acc = first_rows(acc_, rows);
+  s.acc_check = first_rows(acc_check_, rows);
+  s.pending_writes = first_rows(pending_writes_, rows);
+  s.in_flight = in_flight_;
+  s.mac_issues = mac_issues_;
+  s.hazards = hazards_;
+  s.ecc_corrections = ecc_corrections_;
+  s.ecc_detections = ecc_detections_;
+  s.cycles = cycles_;
+  s.flags = flags_;
+  return s;
+}
+
+void ProcessingElement::restore(const State& s) {
+  if (s.units.size() != (mac_.has_value() ? 3u : 2u) ||
+      s.acc.size() > acc_.size() || s.acc_check.size() > acc_check_.size() ||
+      s.pending_writes.size() > pending_writes_.size()) {
+    throw std::invalid_argument("ProcessingElement: state from another PE");
+  }
+  mult_.restore(s.units[0]);
+  adder_.restore(s.units[1]);
+  if (mac_.has_value()) mac_->restore(s.units[2]);
+  add_stage_reg_ = s.add_stage_reg;
+  mult_rows_.assign(s.mult_rows.begin(), s.mult_rows.end());
+  adder_rows_.assign(s.adder_rows.begin(), s.adder_rows.end());
+  std::copy(s.acc.begin(), s.acc.end(), acc_.begin());
+  std::copy(s.acc_check.begin(), s.acc_check.end(), acc_check_.begin());
+  std::copy(s.pending_writes.begin(), s.pending_writes.end(),
+            pending_writes_.begin());
+  in_flight_ = s.in_flight;
+  mac_issues_ = s.mac_issues;
+  hazards_ = s.hazards;
+  ecc_corrections_ = s.ecc_corrections;
+  ecc_detections_ = s.ecc_detections;
+  cycles_ = s.cycles;
+  flags_ = s.flags;
+}
+
+bool ProcessingElement::matches(const State& s) const {
+  return cycles_ == s.cycles && in_flight_ == s.in_flight &&
+         flags_ == s.flags && mac_issues_ == s.mac_issues &&
+         hazards_ == s.hazards && ecc_corrections_ == s.ecc_corrections &&
+         ecc_detections_ == s.ecc_detections &&
+         s.units.size() == (mac_.has_value() ? 3u : 2u) &&
+         mult_.sim().matches(s.units[0]) &&
+         adder_.sim().matches(s.units[1]) &&
+         (!mac_.has_value() || mac_->sim().matches(s.units[2])) &&
+         add_stage_reg_ == s.add_stage_reg &&
+         std::ranges::equal(s.mult_rows, mult_rows_) &&
+         std::ranges::equal(s.adder_rows, adder_rows_) &&
+         is_prefix(s.acc, acc_) && is_prefix(s.acc_check, acc_check_) &&
+         is_prefix(s.pending_writes, pending_writes_);
 }
 
 device::Resources ProcessingElement::mac_resources() const {

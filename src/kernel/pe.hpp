@@ -12,8 +12,8 @@
 // read-after-write hazard the PE detects and counts.
 #pragma once
 
+#include <deque>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "device/resources.hpp"
@@ -101,6 +101,37 @@ class ProcessingElement {
   std::uint8_t flags() const { return flags_; }
   /// Clocks stepped since construction / the last clear().
   long cycles() const { return cycles_; }
+  /// The configuration as built (storage_rows after any array widening).
+  const PeConfig& config() const { return cfg_; }
+
+  /// Everything step() reads or writes, with the accumulator bank cut to
+  /// its first `rows` rows: the unit pipelines (multiplier, adder, and the
+  /// fused MAC when engaged), the add-stage register, the row-tag queues,
+  /// per-row data, check bytes and pending writes, and every counter. A
+  /// kernel replay snapshots the rows its schedule reads; rows beyond them
+  /// are never read, so they cannot change what the PE computes.
+  struct State {
+    std::vector<rtl::PipelineSim::State> units;
+    std::optional<units::UnitInput> add_stage_reg;
+    std::vector<int> mult_rows;
+    std::vector<int> adder_rows;
+    std::vector<fp::u64> acc;
+    std::vector<std::uint8_t> acc_check;
+    std::vector<int> pending_writes;
+    int in_flight = 0;
+    long mac_issues = 0;
+    long hazards = 0;
+    long ecc_corrections = 0;
+    long ecc_detections = 0;
+    long cycles = 0;
+    std::uint8_t flags = 0;
+  };
+  State save(int rows) const;
+  /// Load a state saved by a PE of the same configuration; rows at or
+  /// beyond s.acc.size() keep their contents.
+  void restore(const State& s);
+  /// Whether the PE holds exactly `s` (over s's rows).
+  bool matches(const State& s) const;
 
   /// Attach (or detach with nullptr) the end-of-cycle storage observer.
   /// Not owned; survives clear().
@@ -140,8 +171,8 @@ class ProcessingElement {
   /// Registered operand stage between multiplier output and adder input —
   /// the accumulator read happens when this register loads.
   std::optional<units::UnitInput> add_stage_reg_;
-  std::queue<int> mult_rows_;        // row tags riding the multiplier
-  std::queue<int> adder_rows_;       // row tags riding the adder
+  std::deque<int> mult_rows_;        // row tags riding the multiplier
+  std::deque<int> adder_rows_;       // row tags riding the adder
   int in_flight_ = 0;
   long mac_issues_ = 0;
   long hazards_ = 0;

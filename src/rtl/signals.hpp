@@ -59,6 +59,8 @@ struct SignalSet {
   bool valid = false;
   std::uint8_t flags = 0;  ///< fp::Flags bits, carried forward per stage
 
+  friend bool operator==(const SignalSet&, const SignalSet&) = default;
+
   fp::u64& operator[](int i) {
     if (detail::lane_listener != nullptr) {
       detail::lane_listener->on_access(i, /*mutable_access=*/true);

@@ -35,6 +35,16 @@ void PipelineSim::step(const std::optional<SignalSet>& input) {
   ++cycles_;
 }
 
+void PipelineSim::restore(const State& s) {
+  if (s.latches.size() != latch_.size() ||
+      s.valid_cycles.size() != valid_cycles_.size()) {
+    throw std::invalid_argument("PipelineSim: state from another plan");
+  }
+  latch_ = s.latches;
+  valid_cycles_ = s.valid_cycles;
+  cycles_ = s.cycles;
+}
+
 void PipelineSim::reset() {
   for (SignalSet& l : latch_) l = SignalSet{};
   valid_cycles_.assign(latch_.size(), 0);

@@ -55,6 +55,24 @@ class PipelineSim {
   /// read (bubbles for stage s are cycles() - valid_cycles()[s]).
   const std::vector<long>& valid_cycles() const { return valid_cycles_; }
 
+  /// Everything step() advances: the stage latches, the per-stage valid
+  /// counts and the clock. A kernel replay saves it into golden snapshots,
+  /// restores a snapshot to resume mid-run, and compares against one to
+  /// prove a perturbed run has rejoined the clean one.
+  struct State {
+    std::vector<SignalSet> latches;
+    std::vector<long> valid_cycles;
+    long cycles = 0;
+  };
+  State state() const { return {latch_, valid_cycles_, cycles_}; }
+  /// Load a state saved from a simulator of the same plan.
+  void restore(const State& s);
+  /// Whether the simulator holds exactly `s`, compared in place.
+  bool matches(const State& s) const {
+    return cycles_ == s.cycles && latch_ == s.latches &&
+           valid_cycles_ == s.valid_cycles;
+  }
+
   /// Attach (or detach with nullptr) the post-latch observer. Not owned;
   /// survives reset().
   void set_latch_observer(LatchObserver* observer) { observer_ = observer; }

@@ -28,6 +28,8 @@ struct UnitInput {
   fp::u64 b = 0;     ///< ignored by the (unary) square-root core
   bool subtract = false;  ///< adder only: compute a - b
   fp::u64 c = 0;  ///< fused MAC only: the addend of a * b + c
+
+  friend bool operator==(const UnitInput&, const UnitInput&) = default;
 };
 
 struct UnitOutput {
@@ -91,6 +93,9 @@ class FpUnit {
   /// The cycle-accurate simulator itself — read-only access for the
   /// obs/ occupancy probes and rtl::TraceRecorder waveform capture.
   const rtl::PipelineSim& sim() const { return sim_; }
+  /// Load pipeline state saved by sim().state() on a unit of this
+  /// configuration (a kernel replay resuming from a golden snapshot).
+  void restore(const rtl::PipelineSim::State& s) { sim_.restore(s); }
   /// Post-latch observer hook (fault injection). Nullptr detaches; the
   /// zero-observer path is bit-identical to an unobserved unit.
   void set_latch_observer(rtl::LatchObserver* observer) {

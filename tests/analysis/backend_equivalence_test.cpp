@@ -1,9 +1,10 @@
 // The backend contract end to end: every campaign tally is bit-identical
 // across the interpreted / compiled / bitsliced evaluators at any thread
 // count, the backend never enters the checkpoint spec hash (a run
-// interrupted under one backend resumes under another), kAuto resolves
-// through FLOPSIM_BACKEND, and out-of-scope campaigns (matmul) fall back
-// to the interpreted loop with unchanged results.
+// interrupted under one backend resumes under another), and kAuto
+// resolves through FLOPSIM_BACKEND. For matmul campaigns the fast
+// backends replay only the struck PE from golden snapshots, and every
+// result field and sidecar byte must equal the full-array reference loop.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "analysis/seu.hpp"
+#include "fault/checkpoint.hpp"
 #include "rtl/evaluator.hpp"
 
 namespace flopsim::analysis {
@@ -177,35 +179,117 @@ TEST(BackendEquivalence, ResumeCrossesBackendsBitIdentically) {
   }
 }
 
-// Kernel campaigns are outside the unit evaluators' scope; any backend
-// request must downgrade to the interpreted loop without changing a tally.
-TEST(BackendEquivalence, MatmulRequestsFallBackWithIdenticalTallies) {
-  kernel::PeConfig cfg;
-  cfg.adder_stages = 8;
-  cfg.mult_stages = 5;
-  MatmulSeuConfig camp;
-  camp.faults = 16;
-  camp.config_fraction = 0.5;
-  camp.threads = 1;
-  camp.backend = rtl::EvalBackend::kInterpreted;
-  const MatmulSeuResult baseline = run_matmul_campaign(cfg, camp);
+void expect_same_matmul(const MatmulSeuResult& a, const MatmulSeuResult& b) {
+  EXPECT_EQ(a.injected, b.injected);
+  EXPECT_EQ(a.masked, b.masked);
+  EXPECT_EQ(a.detected, b.detected);
+  EXPECT_EQ(a.corrected, b.corrected);
+  EXPECT_EQ(a.silent, b.silent);
+  EXPECT_EQ(a.acc_injected, b.acc_injected);
+  EXPECT_EQ(a.acc_silent, b.acc_silent);
+  EXPECT_EQ(a.latch_injected, b.latch_injected);
+  EXPECT_EQ(a.latch_silent, b.latch_silent);
+  EXPECT_EQ(a.config_injected, b.config_injected);
+  EXPECT_EQ(a.config_silent, b.config_silent);
+  EXPECT_EQ(a.draws_exhausted, b.draws_exhausted);
+  EXPECT_EQ(a.run.interrupted, b.run.interrupted);
+  EXPECT_EQ(a.run.stop_reason, b.run.stop_reason);
+  EXPECT_EQ(a.run.chunks_total, b.run.chunks_total);
+  EXPECT_EQ(a.run.chunks_completed, b.run.chunks_completed);
+  EXPECT_EQ(a.run.chunks_restored, b.run.chunks_restored);
+  EXPECT_EQ(a.run.trials_executed, b.run.trials_executed);
+}
 
-  for (const rtl::EvalBackend backend :
-       {rtl::EvalBackend::kCompiled, rtl::EvalBackend::kBitsliced}) {
-    SCOPED_TRACE(rtl::to_string(backend));
-    MatmulSeuConfig run = camp;
-    run.backend = backend;
-    run.threads = 2;
-    const MatmulSeuResult r = run_matmul_campaign(cfg, run);
-    EXPECT_EQ(r.injected, baseline.injected);
-    EXPECT_EQ(r.masked, baseline.masked);
-    EXPECT_EQ(r.detected, baseline.detected);
-    EXPECT_EQ(r.corrected, baseline.corrected);
-    EXPECT_EQ(r.silent, baseline.silent);
-    EXPECT_EQ(r.acc_silent, baseline.acc_silent);
-    EXPECT_EQ(r.latch_silent, baseline.latch_silent);
-    EXPECT_EQ(r.config_silent, baseline.config_silent);
-    EXPECT_EQ(r.draws_exhausted, baseline.draws_exhausted);
+/// The one sidecar a checkpointed campaign leaves in `dir`, parsed: lines
+/// land in chunk-completion order, so the chunk map is the canonical form.
+fault::CheckpointLoad only_sidecar(const std::string& dir) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    files.push_back(e.path());
+  }
+  EXPECT_EQ(files.size(), 1u);
+  return files.empty() ? fault::CheckpointLoad{}
+                       : fault::load_checkpoint(files.front().string());
+}
+
+// The kernel fast path — replay only the struck PE from the last golden
+// snapshot, stop early once the state is clean again — against the
+// full-array reference loop: every result field and every sidecar byte,
+// at 1/2/8 threads. The cases span padded and unpadded sizes, both
+// storage schemes, persistent and scrubbed config upsets, all-latch and
+// all-accumulator draws, fused-MAC PEs and both formats.
+TEST(BackendEquivalence, MatmulFastPathMatchesFullArrayReference) {
+  const struct {
+    int n;
+    fp::FpFormat fmt;
+    bool fused;
+    fault::Scheme scheme;
+    double accumulator_fraction;
+    double config_fraction;
+    long scrub;
+  } cases[] = {
+      {1, fp::FpFormat::binary32(), false, fault::Scheme::kNone, 0.5, 0.0, 0},
+      {3, fp::FpFormat::binary64(), false, fault::Scheme::kEcc, 1.0, 0.5, 0},
+      {8, fp::FpFormat::binary32(), true, fault::Scheme::kEcc, 0.5, 0.5, 16},
+      {8, fp::FpFormat::binary64(), false, fault::Scheme::kNone, 0.0, 0.5, 20},
+      {16, fp::FpFormat::binary32(), false, fault::Scheme::kEcc, 0.5, 0.25,
+       32},
+      {16, fp::FpFormat::binary64(), true, fault::Scheme::kNone, 1.0, 0.25,
+       0},
+  };
+  int variant = 0;
+  for (const auto& c : cases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " " + c.fmt.name() +
+                 (c.fused ? " fused" : "") +
+                 " scheme=" + std::to_string(static_cast<int>(c.scheme)) +
+                 " acc=" + std::to_string(c.accumulator_fraction) +
+                 " config=" + std::to_string(c.config_fraction) +
+                 " scrub=" + std::to_string(c.scrub));
+    kernel::PeConfig cfg;
+    cfg.fmt = c.fmt;
+    cfg.adder_stages = 4;
+    cfg.mult_stages = 3;
+    cfg.use_fused_mac = c.fused;
+    MatmulSeuConfig camp;
+    camp.n = c.n;
+    camp.faults = 24;
+    camp.scheme = c.scheme;
+    camp.accumulator_fraction = c.accumulator_fraction;
+    camp.config_fraction = c.config_fraction;
+    camp.scrub_period_cycles = c.scrub;
+    camp.threads = 1;
+    camp.backend = rtl::EvalBackend::kInterpreted;
+    CampaignRunControl control;
+    control.chunk_trials = 8;
+    control.checkpoint_dir = fresh_dir("matmul_ref_" + std::to_string(variant));
+    const MatmulSeuResult reference = run_matmul_campaign(cfg, camp, control);
+    const fault::CheckpointLoad reference_sidecar =
+        only_sidecar(control.checkpoint_dir);
+    ASSERT_TRUE(reference_sidecar.found);
+    EXPECT_GT(reference.injected, reference.masked)
+        << "a case with nothing but masked trials proves little";
+
+    for (const rtl::EvalBackend backend :
+         {rtl::EvalBackend::kCompiled, rtl::EvalBackend::kBitsliced}) {
+      for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE(std::string(rtl::to_string(backend)) +
+                     " threads=" + std::to_string(threads));
+        MatmulSeuConfig run = camp;
+        run.backend = backend;
+        run.threads = threads;
+        control.checkpoint_dir = fresh_dir(
+            "matmul_fast_" + std::to_string(variant) + "_" +
+            rtl::to_string(backend) + "_" + std::to_string(threads));
+        expect_same_matmul(run_matmul_campaign(cfg, run, control), reference);
+        const fault::CheckpointLoad sidecar =
+            only_sidecar(control.checkpoint_dir);
+        EXPECT_EQ(sidecar.spec_hash, reference_sidecar.spec_hash);
+        EXPECT_EQ(sidecar.count, reference_sidecar.count);
+        EXPECT_EQ(sidecar.chunk, reference_sidecar.chunk);
+        EXPECT_EQ(sidecar.chunks, reference_sidecar.chunks);
+      }
+    }
+    ++variant;
   }
 }
 

@@ -14,6 +14,7 @@
 #include "analysis/seu.hpp"
 #include "exec/cancel.hpp"
 #include "fault/checkpoint.hpp"
+#include "rtl/evaluator.hpp"
 
 namespace flopsim::analysis {
 namespace {
@@ -208,6 +209,31 @@ TEST(CampaignResume, MatmulInterruptResumeMatchesUninterrupted) {
   EXPECT_FALSE(resumed.run.interrupted);
   EXPECT_GE(resumed.run.chunks_restored, 1);
   expect_same_matmul(resumed, baseline);
+
+  // The sidecar is engine-neutral: a campaign interrupted under the
+  // full-array reference resumes under the single-PE replay, and back.
+  const rtl::EvalBackend engines[][2] = {
+      {rtl::EvalBackend::kInterpreted, rtl::EvalBackend::kBitsliced},
+      {rtl::EvalBackend::kBitsliced, rtl::EvalBackend::kInterpreted},
+  };
+  int variant = 0;
+  for (const auto& pair : engines) {
+    SCOPED_TRACE(std::string("interrupt=") + rtl::to_string(pair[0]) +
+                 " resume=" + rtl::to_string(pair[1]));
+    interrupt.checkpoint_dir = resume.checkpoint_dir =
+        fresh_dir(variant++ == 0 ? "resume_matmul_to_fast"
+                                 : "resume_matmul_to_reference");
+    MatmulSeuConfig first = run2;
+    first.backend = pair[0];
+    ASSERT_TRUE(run_matmul_campaign(cfg, first, interrupt).run.interrupted);
+    MatmulSeuConfig second = run3;
+    second.backend = pair[1];
+    const MatmulSeuResult crossed = run_matmul_campaign(cfg, second, resume);
+    EXPECT_FALSE(crossed.run.interrupted);
+    EXPECT_GE(crossed.run.chunks_restored, 1)
+        << "the other engine's sidecar was not found";
+    expect_same_matmul(crossed, baseline);
+  }
 }
 
 TEST(CampaignResume, DepthSweepRestoresFinishedDepths) {

@@ -42,7 +42,9 @@ std::vector<fp::u64> random_vector(int n, fp::FpFormat fmt,
 struct MvmCase {
   int n;
   int p;
-  const char* name;
+  // Held inline, not as a pointer: gtest prints the case's raw bytes into
+  // each test name, and a pointer would make the names differ per process.
+  char name[8];
 };
 
 class MvmTest : public ::testing::TestWithParam<MvmCase> {};

@@ -176,5 +176,36 @@ TEST(Pe, InvalidStorageThrows) {
   EXPECT_THROW(ProcessingElement{cfg}, std::invalid_argument);
 }
 
+// A state saved mid-run and loaded into another PE continues exactly as
+// the original does; a PE with other units refuses it.
+TEST(Pe, SavedStateResumesInAnotherPe) {
+  ProcessingElement original(small_cfg());
+  ProcessingElement resumed(small_cfg());
+  constexpr int issues = 40;
+  const auto issue_at =
+      [](int t) -> std::optional<ProcessingElement::MacIssue> {
+    if (t >= issues) return std::nullopt;
+    return ProcessingElement::MacIssue{enc(t % 9 + 1), enc(t % 4 + 2), t % 3};
+  };
+  ProcessingElement::State mid;
+  for (int t = 0; t < issues + original.total_latency(); ++t) {
+    if (t == 17) mid = original.save(16);
+    original.step(issue_at(t));
+  }
+  resumed.restore(mid);
+  EXPECT_TRUE(resumed.matches(mid));
+  for (int t = 17; t < issues + resumed.total_latency(); ++t) {
+    resumed.step(issue_at(t));
+  }
+  EXPECT_FALSE(resumed.matches(mid));
+  EXPECT_TRUE(resumed.matches(original.save(16)));
+  EXPECT_GT(original.hazards(), 0) << "rows revisit inside the window";
+
+  PeConfig fused = small_cfg();
+  fused.use_fused_mac = true;
+  ProcessingElement other(fused);
+  EXPECT_THROW(other.restore(mid), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace flopsim::kernel

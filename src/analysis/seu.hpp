@@ -32,7 +32,7 @@ struct SeuCampaignConfig {
   int faults = 48;   ///< upsets injected, one per run (single-fault model)
   std::uint64_t seed = 0x5eed;
   fault::Scheme scheme = fault::Scheme::kNone;
-  /// Worker threads for the trial loop (exec::parallel_for_chunked).
+  /// Worker threads for the trial loop (exec::parallel_for_grid).
   /// 0 = auto (FLOPSIM_THREADS, then hardware_concurrency); 1 = serial.
   /// The fault list is pre-drawn and tallies reduce in fault-list order,
   /// so results are bit-identical for every thread count.

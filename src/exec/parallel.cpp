@@ -7,6 +7,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/cancel.hpp"
@@ -112,8 +113,12 @@ ThreadPool::ThreadPool(int threads)
           err = std::current_exception();
         }
         {
+          // Moved, not copied: the worker keeps no reference once the
+          // caller can see the slot. A copy released after the unlock
+          // drops the refcount inside uninstrumented libstdc++, which
+          // ThreadSanitizer reports as a race with the caller's rethrow.
           std::lock_guard<std::mutex> lk(s.m);
-          s.errors[static_cast<std::size_t>(w)] = err;
+          s.errors[static_cast<std::size_t>(w)] = std::move(err);
           if (--s.pending == 0) s.done_cv.notify_all();
         }
       }

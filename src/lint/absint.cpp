@@ -670,8 +670,6 @@ ChainAbsint analyze_chain(const rtl::PieceChain& chain,
                           const ChainContract& contract, const Options& opts) {
   ChainAbsint res;
   const std::size_t n = chain.size();
-  res.piece_dead.assign(n, false);
-  res.piece_constant.assign(n, false);
   res.piece_unreachable.assign(n, false);
   if (n == 0) return res;
   res.annotated =
@@ -698,7 +696,6 @@ ChainAbsint analyze_chain(const rtl::PieceChain& chain,
     entry.lane[static_cast<std::size_t>(lane)] = AbsVal::any(width);
   }
   const SolveResult solved = absint_solve(program, entry);
-  res.piece_out = solved.out;
 
   // ---- per-op reachability + carry-truncation findings --------------------
   for (std::size_t p = 0; p < n; ++p) {
@@ -757,30 +754,6 @@ ChainAbsint analyze_chain(const rtl::PieceChain& chain,
     for (std::size_t oi = ops.size(); oi-- > 0;) {
       demand_transfer(ops[oi], demand);
     }
-  }
-
-  // ---- piece-level proofs --------------------------------------------------
-  for (std::size_t p = 0; p < n; ++p) {
-    bool writes = false;
-    bool writes_flags = false;
-    bool all_dead = true;
-    bool all_const = true;
-    bool all_unconditional = true;
-    for (const SemOp& op : chain[p].sem) {
-      if (op.kind == Kind::kFlags) writes_flags = true;
-      if (op.kind == Kind::kNop || op.kind == Kind::kRead ||
-          op.kind == Kind::kFlags || op.dst < 0 || op.dst >= kMaxSignals) {
-        continue;
-      }
-      writes = true;
-      if (op.cond >= 0) all_unconditional = false;
-      const auto dst = static_cast<std::size_t>(op.dst);
-      if (boundary_demand[p][dst] != 0) all_dead = false;
-      if (!solved.out[p].lane[dst].is_constant()) all_const = false;
-    }
-    res.piece_dead[p] = writes && !writes_flags && all_dead;
-    res.piece_constant[p] =
-        writes && !writes_flags && all_const && all_unconditional;
   }
 
   // ---- concrete replay: containment self-check + witness widths -----------
@@ -887,44 +860,6 @@ ChainAbsint analyze_chain(const rtl::PieceChain& chain,
     res.boundaries.push_back(std::move(bb));
   }
   return res;
-}
-
-Report crosscheck_compiled(const rtl::PieceChain& chain,
-                           const ChainAbsint& absint,
-                           const std::vector<int>& disposition,
-                           const std::string& subject) {
-  Report report;
-  if (!absint.annotated) return report;
-  const std::size_t n =
-      std::min(chain.size(), disposition.size());
-  for (std::size_t p = 0; p < n; ++p) {
-    const bool has_writes = std::any_of(
-        chain[p].sem.begin(), chain[p].sem.end(), [](const SemOp& op) {
-          return op.kind != Kind::kNop && op.kind != Kind::kRead &&
-                 op.kind != Kind::kFlags && op.dst >= 0;
-        });
-    const int disp = disposition[p];  // 0 kept / 1 folded / 2 pruned
-    if (disp == 0 && absint.piece_constant[p] && !absint.piece_dead[p]) {
-      report.add(absint_finding(
-          "DL402", subject, chain, static_cast<int>(p),
-          "every written lane is proven constant, but the compiled backend "
-          "keeps the piece as a call op (missed constant fold)"));
-    }
-    if (disp == 0 && absint.piece_dead[p]) {
-      report.add(absint_finding(
-          "DL403", subject, chain, static_cast<int>(p),
-          "no written bit is ever demanded downstream, but the compiled "
-          "backend keeps the piece (missed dead-piece prune)"));
-    }
-    if (disp == 2 && has_writes && !absint.piece_dead[p]) {
-      report.add(absint_finding(
-          "DL404", subject, chain, static_cast<int>(p),
-          "the compiled backend pruned this piece on observational evidence, "
-          "but the sem annotations still demand one of its writes — pruning "
-          "leans on the stimulus battery here, not on a proof"));
-    }
-  }
-  return report;
 }
 
 }  // namespace flopsim::lint

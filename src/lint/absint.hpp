@@ -136,13 +136,9 @@ struct ChainAbsint {
   /// One entry per cuttable boundary (plus the final output register),
   /// indexed by position in this vector; `boundary` names the piece.
   std::vector<BoundaryBounds> boundaries;
-  /// Piece proofs, index-aligned with the chain.
-  std::vector<bool> piece_dead;         ///< no written bit is ever demanded
-  std::vector<bool> piece_constant;     ///< all written lanes proven constant
-  std::vector<bool> piece_unreachable;  ///< every op provably disabled
-  /// Fixpoint state after each piece — piece_constant consumers (the
-  /// compiled backend's absint fold) read the constant values from here.
-  std::vector<AbsState> piece_out;
+  /// Per piece, index-aligned with the chain: every semantic op is
+  /// provably disabled by its guard.
+  std::vector<bool> piece_unreachable;
   /// DL400 containment violations, DL404 unreachable ops, DL405 carry
   /// truncation — findings the analysis itself produces.
   Report findings;
@@ -153,16 +149,5 @@ struct ChainAbsint {
 /// concrete-replay containment, boundary summaries.
 ChainAbsint analyze_chain(const rtl::PieceChain& chain,
                           const ChainContract& contract, const Options& opts);
-
-/// Cross-check the compiled backend against the proofs: DL402 for a
-/// proven-constant piece the compiler kept as a call, DL403 (piece form)
-/// for a proven-dead piece it kept, DL404 (warning form) for a pruned
-/// piece the proofs still see as live. `disposition` is
-/// CompiledProgram::disposition() widened to ints (0 kept / 1 folded /
-/// 2 pruned) to keep this header free of rtl/program.hpp.
-Report crosscheck_compiled(const rtl::PieceChain& chain,
-                           const ChainAbsint& absint,
-                           const std::vector<int>& disposition,
-                           const std::string& subject);
 
 }  // namespace flopsim::lint

@@ -11,7 +11,6 @@
 #include "fault/campaign.hpp"
 #include "lint/absint.hpp"
 #include "lint/probe.hpp"
-#include "rtl/program.hpp"
 #include "units/converter_unit.hpp"
 #include "units/fp_unit.hpp"
 
@@ -106,15 +105,12 @@ const std::vector<RuleInfo>& rule_registry() {
       {"DL401", Severity::kError,
        "declared live_bits at a cut boundary is below the exactly-proven "
        "live width (static bound and concrete witness agree; no tolerance)"},
-      {"DL402", Severity::kWarning,
-       "piece output proven constant, but the compiled backend keeps it as "
-       "a call (missed constant fold)"},
       {"DL403", Severity::kWarning,
-       "lane or piece proven dead beyond the observed liveness the FF model "
-       "and compiled backend rely on"},
+       "lane proven dead beyond the observed liveness the FF model relies "
+       "on"},
       {"DL404", Severity::kWarning,
-       "unreachable piece ops, or a compiled-backend prune the proofs do "
-       "not support"},
+       "every semantic op of a piece is provably disabled by its guard "
+       "(unreachable dead code)"},
       {"DL405", Severity::kWarning,
        "carry/overflow out of a truncated adder/multiplier is reachable "
        "into a dropped bit"},
@@ -768,34 +764,6 @@ fp::u64 splitmix64(fp::u64& state) {
 
 }  // namespace
 
-namespace {
-
-/// Cross-check the compiled backend's piece dispositions against the
-/// absint proofs (DL402/DL403/DL404) — the self-check that dead-piece
-/// pruning and constant folding agree with the static liveness story.
-Report compiled_crosscheck(const rtl::PieceChain& chain,
-                           const rtl::PipelinePlan& plan,
-                           const ChainContract& contract,
-                           const ChainAbsint& absint, const Options& opts) {
-  Report report;
-  if (!absint.annotated) return report;
-  rtl::CompileContract cc;
-  cc.input_lanes = contract.input_lanes;
-  cc.result_lane = contract.result_lane;
-  cc.stimuli = contract.stimuli;
-  rtl::CompileOptions co;
-  co.probe_seed = opts.seed;
-  const rtl::CompiledProgram prog = rtl::compile_program(chain, plan, cc, co);
-  std::vector<int> disposition;
-  disposition.reserve(prog.disposition().size());
-  for (const rtl::CompiledProgram::Disposition d : prog.disposition()) {
-    disposition.push_back(static_cast<int>(d));
-  }
-  return crosscheck_compiled(chain, absint, disposition, contract.name);
-}
-
-}  // namespace
-
 Report lint_unit(const units::FpUnit& unit, const Options& opts) {
   const rtl::PieceChain& chain = unit.pieces();
   ChainContract contract;
@@ -816,9 +784,7 @@ Report lint_unit(const units::FpUnit& unit, const Options& opts) {
     contract.stimuli.push_back(s);
   }
 
-  ChainAbsint absint;
-  Report report = lint_chain(chain, contract, opts, &absint);
-  report.merge(compiled_crosscheck(chain, unit.plan(), contract, absint, opts));
+  Report report = lint_chain(chain, contract, opts);
   report.merge(lint_plan(chain, unit.plan(), unit.config().tech,
                          unit.config().objective, contract.name, opts));
   report.merge(check_depth_claim(unit.stages(), unit.config().stages,
@@ -841,9 +807,7 @@ Report lint_converter(const units::FormatConverter& cvt, const Options& opts) {
     contract.stimuli.push_back(s);
   }
 
-  ChainAbsint absint;
-  Report report = lint_chain(chain, contract, opts, &absint);
-  report.merge(compiled_crosscheck(chain, cvt.plan(), contract, absint, opts));
+  Report report = lint_chain(chain, contract, opts);
   report.merge(lint_plan(chain, cvt.plan(), cvt.config().tech,
                          cvt.config().objective, contract.name, opts));
   report.merge(check_depth_claim(cvt.stages(), cvt.config().stages,

@@ -148,8 +148,8 @@ struct ChainContract {
 
 /// Structural + def-use + live-bits rules over a bare chain. The second
 /// overload also hands back the abstract-interpretation results (see
-/// lint/absint.hpp) so callers can cross-check other consumers of the
-/// chain — lint_unit feeds them to the compiled-backend crosscheck.
+/// lint/absint.hpp): the proven boundary bounds and piece facts behind
+/// the DL4xx findings.
 struct ChainAbsint;
 Report lint_chain(const rtl::PieceChain& chain, const ChainContract& contract,
                   const Options& opts = {});

@@ -195,9 +195,7 @@ class InterpretedEvaluator final : public Evaluator {
 
 // ---------------------------------------------------------------------------
 // Compiled: copy the struck clean state, flip, replay only the compiled
-// suffix stages. The bind-time flip battery decides once whether the
-// pruned op list can be trusted on faulty states; on any disagreement the
-// full (unpruned) op list is used — still compiled, never wrong.
+// suffix stages.
 
 /// State shared by a compiled evaluator and all its forks. Immutable
 /// after bind() (bind before forking).
@@ -207,63 +205,7 @@ struct CompiledCore {
   int result_lane = 0;
   CompiledProgram program;
   std::shared_ptr<const Bound> bound;
-  bool use_full = false;
 };
-
-constexpr std::size_t kMaxBatteryFlips = 4096;
-
-/// Pruned-vs-full suffix comparison over the occupied bits of the bound
-/// clean states (stride-sampled past kMaxBatteryFlips sites). Liveness
-/// inference is observational and a faulty state can take branches the
-/// probe never saw; this battery is what earns the pruned list the right
-/// to run on flipped states.
-bool flip_battery_passes(const CompiledCore& core) {
-  if (!core.program.optimized()) return true;  // pruned == full already
-  const Bound& b = *core.bound;
-  const int s_count = b.stages;
-  if (b.vectors == 0) return true;
-  struct Site {
-    int stage;
-    int lane;
-    int bit;
-  };
-  std::vector<Site> sites;
-  for (int s = 0; s < s_count; ++s) {
-    std::array<fp::u64, kMaxSignals> occ{};
-    for (int v = 0; v < b.vectors; ++v) {
-      const SignalSet& st = b.state(v, s);
-      for (int l = 0; l < kMaxSignals; ++l) {
-        occ[static_cast<std::size_t>(l)] |=
-            st.lane[static_cast<std::size_t>(l)];
-      }
-    }
-    for (int l = 0; l < kMaxSignals; ++l) {
-      for (fp::u64 w = occ[static_cast<std::size_t>(l)]; w != 0; w &= w - 1) {
-        sites.push_back(Site{s, l, std::countr_zero(w)});
-      }
-    }
-  }
-  const std::size_t stride =
-      sites.size() > kMaxBatteryFlips
-          ? (sites.size() + kMaxBatteryFlips - 1) / kMaxBatteryFlips
-          : 1;
-  const auto rl = static_cast<std::size_t>(core.result_lane);
-  for (std::size_t i = 0; i < sites.size(); i += stride) {
-    const Site& site = sites[i];
-    const int v = static_cast<int>(i % static_cast<std::size_t>(b.vectors));
-    SignalSet pruned = b.state(v, site.stage);
-    pruned.lane[static_cast<std::size_t>(site.lane)] ^= fp::u64{1} << site.bit;
-    SignalSet full = pruned;
-    core.program.run(pruned, site.stage + 1, s_count);
-    core.program.run_full(full, site.stage + 1, s_count);
-    const bool same_observables =
-        pruned.valid == full.valid &&
-        (!full.valid ||
-         (pruned.lane[rl] == full.lane[rl] && pruned.flags == full.flags));
-    if (!same_observables) return false;
-  }
-  return true;
-}
 
 class CompiledEvaluator : public Evaluator {
  public:
@@ -285,7 +227,6 @@ class CompiledEvaluator : public Evaluator {
   void bind(const std::vector<SignalSet>& inputs, long horizon) override {
     core_->bound = bind_clean_states(*core_->chain, core_->plan, inputs,
                                      horizon);
-    core_->use_full = !flip_battery_passes(*core_);
   }
 
   int stages() const override { return core_->plan.stages(); }
@@ -309,11 +250,7 @@ class CompiledEvaluator : public Evaluator {
     }
     SignalSet s = b.state(static_cast<int>(v), u.stage);
     s.lane[static_cast<std::size_t>(u.lane)] ^= fp::u64{1} << (u.bit & 63);
-    if (core.use_full) {
-      core.program.run_full(s, u.stage + 1, s_count);
-    } else {
-      core.program.run(s, u.stage + 1, s_count);
-    }
+    core.program.run(s, u.stage + 1, s_count);
     const SignalSet& clean = b.state(static_cast<int>(v), s_count - 1);
     const auto rl = static_cast<std::size_t>(core.result_lane);
     t.struck = true;
@@ -384,8 +321,7 @@ class BitslicedEvaluator final : public CompiledEvaluator {
         struck |= std::uint64_t{1} << k;
       }
       if (struck != 0) {
-        core.program.run_block(slot_.data(), entry.data(), struck,
-                               core.use_full);
+        core.program.run_block(slot_.data(), entry.data(), struck);
       }
       std::uint64_t corrupted = 0;
       for (std::uint64_t w = struck; w != 0; w &= w - 1) {

@@ -22,11 +22,11 @@
 //     piece arithmetic.
 //
 // All backends are locked to the same contract: identical UpsetTrial
-// results for identical upsets, byte for byte. The compiled backends
-// guard themselves at bind time with a flip battery (pruned-vs-full
-// suffix comparison over the occupied bits); if the pruned program ever
-// disagrees, they quietly fall back to the full op list — still
-// compiled, still fast, never wrong.
+// results for identical upsets, byte for byte. The compiled program runs
+// every piece in PipelineSim's order (rtl/program.hpp), so the suffix a
+// compiled or bitsliced trial replays is the computation the interpreted
+// pipeline performs after the flip; the contract holds by construction,
+// not by a bind-time check.
 //
 // Thread safety: bound state is immutable and shared; call fork() to get
 // a per-worker evaluator (cheap — the program and B[v][s] table are
@@ -121,7 +121,8 @@ class Evaluator {
   /// are not safe for concurrent trial() calls; forks are.
   virtual std::unique_ptr<Evaluator> fork() const = 0;
 
-  /// Compile diagnostics; nullptr for the interpreted backend.
+  /// The compiled program's guard bits; nullptr for the interpreted
+  /// backend.
   virtual const CompileStats* compile_stats() const { return nullptr; }
 };
 

@@ -1,17 +1,13 @@
 #include "rtl/program.hpp"
 
-#include <array>
 #include <bit>
 
-#include "lint/absint.hpp"
 #include "lint/probe.hpp"
 
 namespace flopsim::rtl {
 
 void CompiledProgram::run_block(SignalSet* slots, const int* entry_stage,
-                                std::uint64_t mask, bool use_full) const {
-  const std::vector<Op>& ops = use_full ? full_ops_ : ops_;
-  const std::vector<int>& begin = use_full ? full_begin_ : op_begin_;
+                                std::uint64_t mask) const {
   const int nstages = stages();
   for (int st = 0; st < nstages; ++st) {
     // The per-stage valid gate, sampled at the stage boundary exactly like
@@ -24,302 +20,38 @@ void CompiledProgram::run_block(SignalSet* slots, const int* entry_stage,
       }
     }
     if (active == 0) continue;
-    for (int i = begin[static_cast<std::size_t>(st)];
-         i < begin[static_cast<std::size_t>(st) + 1]; ++i) {
-      const Op& op = ops[static_cast<std::size_t>(i)];
-      if (op.eval != nullptr) {
-        for (std::uint64_t w = active; w != 0; w &= w - 1) {
-          (*op.eval)(slots[std::countr_zero(w)]);
-        }
-      } else {
-        for (int j = op.store_begin; j < op.store_end; ++j) {
-          const Store& wst = stores_[static_cast<std::size_t>(j)];
-          for (std::uint64_t w = active; w != 0; w &= w - 1) {
-            slots[std::countr_zero(w)].lane[static_cast<std::size_t>(wst.lane)] =
-                wst.value;
-          }
-        }
+    for (int i = op_begin_[static_cast<std::size_t>(st)];
+         i < op_begin_[static_cast<std::size_t>(st) + 1]; ++i) {
+      const std::function<void(SignalSet&)>& eval =
+          *ops_[static_cast<std::size_t>(i)];
+      for (std::uint64_t w = active; w != 0; w &= w - 1) {
+        eval(slots[std::countr_zero(w)]);
       }
     }
   }
 }
 
-namespace {
-
-/// Pieces the liveness pass must never drop: anything whose effect the
-/// campaign observables (result lane, flags, DONE) or the probe itself
-/// cannot fully account for.
-bool must_keep(const lint::PieceAccess& pa) {
-  return pa.writes_flags || pa.writes_valid || pa.nondeterministic ||
-         !pa.out_of_range.empty();
-}
-
-/// Equality on the campaign observables: the DONE bit, the result lane,
-/// and the carried flags. Scratch lanes are allowed to differ — a pruned
-/// dead write leaves its lane stale by design, and the bind-time flip
-/// battery (rtl/evaluator.*) judges the pruned program by this same
-/// yardstick.
-bool observably_equal(const SignalSet& a, const SignalSet& b,
-                      int result_lane) {
-  if (a.valid != b.valid) return false;
-  if (!a.valid) return true;
-  const auto rl = static_cast<std::size_t>(result_lane);
-  return a.lane[rl] == b.lane[rl] && a.flags == b.flags;
-}
-
-}  // namespace
-
 CompiledProgram compile_program(const PieceChain& chain,
                                 const PipelinePlan& plan,
-                                const CompileContract& contract,
-                                const CompileOptions& opts) {
+                                const CompileContract& contract) {
   CompiledProgram prog;
-  const std::size_t n = chain.size();
-  prog.stats_.pieces = static_cast<int>(n);
-  prog.disposition_.assign(n, CompiledProgram::Disposition::kKept);
-
-  // The lint probe is the IR: observational per-piece read/write sets.
   lint::ChainContract lc;
-  lc.name = "compile_program";
   lc.input_lanes = contract.input_lanes;
   lc.result_lane = contract.result_lane;
   lc.stimuli = contract.stimuli;
-  lint::Options lo;
-  lo.seed = opts.probe_seed;
-  const lint::ChainAccess access = lint::infer_chain_access(chain, lc, lo);
-
+  const lint::ChainAccess access =
+      lint::infer_chain_access(chain, lc, lint::Options{});
   for (const lint::PieceAccess& pa : access.piece) {
-    prog.stats_.alters_flags = prog.stats_.alters_flags || pa.writes_flags;
     prog.stats_.alters_valid = prog.stats_.alters_valid || pa.writes_valid;
     prog.stats_.nondeterministic =
         prog.stats_.nondeterministic || pa.nondeterministic;
   }
 
-  // Backward liveness from the result lane. A conservative pass: a piece
-  // that touches flags/DONE, misbehaves under the probe, or indexes out
-  // of range is kept with a read-everything assumption.
-  if (opts.prune_dead_pieces && !contract.stimuli.empty()) {
-    std::array<bool, kMaxSignals> live{};
-    if (contract.result_lane >= 0 && contract.result_lane < kMaxSignals) {
-      live[static_cast<std::size_t>(contract.result_lane)] = true;
-    }
-    for (std::size_t rp = n; rp-- > 0;) {
-      const lint::PieceAccess& pa = access.piece[rp];
-      if (must_keep(pa)) {
-        live.fill(true);  // unknown reads: everything upstream is live
-        continue;
-      }
-      if (!pa.touched) {
-        prog.disposition_[rp] = CompiledProgram::Disposition::kPruned;
-        continue;
-      }
-      bool writes_live = false;
-      for (int l = 0; l < kMaxSignals; ++l) {
-        const auto idx = static_cast<std::size_t>(l);
-        if (live[idx] && pa.write_any[idx]) writes_live = true;
-      }
-      if (!writes_live) {
-        prog.disposition_[rp] = CompiledProgram::Disposition::kPruned;
-        continue;
-      }
-      // Only unconditional writes kill liveness; reads extend it.
-      for (int l = 0; l < kMaxSignals; ++l) {
-        const auto idx = static_cast<std::size_t>(l);
-        if (pa.write_always[idx]) live[idx] = false;
-      }
-      for (int l = 0; l < kMaxSignals; ++l) {
-        const auto idx = static_cast<std::size_t>(l);
-        if (pa.read[idx]) live[idx] = true;
-      }
-    }
-  }
-
-  // Constant folding: a kept, deterministic, read-free piece whose writes
-  // are unconditional becomes a store table. Candidate writes are
-  // validated on the real (unpoisoned) stimulus states — every changed
-  // lane must be in the write_always set and hold the same value across
-  // all stimuli, or the candidate is demoted back to a call.
-  std::vector<std::vector<CompiledProgram::Store>> folds(n);
-  if (opts.fold_constants && !contract.stimuli.empty()) {
-    std::vector<char> candidate(n, 0);
-    for (std::size_t p = 0; p < n; ++p) {
-      const lint::PieceAccess& pa = access.piece[p];
-      if (prog.disposition_[p] != CompiledProgram::Disposition::kKept) {
-        continue;
-      }
-      if (must_keep(pa) || !pa.touched) continue;
-      bool reads_any = false;
-      bool conditional_write = false;
-      for (int l = 0; l < kMaxSignals; ++l) {
-        const auto idx = static_cast<std::size_t>(l);
-        reads_any = reads_any || pa.read[idx];
-        if (pa.write_any[idx] != pa.write_always[idx]) {
-          conditional_write = true;
-        }
-      }
-      candidate[p] = !reads_any && !conditional_write ? 1 : 0;
-    }
-    for (std::size_t v = 0; v < contract.stimuli.size(); ++v) {
-      SignalSet state = contract.stimuli[v];
-      for (std::size_t p = 0; p < n; ++p) {
-        const SignalSet pre = state;
-        chain[p].eval(state);
-        if (candidate[p] == 0) continue;
-        const lint::PieceAccess& pa = access.piece[p];
-        std::vector<CompiledProgram::Store> stores;
-        bool ok = state.valid == pre.valid && state.flags == pre.flags;
-        for (int l = 0; ok && l < kMaxSignals; ++l) {
-          const auto idx = static_cast<std::size_t>(l);
-          const bool changed = state.lane[idx] != pre.lane[idx];
-          if (changed && !pa.write_always[idx]) ok = false;
-          if (pa.write_always[idx]) {
-            stores.push_back(
-                CompiledProgram::Store{l, state.lane[idx]});
-          }
-        }
-        if (!ok || stores.empty()) {
-          candidate[p] = 0;
-          folds[p].clear();
-          continue;
-        }
-        if (v == 0) {
-          folds[p] = std::move(stores);
-        } else if (folds[p].size() != stores.size()) {
-          candidate[p] = 0;
-          folds[p].clear();
-        } else {
-          for (std::size_t k = 0; k < stores.size(); ++k) {
-            if (stores[k].lane != folds[p][k].lane ||
-                stores[k].value != folds[p][k].value) {
-              candidate[p] = 0;
-              folds[p].clear();
-              break;
-            }
-          }
-        }
-      }
-    }
-    for (std::size_t p = 0; p < n; ++p) {
-      if (candidate[p] != 0 && !folds[p].empty()) {
-        prog.disposition_[p] = CompiledProgram::Disposition::kFolded;
-      }
-    }
-  }
-
-  // Absint folding: the observational pass above only folds read-free
-  // pieces; the abstract-interpretation engine proves constness through
-  // dataflow (a piece reading a lane that is itself constant). Same
-  // validation story — the clean-path self-check below rejects a wrong
-  // fold wholesale.
-  if (opts.fold_constants && opts.absint_fold && !contract.stimuli.empty()) {
-    const lint::ChainAbsint absint = lint::analyze_chain(chain, lc, lo);
-    for (std::size_t p = 0; absint.annotated && p < n; ++p) {
-      if (prog.disposition_[p] != CompiledProgram::Disposition::kKept ||
-          !absint.piece_constant[p] || must_keep(access.piece[p])) {
-        continue;
-      }
-      std::array<bool, kMaxSignals> writes{};
-      for (const SemOp& op : chain[p].sem) {
-        if (op.kind == SemOp::Kind::kNop || op.kind == SemOp::Kind::kRead ||
-            op.kind == SemOp::Kind::kFlags || op.dst < 0 ||
-            op.dst >= kMaxSignals) {
-          continue;
-        }
-        writes[static_cast<std::size_t>(op.dst)] = true;
-      }
-      std::vector<CompiledProgram::Store> stores;
-      for (int l = 0; l < kMaxSignals; ++l) {
-        if (!writes[static_cast<std::size_t>(l)]) continue;
-        stores.push_back(CompiledProgram::Store{
-            l, absint.piece_out[p].lane[static_cast<std::size_t>(l)]
-                   .constant_value()});
-      }
-      if (!stores.empty()) {
-        folds[p] = std::move(stores);
-        prog.disposition_[p] = CompiledProgram::Disposition::kFolded;
-      }
-    }
-  }
-
-  // Emit the op arrays. Stage boundaries translate the plan's piece
-  // indices into op indices once, so run() never consults the plan.
-  const int stages = plan.stages();
-  const auto stage_of = [&](std::size_t piece) {
-    int st = 0;
-    while (st + 1 < stages &&
-           static_cast<int>(piece) >=
-               plan.stage_begin[static_cast<std::size_t>(st) + 1]) {
-      ++st;
-    }
-    return st;
-  };
-  prog.op_begin_.assign(static_cast<std::size_t>(stages) + 1, 0);
-  prog.full_begin_.assign(static_cast<std::size_t>(stages) + 1, 0);
-  const auto emit = [&](bool optimized) {
-    std::vector<CompiledProgram::Op>& ops =
-        optimized ? prog.ops_ : prog.full_ops_;
-    std::vector<int>& begin = optimized ? prog.op_begin_ : prog.full_begin_;
-    ops.clear();
-    int st = 0;
-    begin[0] = 0;
-    for (std::size_t p = 0; p < n; ++p) {
-      const int ps = stage_of(p);
-      while (st < ps) begin[static_cast<std::size_t>(++st)] = static_cast<int>(ops.size());
-      CompiledProgram::Op op;
-      if (optimized) {
-        switch (prog.disposition_[p]) {
-          case CompiledProgram::Disposition::kPruned:
-            continue;
-          case CompiledProgram::Disposition::kFolded:
-            op.store_begin = static_cast<int>(prog.stores_.size());
-            for (const CompiledProgram::Store& w : folds[p]) {
-              prog.stores_.push_back(w);
-            }
-            op.store_end = static_cast<int>(prog.stores_.size());
-            break;
-          case CompiledProgram::Disposition::kKept:
-            op.eval = &chain[p].eval;
-            break;
-        }
-      } else {
-        op.eval = &chain[p].eval;
-      }
-      ops.push_back(op);
-    }
-    while (st + 1 < static_cast<int>(begin.size())) {
-      begin[static_cast<std::size_t>(++st)] = static_cast<int>(ops.size());
-    }
-  };
-  emit(/*optimized=*/false);
-  emit(/*optimized=*/true);
-
-  // Clean-path self-check: the optimized program must reproduce the full
-  // one on every stimulus. Observational inference can miss a
-  // conditional read; this is where such a miss surfaces — and pruning
-  // is then abandoned rather than shipped.
-  for (const SignalSet& stim : contract.stimuli) {
-    SignalSet full = stim;
-    SignalSet fast = stim;
-    prog.run_full(full, 0, stages);
-    prog.run(fast, 0, stages);
-    if (!observably_equal(full, fast, contract.result_lane)) {
-      prog.stats_.self_check_failed = true;
-      break;
-    }
-  }
-  if (prog.stats_.self_check_failed) {
-    prog.disposition_.assign(n, CompiledProgram::Disposition::kKept);
-    prog.stores_.clear();
-    emit(/*optimized=*/true);  // no fold/prune dispositions left: == full
-  }
-
-  for (const CompiledProgram::Disposition d : prog.disposition_) {
-    switch (d) {
-      case CompiledProgram::Disposition::kKept: ++prog.stats_.kept; break;
-      case CompiledProgram::Disposition::kFolded: ++prog.stats_.folded; break;
-      case CompiledProgram::Disposition::kPruned: ++prog.stats_.pruned; break;
-    }
-  }
+  // Ops are index-aligned with the chain, so the plan's piece boundaries
+  // are the op boundaries.
+  prog.ops_.reserve(chain.size());
+  for (const Piece& p : chain) prog.ops_.push_back(&p.eval);
+  prog.op_begin_ = plan.stage_begin;
   return prog;
 }
 

@@ -6,27 +6,19 @@
 // trial re-evaluates every piece of every stage at every cycle of the
 // horizon. A CompiledProgram is the once-per-(unit kind, precision,
 // depth) answer: the chain and plan are "compiled" into a flat op array
-// (no virtual dispatch, one indirect call per surviving piece, lane
-// offsets and stage boundaries resolved once) that campaign evaluators
-// replay millions of times.
+// (no virtual dispatch, one indirect call per piece, stage boundaries
+// resolved once) that campaign evaluators replay millions of times.
 //
-// Compilation reuses the lint engine's lane def-use inference
-// (src/lint/probe.*) as its IR — the same observational read/write sets
-// the DL1xx rules run on drive two optimizations here:
+// The program runs every piece, in the order PipelineSim::step runs them,
+// behind the same per-stage valid gate. Nothing is pruned or folded, so a
+// compiled suffix computes exactly what the interpreted pipeline computes,
+// on clean and faulty states alike: no self-check or bind-time battery
+// has to vouch for it.
 //
-//   * dead-piece pruning: a backward liveness pass from the result lane
-//     drops pieces whose writes can never reach the result, the flag
-//     byte, or the DONE bit;
-//   * constant folding: a deterministic piece that reads nothing and
-//     writes the same values on every stimulus becomes a table of lane
-//     stores instead of a call.
-//
-// The inference is observational, so compile() self-checks: the pruned
-// program must reproduce the full program on every stimulus, or pruning
-// is abandoned (stats().self_check_failed) and the program falls back to
-// the faithful full op list. Evaluators add a second, flip-battery check
-// at bind time (rtl/evaluator.*) before trusting the pruned suffix on
-// faulty states.
+// Compilation runs the lint engine's lane def-use probe (src/lint/probe.*)
+// once, only for the two guard bits in stats(): campaign fast paths that
+// map a program's verdicts onto checker schemes refuse chains that write
+// the DONE bit or behave nondeterministically.
 //
 // Borrow semantics: like PipelineSim, a CompiledProgram references the
 // chain's eval functors — the chain must outlive the program.
@@ -43,117 +35,54 @@ namespace flopsim::rtl {
 
 /// What the chain promises the compiler: which lanes arrive initialized,
 /// which lane carries the result, and the stimulus bundles (packed
-/// inputs, valid set) that drive def-use inference and the self-check.
+/// inputs, valid set) that drive the def-use probe.
 struct CompileContract {
   std::vector<int> input_lanes;
   int result_lane = 0;
   std::vector<SignalSet> stimuli;
 };
 
-struct CompileOptions {
-  bool prune_dead_pieces = true;
-  bool fold_constants = true;
-  /// Also fold pieces the abstract-interpretation engine proves constant
-  /// through dataflow (lint/absint.*) — catches constants the purely
-  /// observational read-free test misses (e.g. a piece reading a lane
-  /// that is itself proven constant). Requires a fully sem-annotated
-  /// chain; validated by the same clean-path self-check as every fold.
-  bool absint_fold = true;
-  std::uint64_t probe_seed = 1;  ///< poison seed for the def-use probe
-};
-
+/// The probe's verdict on behaviours a campaign fast path cannot model.
 struct CompileStats {
-  int pieces = 0;  ///< chain length
-  int kept = 0;    ///< pieces surviving as call ops
-  int folded = 0;  ///< pieces replaced by constant stores
-  int pruned = 0;  ///< pieces dropped as dead
-  /// The pruned program disagreed with the full one on a stimulus;
-  /// pruning and folding were abandoned (the program still compiled).
-  bool self_check_failed = false;
-  /// Some piece writes SignalSet::flags / the DONE bit / behaved
-  /// nondeterministically under the probe. Campaign fast paths that model
-  /// checker schemes around the program consult these before trusting it.
-  bool alters_flags = false;
-  bool alters_valid = false;
-  bool nondeterministic = false;
+  bool alters_valid = false;      ///< some piece writes the DONE bit
+  bool nondeterministic = false;  ///< some piece diverged on identical input
 };
 
 class CompiledProgram {
  public:
-  /// What became of each chain piece (index-aligned with the chain).
-  enum class Disposition : std::uint8_t { kKept, kFolded, kPruned };
-
-  /// Run the optimized ops for stages [from_stage, to_stage), honoring
-  /// the simulator's per-stage valid gate (an invalid bundle flows
-  /// through a stage unevaluated, exactly like PipelineSim::step).
+  /// Run stages [from_stage, to_stage), honoring the simulator's
+  /// per-stage valid gate (an invalid bundle flows through a stage
+  /// unevaluated, exactly like PipelineSim::step).
   void run(SignalSet& s, int from_stage, int to_stage) const {
-    exec(ops_, op_begin_, s, from_stage, to_stage);
-  }
-  /// Same over the unpruned op list — the faithful reference the
-  /// evaluators fall back to when a bind-time check rejects pruning.
-  void run_full(SignalSet& s, int from_stage, int to_stage) const {
-    exec(full_ops_, full_begin_, s, from_stage, to_stage);
+    for (int st = from_stage; st < to_stage; ++st) {
+      if (!s.valid) continue;
+      for (int i = op_begin_[static_cast<std::size_t>(st)];
+           i < op_begin_[static_cast<std::size_t>(st) + 1]; ++i) {
+        (*ops_[static_cast<std::size_t>(i)])(s);
+      }
+    }
   }
 
   /// Op-major batch execution — the bit-sliced fast path. For each stage
   /// st, every op of the stage is fetched once and applied to every slot
   /// k (bit k of `mask` set) with entry_stage[k] <= st and a valid bundle
   /// at the stage boundary, so one pass through the op array serves up to
-  /// 64 trials. `use_full` selects the unpruned op list.
+  /// 64 trials.
   void run_block(SignalSet* slots, const int* entry_stage,
-                 std::uint64_t mask, bool use_full) const;
+                 std::uint64_t mask) const;
 
   int stages() const { return static_cast<int>(op_begin_.size()) - 1; }
   const CompileStats& stats() const { return stats_; }
-  const std::vector<Disposition>& disposition() const { return disposition_; }
-  /// The optimized op list actually differs from the full one.
-  bool optimized() const {
-    return stats_.folded > 0 || stats_.pruned > 0;
-  }
 
  private:
   friend CompiledProgram compile_program(const PieceChain&,
                                          const PipelinePlan&,
-                                         const CompileContract&,
-                                         const CompileOptions&);
+                                         const CompileContract&);
 
-  /// One resolved op: either an indirect call into a chain piece's eval,
-  /// or a constant-store range into stores_.
-  struct Op {
-    const std::function<void(SignalSet&)>* eval = nullptr;
-    int store_begin = 0;
-    int store_end = 0;
-  };
-  struct Store {
-    int lane = 0;
-    fp::u64 value = 0;
-  };
-
-  void exec(const std::vector<Op>& ops, const std::vector<int>& begin,
-            SignalSet& s, int from_stage, int to_stage) const {
-    for (int st = from_stage; st < to_stage; ++st) {
-      if (!s.valid) continue;
-      for (int i = begin[static_cast<std::size_t>(st)];
-           i < begin[static_cast<std::size_t>(st) + 1]; ++i) {
-        const Op& op = ops[static_cast<std::size_t>(i)];
-        if (op.eval != nullptr) {
-          (*op.eval)(s);
-        } else {
-          for (int k = op.store_begin; k < op.store_end; ++k) {
-            const Store& w = stores_[static_cast<std::size_t>(k)];
-            s.lane[static_cast<std::size_t>(w.lane)] = w.value;
-          }
-        }
-      }
-    }
-  }
-
-  std::vector<Op> ops_;        // optimized (== full after self-check failure)
-  std::vector<Op> full_ops_;   // one call op per chain piece
-  std::vector<Store> stores_;
-  std::vector<int> op_begin_;    // per stage into ops_, size stages + 1
-  std::vector<int> full_begin_;  // per stage into full_ops_
-  std::vector<Disposition> disposition_;
+  /// One op per chain piece, in chain order: an indirect call into the
+  /// piece's eval.
+  std::vector<const std::function<void(SignalSet&)>*> ops_;
+  std::vector<int> op_begin_;  // per stage into ops_, size stages + 1
   CompileStats stats_;
 };
 
@@ -162,7 +91,6 @@ class CompiledProgram {
 /// address for exactly this kind of use).
 CompiledProgram compile_program(const PieceChain& chain,
                                 const PipelinePlan& plan,
-                                const CompileContract& contract,
-                                const CompileOptions& opts = {});
+                                const CompileContract& contract);
 
 }  // namespace flopsim::rtl

@@ -167,7 +167,8 @@ TEST(Cram, CampaignSpecReproducesLegacyFactories) {
   acc.count = 64;
   acc.seed = 3;
   bool check_byte_hit = false;
-  for (const Fault& f : FaultCampaign::make(acc).faults()) {
+  const FaultCampaign acc_campaign = FaultCampaign::make(acc);
+  for (const Fault& f : acc_campaign.faults()) {
     EXPECT_LT(f.bit, 72);
     check_byte_hit |= f.bit >= 64;
   }

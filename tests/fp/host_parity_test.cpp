@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "test_util.hpp"
 
@@ -23,6 +24,11 @@ struct ParityCase {
   bool is64;
   const char* name;
 };
+
+// gtest prints each parameter into the test's display name; without this
+// it dumps the struct's raw bytes, padding and pointer included, so the
+// names would differ from process to process.
+void PrintTo(const ParityCase& pc, std::ostream* os) { *os << pc.name; }
 
 class HostParityTest : public ::testing::TestWithParam<ParityCase> {};
 

@@ -269,25 +269,6 @@ TEST(AbsintRules, DL401UnderdeclarationAtAnExactBoundaryIsProvable) {
   EXPECT_TRUE(r.with_rule("DL201").empty()) << rendered(r);
 }
 
-TEST(AbsintRules, DL402ProvenConstantPieceKeptByTheBackend) {
-  rtl::PieceChain chain = annotated_chain();
-  chain[1].sem = {sm::cst(3, 7)};
-  chain[1].eval = [](rtl::SignalSet& s) { s[3] = 7; };
-  chain[1].live_bits = 3;
-  chain[2].live_bits = 4;
-  ChainAbsint absint;
-  Options opts;
-  const Report lint = lint_chain(chain, annotated_contract(), opts, &absint);
-  EXPECT_TRUE(lint.clean()) << rendered(lint);
-  ASSERT_TRUE(absint.piece_constant[1]);
-
-  const Report r =
-      crosscheck_compiled(chain, absint, {0, 0, 0}, "toy");
-  const auto hits = r.with_rule("DL402");
-  ASSERT_GE(hits.size(), 1u) << rendered(r);
-  EXPECT_EQ(hits[0].piece, 1);
-}
-
 TEST(AbsintRules, DL403LaneDemandedByNoAnnotationIsProvablyDead) {
   rtl::PieceChain chain = annotated_chain();
   // Lane 4 is written upstream and genuinely read downstream (twist's
@@ -311,20 +292,41 @@ TEST(AbsintRules, DL403LaneDemandedByNoAnnotationIsProvablyDead) {
   EXPECT_EQ(hits[0].lane, 4);
 }
 
-TEST(AbsintRules, DL404PruneThatLeansOnTheStimulusBattery) {
-  ChainAbsint absint;
-  Options opts;
-  const rtl::PieceChain chain = annotated_chain();
-  lint_chain(chain, annotated_contract(), opts, &absint);
-  ASSERT_TRUE(absint.annotated);
+TEST(AbsintRules, DL404PieceWhoseGuardIsProvenOffIsUnreachable) {
+  rtl::PieceChain chain = annotated_chain();
+  // sum also clears lane 4, so a guard on lane 4's low bit is proven 0
+  // and disables every op of the inserted piece.
+  chain[0].sem.push_back(sm::cst(4, 0));
+  chain[0].eval = [](rtl::SignalSet& s) {
+    s[2] = s[0] + s[1];
+    s[4] = 0;
+  };
+  rtl::Piece never;
+  never.name = "never";
+  never.group = "front";
+  never.delay_ns = 0.5;
+  never.area.slices = 2;
+  never.live_bits = 8;
+  never.sem = {sm::onif(sm::cst(5, 1), 4, 0),
+               sm::onif(sm::copy(6, 2), 4, 0)};
+  never.eval = [](rtl::SignalSet& s) {
+    if ((s[4] & 1) != 0) {
+      s[5] = 1;
+      s[6] = s[2];
+    }
+  };
+  chain.insert(chain.begin() + 1, never);
 
-  // The backend claims it pruned "twist", but the annotations still
-  // demand its write (lane 3 feeds pack).
-  const Report r =
-      crosscheck_compiled(chain, absint, {0, 2, 0}, "toy");
+  ChainAbsint absint;
+  const Report r = lint_chain(chain, annotated_contract(), Options{}, &absint);
   const auto hits = r.with_rule("DL404");
   ASSERT_EQ(hits.size(), 1u) << rendered(r);
+  EXPECT_EQ(hits[0].severity, Severity::kWarning);
   EXPECT_EQ(hits[0].piece, 1);
+  ASSERT_EQ(absint.piece_unreachable.size(), chain.size());
+  for (std::size_t p = 0; p < chain.size(); ++p) {
+    EXPECT_EQ(absint.piece_unreachable[p], p == 1) << "piece " << p;
+  }
 }
 
 TEST(AbsintRules, DL405ReachableCarryOutOfDeclaredPhysicalWidth) {

@@ -1,12 +1,12 @@
-// CompiledProgram and the Evaluator backends: dead-lane pruning and
-// constant folding against the lint probe's inference, the compile-time
-// self-check, pruned-suffix vs. full equivalence under bit flips, and
-// trial-for-trial equality of the interpreted / compiled / bitsliced
-// evaluators on a real unit.
+// CompiledProgram and the Evaluator backends: the compiled program runs
+// every piece of the chain in stage order, honours the per-stage valid
+// gate, and the interpreted / compiled / bitsliced evaluators answer every
+// upset with identical results on real units.
 #include "rtl/program.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -36,10 +36,8 @@ SignalSet stimulus(fp::u64 a) {
   return s;
 }
 
-// A three-piece chain exercising every disposition at once:
-//   "konst" writes lane 3 = 42 unconditionally  -> folded (live, constant)
-//   "use"   writes lane 1 = lane0 + lane3       -> kept (the result path)
-//   "dead"  writes lane 2 = lane0 * 5           -> pruned (lane 2 unread)
+// A three-piece chain with a constant piece, a result piece and a piece
+// whose write nothing reads: the compiled program runs all three.
 PieceChain three_way_chain() {
   PieceChain chain;
   chain.push_back(piece("konst", [](SignalSet& s) { s[3] = 42; }));
@@ -58,51 +56,22 @@ CompileContract three_way_contract() {
   return contract;
 }
 
-TEST(CompiledProgram, PrunesDeadAndFoldsConstantPieces) {
+TEST(CompiledProgram, KeepsDeadAndConstantPieces) {
   const PieceChain chain = three_way_chain();
   PipelinePlan plan;
   plan.stage_begin = {0, static_cast<int>(chain.size())};
   const CompiledProgram prog =
       compile_program(chain, plan, three_way_contract());
 
-  EXPECT_EQ(prog.stages(), 1);
-  EXPECT_EQ(prog.stats().pieces, 3);
-  EXPECT_EQ(prog.stats().kept, 1);
-  EXPECT_EQ(prog.stats().folded, 1);
-  EXPECT_EQ(prog.stats().pruned, 1);
-  EXPECT_FALSE(prog.stats().self_check_failed);
-  EXPECT_FALSE(prog.stats().alters_valid);
-  EXPECT_FALSE(prog.stats().nondeterministic);
-  EXPECT_TRUE(prog.optimized());
-  ASSERT_EQ(prog.disposition().size(), 3u);
-  EXPECT_EQ(prog.disposition()[0], CompiledProgram::Disposition::kFolded);
-  EXPECT_EQ(prog.disposition()[1], CompiledProgram::Disposition::kKept);
-  EXPECT_EQ(prog.disposition()[2], CompiledProgram::Disposition::kPruned);
-
-  // The optimized program reproduces the chain's result lane, including
-  // on values outside the probe stimuli.
+  // Every lane matches the chain, the unread one included, on values
+  // outside the probe stimuli too.
   for (const fp::u64 a : {3ull, 0x123456789ull}) {
     SignalSet ref = stimulus(a);
     evaluate_chain(chain, ref);
     SignalSet got = stimulus(a);
     prog.run(got, 0, prog.stages());
-    EXPECT_EQ(got.lane[1], ref.lane[1]) << "a=" << a;
+    EXPECT_EQ(got, ref) << "a=" << a;
   }
-}
-
-TEST(CompiledProgram, OptimizationsCanBeDisabled) {
-  const PieceChain chain = three_way_chain();
-  PipelinePlan plan;
-  plan.stage_begin = {0, static_cast<int>(chain.size())};
-  CompileOptions opts;
-  opts.prune_dead_pieces = false;
-  opts.fold_constants = false;
-  const CompiledProgram prog =
-      compile_program(chain, plan, three_way_contract(), opts);
-  EXPECT_EQ(prog.stats().kept, 3);
-  EXPECT_EQ(prog.stats().folded, 0);
-  EXPECT_EQ(prog.stats().pruned, 0);
-  EXPECT_FALSE(prog.optimized());
 }
 
 TEST(CompiledProgram, InvalidBundlesFlowThroughUnevaluated) {
@@ -115,8 +84,6 @@ TEST(CompiledProgram, InvalidBundlesFlowThroughUnevaluated) {
   bubble.valid = false;
   const SignalSet before = bubble;
   prog.run(bubble, 0, prog.stages());
-  EXPECT_EQ(bubble.lane, before.lane);
-  prog.run_full(bubble, 0, prog.stages());
   EXPECT_EQ(bubble.lane, before.lane);
 }
 
@@ -133,9 +100,8 @@ CompileContract unit_contract(const units::FpUnit& unit, int vectors,
   return contract;
 }
 
-// Real units: the full op list reproduces evaluate_chain on every
-// stimulus, and the self-check never fires (if observational liveness
-// ever misjudged a piece, compile_program must notice and fall back).
+// Real units: the compiled program reproduces evaluate_chain on every
+// stimulus, every lane included.
 TEST(CompiledProgram, RealUnitsCompileCleanAndMatchTheChain) {
   for (const units::UnitKind kind :
        {units::UnitKind::kAdder, units::UnitKind::kMultiplier}) {
@@ -149,107 +115,27 @@ TEST(CompiledProgram, RealUnitsCompileCleanAndMatchTheChain) {
           compile_program(unit.pieces(), unit.plan(), contract);
 
       EXPECT_EQ(prog.stages(), unit.plan().stages());
-      EXPECT_FALSE(prog.stats().self_check_failed) << unit.name();
       EXPECT_FALSE(prog.stats().alters_valid) << unit.name();
       EXPECT_FALSE(prog.stats().nondeterministic) << unit.name();
-      EXPECT_EQ(prog.stats().kept + prog.stats().folded + prog.stats().pruned,
-                prog.stats().pieces);
-
       for (const SignalSet& s : contract.stimuli) {
         SignalSet ref = s;
         evaluate_chain(unit.pieces(), ref);
-        SignalSet full = s;
-        prog.run_full(full, 0, prog.stages());
-        EXPECT_EQ(full.lane[units::detail::kLaneResult], ref.lane[units::detail::kLaneResult]);
-        EXPECT_EQ(full.flags, ref.flags);
-        SignalSet opt = s;
-        prog.run(opt, 0, prog.stages());
-        EXPECT_EQ(opt.lane[units::detail::kLaneResult], ref.lane[units::detail::kLaneResult]);
-        EXPECT_EQ(opt.flags, ref.flags);
+        SignalSet got = s;
+        prog.run(got, 0, prog.stages());
+        EXPECT_EQ(got, ref) << unit.name();
       }
     }
   }
 }
 
-// The compile-time self-check only certifies the pruned program on clean
-// stimuli; on *faulty* states observational liveness can misjudge a
-// conditional read and the pruned suffix may diverge from the full one.
-// That is exactly the gap the evaluators' bind-time flip battery covers:
-// every divergence this exhaustive flip sweep finds must be answered
-// correctly by the compiled evaluator anyway (it falls back to the full
-// op list when its battery fails).
-TEST(CompiledProgram, FlipDivergencesAreRescuedByTheEvaluatorGuard) {
-  units::UnitConfig cfg;
-  cfg.stages = 5;
-  const units::FpUnit unit(units::UnitKind::kAdder, fp::FpFormat::binary32(),
-                           cfg);
-  const CompileContract contract = unit_contract(unit, 8, 0x5eed);
-  const CompiledProgram prog =
-      compile_program(unit.pieces(), unit.plan(), contract);
-  const int stages = prog.stages();
+// Drive `upsets` through all three backends bound to `contract`'s
+// stimuli and compare every UpsetTrial field. Returns how many upsets
+// struck an occupied latch.
+int expect_backends_agree(const units::FpUnit& unit,
+                          const CompileContract& contract,
+                          const std::vector<LatchUpset>& upsets) {
   const int vectors = static_cast<int>(contract.stimuli.size());
   const long horizon = vectors + unit.latency() + 2;
-
-  // Exhaustively flip every occupied bit of every clean stage-boundary
-  // state and record where pruned and full suffixes disagree on an
-  // observable. (The boundary after stage `cut` holding vector v is the
-  // latch an upset at cycle v + cut, stage cut lands on.)
-  std::vector<LatchUpset> diverging;
-  for (int v = 0; v < vectors; ++v) {
-    for (int cut = 0; cut < stages; ++cut) {
-      SignalSet boundary = contract.stimuli[static_cast<std::size_t>(v)];
-      prog.run_full(boundary, 0, cut + 1);
-      for (int lane = 0; lane < kMaxSignals; ++lane) {
-        fp::u64 occupied = boundary.lane[static_cast<std::size_t>(lane)];
-        while (occupied != 0) {
-          const int bit = __builtin_ctzll(occupied);
-          occupied &= occupied - 1;
-          SignalSet pruned = boundary;
-          pruned.lane[static_cast<std::size_t>(lane)] ^= fp::u64{1} << bit;
-          SignalSet full = pruned;
-          prog.run(pruned, cut + 1, stages);
-          prog.run_full(full, cut + 1, stages);
-          const bool same =
-              pruned.valid == full.valid &&
-              (!full.valid ||
-               (pruned.lane[units::detail::kLaneResult] ==
-                    full.lane[units::detail::kLaneResult] &&
-                pruned.flags == full.flags));
-          if (!same) diverging.push_back({v + cut, cut, lane, bit});
-        }
-      }
-    }
-  }
-
-  if (diverging.empty()) return;  // pruning happened to be flip-safe
-  std::unique_ptr<Evaluator> interp = make_evaluator(
-      EvalBackend::kInterpreted, unit.pieces(), unit.plan(), contract);
-  std::unique_ptr<Evaluator> compiled = make_evaluator(
-      EvalBackend::kCompiled, unit.pieces(), unit.plan(), contract);
-  interp->bind(contract.stimuli, horizon);
-  compiled->bind(contract.stimuli, horizon);
-  for (const LatchUpset& u : diverging) {
-    const UpsetTrial a = interp->trial(u);
-    const UpsetTrial b = compiled->trial(u);
-    ASSERT_EQ(a.struck, b.struck) << "cycle=" << u.cycle << " bit=" << u.bit;
-    ASSERT_EQ(a.corrupted, b.corrupted)
-        << "cycle=" << u.cycle << " bit=" << u.bit;
-    ASSERT_EQ(a.valid, b.valid);
-    ASSERT_EQ(a.result, b.result);
-    ASSERT_EQ(a.flags, b.flags);
-  }
-}
-
-// The three evaluator backends answer every upset — occupied or bubble,
-// single or batched — with identical UpsetTrial results.
-TEST(Evaluator, BackendsAgreeTrialForTrial) {
-  units::UnitConfig cfg;
-  cfg.stages = 5;
-  const units::FpUnit unit(units::UnitKind::kAdder, fp::FpFormat::binary32(),
-                           cfg);
-  const CompileContract contract = unit_contract(unit, 8, 0x5eed);
-  const long horizon = 8 + unit.latency() + 2;
-
   std::unique_ptr<Evaluator> interp = make_evaluator(
       EvalBackend::kInterpreted, unit.pieces(), unit.plan(), contract);
   std::unique_ptr<Evaluator> compiled = make_evaluator(
@@ -257,47 +143,98 @@ TEST(Evaluator, BackendsAgreeTrialForTrial) {
   std::unique_ptr<Evaluator> sliced = make_evaluator(
       EvalBackend::kBitsliced, unit.pieces(), unit.plan(), contract);
   EXPECT_EQ(interp->compile_stats(), nullptr);
-  ASSERT_NE(compiled->compile_stats(), nullptr);
+  EXPECT_NE(compiled->compile_stats(), nullptr);
   for (Evaluator* ev : {interp.get(), compiled.get(), sliced.get()}) {
     ev->bind(contract.stimuli, horizon);
     EXPECT_EQ(ev->stages(), unit.plan().stages());
-    EXPECT_EQ(ev->vectors(), 8);
-  }
-
-  std::vector<LatchUpset> upsets;
-  for (long cycle = 0; cycle < horizon; ++cycle) {
-    for (int stage = 0; stage < unit.plan().stages(); ++stage) {
-      for (const int bit : {0, 7, 22, 31, 63}) {
-        upsets.push_back({cycle, stage, units::detail::kLaneResult, bit});
-        upsets.push_back({cycle, stage, 3, bit});
-      }
-    }
+    EXPECT_EQ(ev->vectors(), vectors);
   }
 
   std::vector<UpsetTrial> batched(upsets.size());
   sliced->trials(upsets.data(), batched.data(), upsets.size());
-  int struck_seen = 0;
-  int bubble_seen = 0;
+  int struck = 0;
+  int differing = 0;
   for (std::size_t i = 0; i < upsets.size(); ++i) {
-    const UpsetTrial a = interp->trial(upsets[i]);
-    const UpsetTrial b = compiled->trial(upsets[i]);
+    const LatchUpset& u = upsets[i];
+    const UpsetTrial a = interp->trial(u);
+    const UpsetTrial b = compiled->trial(u);
     const UpsetTrial& c = batched[i];
-    ASSERT_EQ(a.struck, b.struck) << "upset " << i;
-    ASSERT_EQ(a.corrupted, b.corrupted) << "upset " << i;
-    ASSERT_EQ(a.valid, b.valid) << "upset " << i;
-    ASSERT_EQ(a.result, b.result) << "upset " << i;
-    ASSERT_EQ(a.flags, b.flags) << "upset " << i;
-    ASSERT_EQ(a.struck, c.struck) << "upset " << i;
-    ASSERT_EQ(a.corrupted, c.corrupted) << "upset " << i;
-    ASSERT_EQ(a.valid, c.valid) << "upset " << i;
-    ASSERT_EQ(a.result, c.result) << "upset " << i;
-    ASSERT_EQ(a.flags, c.flags) << "upset " << i;
-    struck_seen += a.struck ? 1 : 0;
-    bubble_seen += a.struck ? 0 : 1;
+    const auto same = [&a](const UpsetTrial& t) {
+      return a.struck == t.struck && a.corrupted == t.corrupted &&
+             a.valid == t.valid && a.result == t.result &&
+             a.flags == t.flags;
+    };
+    if (!same(b) || !same(c)) {
+      if (++differing <= 4) {
+        ADD_FAILURE() << unit.name() << " cycle " << u.cycle << " stage "
+                      << u.stage << " lane " << u.lane << " bit " << u.bit
+                      << ": interpreted result 0x" << std::hex << a.result
+                      << ", compiled 0x" << b.result << ", bitsliced 0x"
+                      << c.result << std::dec;
+      }
+    }
+    struck += a.struck ? 1 : 0;
   }
-  // The sweep genuinely covered both occupied latches and bubbles.
-  EXPECT_GT(struck_seen, 0);
-  EXPECT_GT(bubble_seen, 0);
+  EXPECT_EQ(differing, 0) << unit.name() << ": of " << upsets.size()
+                          << " upsets";
+  return struck;
+}
+
+// The three evaluator backends answer every upset — occupied or bubble,
+// single or batched — with identical UpsetTrial results.
+TEST(Evaluator, BackendsAgreeTrialForTrial) {
+  {
+    // Every cycle of the horizon at a few bits of two lanes: occupied
+    // latches and bubbles alike.
+    units::UnitConfig cfg;
+    cfg.stages = 5;
+    const units::FpUnit unit(units::UnitKind::kAdder,
+                             fp::FpFormat::binary32(), cfg);
+    const CompileContract contract = unit_contract(unit, 8, 0x5eed);
+    const long horizon = 8 + unit.latency() + 2;
+    std::vector<LatchUpset> upsets;
+    for (long cycle = 0; cycle < horizon; ++cycle) {
+      for (int stage = 0; stage < unit.plan().stages(); ++stage) {
+        for (const int bit : {0, 7, 22, 31, 63}) {
+          upsets.push_back({cycle, stage, units::detail::kLaneResult, bit});
+          upsets.push_back({cycle, stage, 3, bit});
+        }
+      }
+    }
+    const int struck = expect_backends_agree(unit, contract, upsets);
+    // The sweep genuinely covered both occupied latches and bubbles.
+    EXPECT_GT(struck, 0);
+    EXPECT_LT(struck, static_cast<int>(upsets.size()));
+  }
+  {
+    // Every occupied (vector, stage, lane, bit) of the MAC at its
+    // optimal binary64 depth: faulty states take branches no clean
+    // stimulus does, so no sampled check can stand in for this sweep.
+    units::UnitConfig cfg;
+    cfg.stages = 11;
+    const units::FpUnit unit(units::UnitKind::kMac, fp::FpFormat::binary64(),
+                             cfg);
+    ASSERT_EQ(unit.stages(), 11);
+    constexpr int kVectors = 8;
+    constexpr std::uint64_t kSeed = 0x9ccb;
+    const CompileContract contract = unit_contract(unit, kVectors, kSeed);
+    const fault::LatchProfile profile =
+        fault::profile_unit_latches(unit, kVectors, kSeed);
+    std::vector<LatchUpset> upsets;
+    for (int v = 0; v < kVectors; ++v) {
+      for (int stage = 0; stage < profile.stages(); ++stage) {
+        for (int lane = 0; lane < kMaxSignals; ++lane) {
+          for (fp::u64 w = profile.occupied[static_cast<std::size_t>(stage)]
+                                           [static_cast<std::size_t>(lane)];
+               w != 0; w &= w - 1) {
+            upsets.push_back({v + stage, stage, lane, std::countr_zero(w)});
+          }
+        }
+      }
+    }
+    EXPECT_EQ(expect_backends_agree(unit, contract, upsets),
+              static_cast<int>(upsets.size()));
+  }
 }
 
 // fork() shares bound state and answers identically — the per-worker path

@@ -345,7 +345,10 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   // Restored trials count as already-done progress.
   for (long i = 0; i < done_trials; ++i) progress.tick();
   auto inject_span = tracer.span("inject", "campaign");
-  const fault::HardenedUnit proto(kind, fmt, cfg, camp.scheme);
+  // The hardened copies step only on the interpreted path; a compiled or
+  // bitsliced evaluator runs every trial without them.
+  std::optional<fault::HardenedUnit> proto;
+  if (evaluator == nullptr) proto.emplace(kind, fmt, cfg, camp.scheme);
 
   long executed = 0;
   exec::GridOptions grid_opts;
@@ -412,7 +415,7 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
           }
           return;
         }
-        fault::HardenedUnit hardened = proto.clone();
+        fault::HardenedUnit hardened = proto->clone();
         for (std::size_t i = begin; i < end; ++i) {
           hardened.reset();
           hardened.arm(fault::FaultCampaign::from_list({faults[i]}));

@@ -8,11 +8,21 @@
 namespace flopsim::power {
 
 /// Average combinational pieces per pipeline stage — drives glitching.
+double avg_pieces_per_stage(const rtl::PieceChain& chain,
+                            const rtl::PipelinePlan& plan);
 double avg_pieces_per_stage(const units::FpUnit& unit);
 
-/// Dynamic power of the unit at `freq_mhz`. `base_activity` is the data
-/// toggle rate (0.5 default, or power::measure_activity's result); glitch
-/// amplification from the unit's stage depth is applied on top.
+/// Dynamic power of `chain` pipelined by `plan`, occupying `area` (its
+/// evaluate_area total), at `freq_mhz`. `base_activity` is the data toggle
+/// rate (0.5 default, or power::measure_activity's result); glitch
+/// amplification from the plan's stage depth is applied on top.
+PowerBreakdown unit_power(const rtl::PieceChain& chain,
+                          const rtl::PipelinePlan& plan,
+                          const device::Resources& area,
+                          const device::TechModel& tech, double freq_mhz,
+                          double base_activity = 0.5,
+                          double glitch_coeff = 0.45);
+/// The same for a built unit: its chain, plan, area and tech model.
 PowerBreakdown unit_power(const units::FpUnit& unit, double freq_mhz,
                           double base_activity = 0.5,
                           double glitch_coeff = 0.45);

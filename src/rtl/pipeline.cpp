@@ -25,57 +25,108 @@ int max_stages(const PieceChain& chain) {
   return cuts + 1;
 }
 
-PipelinePlan plan_pipeline(const PieceChain& chain, int stages) {
-  const int n = static_cast<int>(chain.size());
-  if (n == 0) throw std::invalid_argument("plan_pipeline: empty chain");
-  stages = std::clamp(stages, 1, max_stages(chain));
+namespace {
 
-  // Legal boundaries: boundary b (1..n-1) sits after piece b-1. Boundary 0
-  // and n are the chain ends.
-  std::vector<int> boundaries{0};
-  for (int i = 0; i + 1 < n; ++i) {
-    if (chain[i].cut_after) boundaries.push_back(i + 1);
-  }
-  boundaries.push_back(n);
-  const int nb = static_cast<int>(boundaries.size());
+// The balanced chain partition, solved once for every depth up to `depth`.
+// dp[k][j] (the least possible worst-stage delay splitting boundaries[0..j]
+// into k stages) and choice[k][j] (the boundary index of the last cut) do
+// not depend on the depth a caller asks for, so one solve backtracks the
+// plan of every depth it covers.
+class PartitionSolve {
+ public:
+  PartitionSolve(const PieceChain& chain, int depth) {
+    const int n = static_cast<int>(chain.size());
+    // Legal boundaries: boundary b (1..n-1) sits after piece b-1. Boundary
+    // 0 and n are the chain ends.
+    boundaries_.push_back(0);
+    for (int i = 0; i + 1 < n; ++i) {
+      if (chain[i].cut_after) boundaries_.push_back(i + 1);
+    }
+    boundaries_.push_back(n);
+    nb_ = static_cast<int>(boundaries_.size());
+    if (depth < 2) return;  // one stage spans the chain: nothing to solve
 
-  auto seg = [&](int bi, int bj) {  // delay of pieces between boundaries
-    return segment_delay(chain, boundaries[bi], boundaries[bj]);
-  };
+    // seg[bi * nb + bj]: delay of the pieces between boundaries bi < bj,
+    // summed left to right from boundary bi exactly as segment_delay sums
+    // it (the same doubles, in the same order). chained[i]: piece i takes
+    // its chained delay when piece i-1 shares its stage.
+    std::vector<char> chained(static_cast<std::size_t>(n), 0);
+    for (int i = 1; i < n; ++i) {
+      chained[i] = chain[i].delay_chained_ns >= 0 &&
+                   chain[i - 1].group == chain[i].group;
+    }
+    std::vector<double> seg(static_cast<std::size_t>(nb_) * nb_, 0.0);
+    for (int bi = 0; bi + 1 < nb_; ++bi) {
+      const int begin = boundaries_[bi];
+      double d = 0.0;
+      int bj = bi + 1;
+      for (int i = begin; i < n; ++i) {
+        const Piece& p = chain[i];
+        d += i > begin && chained[i] ? p.delay_chained_ns : p.delay_ns;
+        if (i + 1 == boundaries_[bj]) seg[bi * nb_ + bj++] = d;
+      }
+    }
 
-  // dp[k][j]: min possible max-stage-delay splitting boundaries[0..j] into k
-  // stages; choice[k][j]: the boundary index of the last cut.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<std::vector<double>> dp(
-      stages + 1, std::vector<double>(nb, kInf));
-  std::vector<std::vector<int>> choice(
-      stages + 1, std::vector<int>(nb, -1));
-  for (int j = 1; j < nb; ++j) dp[1][j] = seg(0, j);
-  for (int k = 2; k <= stages; ++k) {
-    for (int j = k; j < nb; ++j) {
-      for (int m = k - 1; m < j; ++m) {
-        const double cand = std::max(dp[k - 1][m], seg(m, j));
-        if (cand < dp[k][j]) {
-          dp[k][j] = cand;
-          choice[k][j] = m;
+    // Two rolling rows of dp; every row of choice is kept for backtracking.
+    // Strict < keeps the first (leftmost) minimum among tied cuts: the
+    // tie-break every plan, and so every paper table, rests on.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<double> prev(static_cast<std::size_t>(nb_), kInf);
+    std::vector<double> cur(static_cast<std::size_t>(nb_), kInf);
+    for (int j = 1; j < nb_; ++j) prev[j] = seg[j];
+    choice_.assign(static_cast<std::size_t>(depth + 1) * nb_, -1);
+    for (int k = 2; k <= depth; ++k) {
+      std::fill(cur.begin(), cur.end(), kInf);
+      for (int j = k; j < nb_; ++j) {
+        for (int m = k - 1; m < j; ++m) {
+          const double cand = std::max(prev[m], seg[m * nb_ + j]);
+          if (cand < cur[j]) {
+            cur[j] = cand;
+            choice_[k * nb_ + j] = m;
+          }
         }
       }
+      std::swap(prev, cur);
     }
   }
 
-  PipelinePlan plan;
-  std::vector<int> rev;
-  int j = nb - 1;
-  for (int k = stages; k >= 2; --k) {
-    j = choice[k][j];
-    rev.push_back(boundaries[j]);
+  /// The plan of exactly `stages` stages, 1 <= stages <= the solved depth.
+  PipelinePlan plan(int stages) const {
+    PipelinePlan plan;
+    plan.stage_begin.assign(static_cast<std::size_t>(stages) + 1, 0);
+    plan.stage_begin[stages] = boundaries_.back();
+    int j = nb_ - 1;
+    for (int k = stages; k >= 2; --k) {
+      j = choice_[k * nb_ + j];
+      plan.stage_begin[k - 1] = boundaries_[j];
+    }
+    return plan;
   }
-  plan.stage_begin.push_back(0);
-  for (auto it = rev.rbegin(); it != rev.rend(); ++it) {
-    plan.stage_begin.push_back(*it);
+
+ private:
+  std::vector<int> boundaries_;
+  int nb_ = 0;
+  std::vector<int> choice_;  // (depth + 1) x nb, row-major
+};
+
+}  // namespace
+
+PipelinePlan plan_pipeline(const PieceChain& chain, int stages) {
+  if (chain.empty()) throw std::invalid_argument("plan_pipeline: empty chain");
+  stages = std::clamp(stages, 1, max_stages(chain));
+  return PartitionSolve(chain, stages).plan(stages);
+}
+
+std::vector<PipelinePlan> plan_all_depths(const PieceChain& chain) {
+  if (chain.empty()) {
+    throw std::invalid_argument("plan_all_depths: empty chain");
   }
-  plan.stage_begin.push_back(n);
-  return plan;
+  const int depth = max_stages(chain);
+  const PartitionSolve solve(chain, depth);
+  std::vector<PipelinePlan> plans;
+  plans.reserve(static_cast<std::size_t>(depth));
+  for (int s = 1; s <= depth; ++s) plans.push_back(solve.plan(s));
+  return plans;
 }
 
 double segment_delay(const PieceChain& chain, int begin, int end) {
@@ -135,6 +186,10 @@ AreaBreakdown evaluate_area(const PieceChain& chain, const PipelinePlan& plan,
       std::ceil((a.logic.slices + spill_slices) * tech.par_area_factor(objective)));
   a.total.ffs = ffs;
   return a;
+}
+
+double freq_per_area(const Timing& timing, const AreaBreakdown& area) {
+  return area.total.slices > 0 ? timing.freq_mhz / area.total.slices : 0.0;
 }
 
 }  // namespace flopsim::rtl

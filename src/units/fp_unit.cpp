@@ -64,8 +64,7 @@ rtl::AreaBreakdown FpUnit::area() const {
 }
 
 double FpUnit::freq_per_area() const {
-  const auto a = area();
-  return a.total.slices > 0 ? timing().freq_mhz / a.total.slices : 0.0;
+  return rtl::freq_per_area(timing(), area());
 }
 
 void FpUnit::step(const std::optional<UnitInput>& in) {

@@ -1,11 +1,63 @@
 // Sweep generation and min/max/opt + Pareto selection.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "analysis/pareto.hpp"
 #include "analysis/sweep.hpp"
+#include "power/unit_power.hpp"
 
 namespace flopsim::analysis {
 namespace {
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+// sweep_unit plans every depth from one solve over its probe's chain; each
+// point must equal, bit for bit, what a unit built at that depth reports.
+TEST(Sweep, PointsEqualPerDepthUnitsBitForBit) {
+  const units::UnitKind kinds[] = {
+      units::UnitKind::kAdder, units::UnitKind::kMultiplier,
+      units::UnitKind::kDivider, units::UnitKind::kSqrt,
+      units::UnitKind::kMac};
+  const device::TechModel techs[] = {device::TechModel::virtex2pro7(),
+                                     device::TechModel::virtex2pro5()};
+  for (const units::UnitKind kind : kinds) {
+    for (const fp::FpFormat& fmt : paper_formats()) {
+      for (const device::Objective obj :
+           {device::Objective::kArea, device::Objective::kSpeed}) {
+        for (const device::TechModel& tech : techs) {
+          const SweepResult sw = sweep_unit(kind, fmt, obj, tech, 2);
+          units::UnitConfig cfg;
+          cfg.objective = obj;
+          cfg.tech = tech;
+          ASSERT_EQ(static_cast<int>(sw.points.size()),
+                    units::FpUnit(kind, fmt, cfg).max_stages());
+          for (const DesignPoint& p : sw.points) {
+            cfg.stages = p.stages;
+            const units::FpUnit unit(kind, fmt, cfg);
+            const std::string where = unit.name() + " " +
+                                      device::to_string(obj) +
+                                      (&tech == techs ? " -7" : " -5");
+            const rtl::Timing t = unit.timing();
+            const rtl::AreaBreakdown a = unit.area();
+            EXPECT_EQ(p.stages, unit.stages()) << where;
+            EXPECT_EQ(bits(p.freq_mhz), bits(t.freq_mhz)) << where;
+            EXPECT_EQ(bits(p.critical_ns), bits(t.critical_ns)) << where;
+            EXPECT_EQ(p.area, a.total) << where;
+            EXPECT_EQ(p.pipeline_ffs, a.pipeline_ffs) << where;
+            EXPECT_EQ(bits(p.freq_per_area), bits(unit.freq_per_area()))
+                << where;
+            EXPECT_EQ(bits(p.power_mw_100),
+                      bits(power::unit_power(unit, 100.0).total_mw()))
+                << where;
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(Sweep, CoversAllDepthsInOrder) {
   const SweepResult sw =

@@ -144,18 +144,22 @@ struct CheckpointSession {
   long restored = 0;
 };
 
-/// Open (and on resume, restore) the sidecar for spec `key`.
+/// Open (and on resume, restore) the sidecar for the spec `spec_key()`
+/// hashes. The key is hashed only here, once a sidecar opens: a campaign
+/// without a checkpoint directory never pays for it.
 /// `restore_chunk(index, bytes)` decodes one stored chunk back into the
 /// caller's slots and returns false to reject it (bad size). The sidecar
 /// is rewritten via a temp file so a pre-existing torn tail can never
 /// swallow this run's appends.
 CheckpointSession open_checkpoint_session(
-    const CampaignRunControl& ctl, std::uint64_t key, std::size_t count,
+    const CampaignRunControl& ctl,
+    const std::function<std::uint64_t()>& spec_key, std::size_t count,
     std::size_t chunk, std::size_t nchunks,
     const std::function<bool(std::size_t, const std::vector<std::uint8_t>&)>&
         restore_chunk) {
   CheckpointSession s;
   if (ctl.checkpoint_dir.empty() || count == 0) return s;
+  const std::uint64_t key = spec_key();
   const std::string path = fault::checkpoint_path(ctl.checkpoint_dir, key);
   std::map<std::size_t, std::vector<std::uint8_t>> keep;
   if (ctl.resume) {
@@ -208,26 +212,23 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   obs::Tracer& tracer = obs::Tracer::global();
   obs::Registry& reg = obs::Registry::global();
   auto campaign_span = tracer.span("unit_campaign", "campaign");
+  const rtl::EvalBackend backend = rtl::resolve_backend(camp.backend);
 
-  units::FpUnit probe(kind, fmt, cfg);
+  // The clean reference: the probe unit, the workload and one clean run
+  // of it, which records everything the rest of the campaign reads — the
+  // golden outputs, the occupied-bit profile the faults are drawn from,
+  // and (for the evaluator backends) the stage-boundary states they bind.
+  auto golden_span = tracer.span("golden", "campaign");
+  units::FpUnit probe = [&] {
+    auto build_span = tracer.span("unit_build", "campaign");
+    return units::FpUnit(kind, fmt, cfg);
+  }();
   const int horizon = camp.vectors + probe.latency() + 2;
   const std::vector<units::UnitInput> workload =
       fault::campaign_workload(kind, fmt, camp.vectors, camp.seed);
-
-  // Golden run: the clean pipeline over the identical stream.
-  std::vector<std::optional<units::UnitOutput>> golden;
-  golden.reserve(static_cast<std::size_t>(horizon));
-  {
-    auto golden_span = tracer.span("golden", "campaign");
-    probe.reset();
-    for (int t = 0; t < horizon; ++t) {
-      probe.step(t < camp.vectors
-                     ? std::optional<units::UnitInput>(
-                           workload[static_cast<std::size_t>(t)])
-                     : std::nullopt);
-      golden.push_back(probe.output());
-    }
-  }
+  const fault::CleanUnitRun clean = fault::record_clean_unit_run(
+      probe, workload, horizon, backend != rtl::EvalBackend::kInterpreted);
+  golden_span.end();
   // Occupancy of the clean pipeline over the campaign workload, recorded
   // on the caller's thread (thread-count-invariant by construction).
   obs::record_unit_occupancy(
@@ -236,16 +237,14 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
       probe);
 
   auto draw_span = tracer.span("draw", "campaign");
-  const fault::LatchProfile profile =
-      fault::profile_unit_latches(probe, camp.vectors, camp.seed);
-  res.occupied_bits = profile.total_bits();
+  res.occupied_bits = clean.profile.total_bits();
   res.pipeline_ffs = probe.area().pipeline_ffs;
 
   // The whole fault list is drawn before any trial runs: the determinism
   // anchor. Every trial is a pure function of (fault, golden, workload).
   fault::CampaignSpec draw_spec;
   draw_spec.source = fault::CampaignSpec::Source::kRandom;
-  draw_spec.profile = &profile;
+  draw_spec.profile = &clean.profile;
   draw_spec.horizon = horizon;
   draw_spec.count = camp.faults;
   draw_spec.seed = camp.seed + 1;
@@ -274,17 +273,13 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   // everything else — and every kInterpreted request — runs the legacy
   // HardenedUnit loop. Tallies and checkpoint bytes are backend-invariant,
   // which is why the backend never folds into the spec hash below.
-  const rtl::EvalBackend backend = rtl::resolve_backend(camp.backend);
   std::unique_ptr<rtl::Evaluator> evaluator;
   if (backend != rtl::EvalBackend::kInterpreted && !faults.empty()) {
     rtl::CompileContract contract;
     contract.input_lanes = {units::detail::kLaneInA, units::detail::kLaneInB,
                             units::detail::kLaneInCtl, units::detail::kLaneInC};
     contract.result_lane = units::detail::kLaneResult;
-    contract.stimuli.reserve(workload.size());
-    for (const units::UnitInput& in : workload) {
-      contract.stimuli.push_back(units::FpUnit::pack(in));
-    }
+    contract.stimuli = clean.clean->inputs;
     evaluator =
         rtl::make_evaluator(backend, probe.pieces(), probe.plan(), contract);
     const rtl::CompileStats* cs = evaluator->compile_stats();
@@ -292,7 +287,7 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
       evaluator.reset();
       reg.counter("campaign.unit.backend_fallback").inc();
     } else {
-      evaluator->bind(contract.stimuli, horizon);
+      evaluator->bind(clean.clean);
     }
   }
 
@@ -305,26 +300,29 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
 
   // Campaign identity: everything the trial outcomes are a function of,
   // including the drawn fault list itself (the strongest possible key).
-  fault::SpecHash spec;
-  spec.str("unit_campaign v1");
-  spec.str(units::to_string(kind)).str(fmt.name());
-  spec.i64(probe.stages());
-  spec.i64(static_cast<long long>(camp.scheme));
-  spec.i64(camp.vectors).i64(camp.faults).u64(camp.seed).i64(horizon);
-  spec.i64(static_cast<long long>(cfg.rounding))
-      .i64(static_cast<long long>(cfg.objective))
-      .i64(cfg.ieee_mode ? 1 : 0)
-      .i64(cfg.use_embedded_multipliers ? 1 : 0);
-  spec.i64(static_cast<long long>(chunk));
-  spec.i64(static_cast<long long>(count));
-  for (const fault::Fault& f : faults) fold_fault(spec, f);
+  const auto spec_key = [&] {
+    fault::SpecHash spec;
+    spec.str("unit_campaign v1");
+    spec.str(units::to_string(kind)).str(fmt.name());
+    spec.i64(probe.stages());
+    spec.i64(static_cast<long long>(camp.scheme));
+    spec.i64(camp.vectors).i64(camp.faults).u64(camp.seed).i64(horizon);
+    spec.i64(static_cast<long long>(cfg.rounding))
+        .i64(static_cast<long long>(cfg.objective))
+        .i64(cfg.ieee_mode ? 1 : 0)
+        .i64(cfg.use_embedded_multipliers ? 1 : 0);
+    spec.i64(static_cast<long long>(chunk));
+    spec.i64(static_cast<long long>(count));
+    for (const fault::Fault& f : faults) fold_fault(spec, f);
+    return spec.value();
+  };
 
   // Convergence tallies run over every accounted trial — restored chunks
   // included, so a resumed campaign's early stop sees the full sample.
   long done_trials = 0;
   long done_silent = 0;
   CheckpointSession ckpt = open_checkpoint_session(
-      control, spec.value(), count, chunk, nchunks,
+      control, spec_key, count, chunk, nchunks,
       [&](std::size_t index, const std::vector<std::uint8_t>& data) {
         const std::size_t begin = index * chunk;
         const std::size_t end = std::min(count, begin + chunk);
@@ -343,7 +341,7 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
 
   obs::ProgressReporter progress("unit campaign", static_cast<long>(count));
   // Restored trials count as already-done progress.
-  for (long i = 0; i < done_trials; ++i) progress.tick();
+  if (done_trials > 0) progress.tick(done_trials);
   auto inject_span = tracer.span("inject", "campaign");
   // The hardened copies step only on the interpreted path; a compiled or
   // bitsliced evaluator runs every trial without them.
@@ -385,34 +383,45 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
 
   const int eval_stages = evaluator != nullptr ? evaluator->stages() : 0;
   const fp::u64 frac_mask = fmt.frac_mask();
+  // Resolved once: the per-worker evaluator slots below are indexed by
+  // worker.
+  const int threads = exec::resolve_threads(camp.threads);
+  struct WorkerBatch {
+    std::unique_ptr<rtl::Evaluator> ev;
+    std::vector<rtl::LatchUpset> upsets;
+    std::vector<rtl::UpsetTrial> verdicts;
+  };
+  std::vector<WorkerBatch> batches(
+      evaluator != nullptr ? static_cast<std::size_t>(threads) : 0);
   const exec::GridResult grid = exec::parallel_for_grid(
-      count, camp.threads,
-      [&](int /*worker*/, std::size_t begin, std::size_t end) {
+      count, threads,
+      [&](int worker, std::size_t begin, std::size_t end) {
         if (evaluator != nullptr) {
           // Compiled / bitsliced fast path: one forked evaluator per
-          // chunk, the whole chunk batched through trials().
-          const std::unique_ptr<rtl::Evaluator> ev = evaluator->fork();
+          // worker, each chunk batched through trials().
+          WorkerBatch& b = batches[static_cast<std::size_t>(worker)];
+          if (b.ev == nullptr) b.ev = evaluator->fork();
           const std::size_t nt = end - begin;
-          std::vector<rtl::LatchUpset> upsets(nt);
-          std::vector<rtl::UpsetTrial> verdicts(nt);
+          b.upsets.resize(nt);
+          b.verdicts.resize(nt);
           for (std::size_t i = begin; i < end; ++i) {
             const fault::Fault& f = faults[i];
-            upsets[i - begin] =
+            b.upsets[i - begin] =
                 rtl::LatchUpset{f.cycle, f.index, f.lane, f.bit};
           }
-          ev->trials(upsets.data(), verdicts.data(), nt);
+          b.ev->trials(b.upsets.data(), b.verdicts.data(), nt);
           for (std::size_t i = begin; i < end; ++i) {
-            const rtl::UpsetTrial& v = verdicts[i - begin];
+            const rtl::UpsetTrial& v = b.verdicts[i - begin];
             const long vec = faults[i].cycle - faults[i].index;
             const fp::u64 clean_result =
-                v.struck ? ev->clean_state(static_cast<int>(vec),
-                                           eval_stages - 1)
+                v.struck ? b.ev->clean_state(static_cast<int>(vec),
+                                             eval_stages - 1)
                                .lane[units::detail::kLaneResult]
                          : 0;
             trials[i] =
                 map_fast_trial(v, camp.scheme, clean_result, frac_mask);
-            progress.tick();
           }
+          progress.tick(static_cast<long>(nt));
           return;
         }
         fault::HardenedUnit hardened = proto->clone();
@@ -426,7 +435,7 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
                                        workload[static_cast<std::size_t>(t)])
                                  : std::nullopt);
             const std::optional<units::UnitOutput>& g =
-                golden[static_cast<std::size_t>(t)];
+                clean.golden[static_cast<std::size_t>(t)];
             trial.corrupted |= !same_output(out.raw, g);
             trial.hardened_differs |= !same_output(out.out, g);
             trial.mismatch |= out.mismatch;
@@ -565,16 +574,19 @@ SeuSweepRun seu_depth_sweep(units::UnitKind kind, fp::FpFormat fmt,
   const std::size_t chunk = 1;  // one depth = one recoverable unit
   const std::size_t nchunks = count;
 
-  fault::SpecHash spec;
-  spec.str("seu_depth_sweep v1");
-  spec.str(units::to_string(kind)).str(fmt.name());
-  spec.i64(camp.vectors).i64(camp.faults).u64(camp.seed);
-  spec.f64(rate.fit_per_mbit);
-  spec.i64(static_cast<long long>(count));
-  for (const int d : depths) spec.i64(d);
+  const auto spec_key = [&] {
+    fault::SpecHash spec;
+    spec.str("seu_depth_sweep v1");
+    spec.str(units::to_string(kind)).str(fmt.name());
+    spec.i64(camp.vectors).i64(camp.faults).u64(camp.seed);
+    spec.f64(rate.fit_per_mbit);
+    spec.i64(static_cast<long long>(count));
+    for (const int d : depths) spec.i64(d);
+    return spec.value();
+  };
 
   CheckpointSession ckpt = open_checkpoint_session(
-      control, spec.value(), count, chunk, nchunks,
+      control, spec_key, count, chunk, nchunks,
       [&](std::size_t index, const std::vector<std::uint8_t>& data) {
         if (data.size() != 64) return false;
         out.points[index] = decode_depth_point(data);
@@ -959,25 +971,28 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   const std::size_t nchunks = exec::grid_chunk_count(count, 1, chunk);
   std::vector<KernelTrial> trials(count);
 
-  fault::SpecHash spec;
-  spec.str("matmul_campaign v1");
-  spec.i64(camp.n).str(cfg.fmt.name());
-  spec.i64(camp.faults).u64(camp.seed);
-  spec.f64(camp.accumulator_fraction).f64(camp.config_fraction);
-  spec.i64(static_cast<long long>(camp.scheme));
-  spec.i64(camp.scrub_period_cycles).i64(horizon);
-  spec.i64(cfg.mult_config().stages).i64(cfg.adder_config().stages);
-  spec.i64(static_cast<long long>(chunk));
-  spec.i64(static_cast<long long>(count));
-  for (const PeFault& pf : faults) {
-    spec.i64(pf.pe).i64(static_cast<long long>(pf.target));
-    fold_fault(spec, pf.fault);
-  }
+  const auto spec_key = [&] {
+    fault::SpecHash spec;
+    spec.str("matmul_campaign v1");
+    spec.i64(camp.n).str(cfg.fmt.name());
+    spec.i64(camp.faults).u64(camp.seed);
+    spec.f64(camp.accumulator_fraction).f64(camp.config_fraction);
+    spec.i64(static_cast<long long>(camp.scheme));
+    spec.i64(camp.scrub_period_cycles).i64(horizon);
+    spec.i64(cfg.mult_config().stages).i64(cfg.adder_config().stages);
+    spec.i64(static_cast<long long>(chunk));
+    spec.i64(static_cast<long long>(count));
+    for (const PeFault& pf : faults) {
+      spec.i64(pf.pe).i64(static_cast<long long>(pf.target));
+      fold_fault(spec, pf.fault);
+    }
+    return spec.value();
+  };
 
   long done_trials = 0;
   long done_silent = 0;
   CheckpointSession ckpt = open_checkpoint_session(
-      control, spec.value(), count, chunk, nchunks,
+      control, spec_key, count, chunk, nchunks,
       [&](std::size_t index, const std::vector<std::uint8_t>& data) {
         const std::size_t begin = index * chunk;
         const std::size_t end = std::min(count, begin + chunk);

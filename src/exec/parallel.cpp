@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -28,6 +30,55 @@ void run_chunk_traced(const ThreadPool::ChunkFn& fn, int worker,
        {"begin", static_cast<long>(begin)},
        {"end", static_cast<long>(end)}});
   fn(worker, begin, end);
+}
+
+/// Idle pools, kept between parallel_for_chunked / parallel_for_grid
+/// calls so a call pays for its chunks, not for starting and joining
+/// threads. A call takes an idle pool of its size (the most recently
+/// parked, so consecutive calls reuse one set of workers) or builds one,
+/// and parks it again when it returns or throws: a checked-out pool
+/// belongs to one caller, so concurrent and nested calls never share a
+/// pool. The park is the only process-wide state here. It is never
+/// destroyed: idle workers simply wait until the process exits.
+class PoolPark {
+ public:
+  std::unique_ptr<ThreadPool> take(int threads) {
+    {
+      std::lock_guard<std::mutex> lk(m_);
+      for (std::size_t i = idle_.size(); i-- > 0;) {
+        if (idle_[i]->threads() == threads) {
+          std::unique_ptr<ThreadPool> pool = std::move(idle_[i]);
+          idle_.erase(idle_.begin() + static_cast<std::ptrdiff_t>(i));
+          return pool;
+        }
+      }
+    }
+    return std::make_unique<ThreadPool>(threads);
+  }
+
+  void park(std::unique_ptr<ThreadPool> pool) {
+    std::lock_guard<std::mutex> lk(m_);
+    idle_.push_back(std::move(pool));
+  }
+
+ private:
+  std::mutex m_;
+  std::vector<std::unique_ptr<ThreadPool>> idle_;
+};
+
+PoolPark& pool_park() {
+  static PoolPark* const park = new PoolPark;
+  return *park;
+}
+
+/// Run fn over `threads` static chunks on a parked pool.
+void run_on_parked_pool(int threads, std::size_t count,
+                        const ThreadPool::ChunkFn& fn) {
+  struct Lease {
+    std::unique_ptr<ThreadPool> pool;
+    ~Lease() { pool_park().park(std::move(pool)); }
+  } lease{pool_park().take(threads)};
+  lease.pool->run_chunked(count, fn);
 }
 
 }  // namespace
@@ -174,8 +225,7 @@ void parallel_for_chunked(std::size_t count, int threads,
     if (count > 0) run_chunk_traced(fn, 0, 0, count);
     return;
   }
-  ThreadPool pool(t);
-  pool.run_chunked(count, fn);
+  run_on_parked_pool(t, count, fn);
 }
 
 namespace {
@@ -248,8 +298,7 @@ GridResult parallel_for_grid(std::size_t count, int threads,
   if (t <= 1) {
     run_chunk_traced(span_fn, 0, 0, nchunks);
   } else {
-    ThreadPool pool(t);
-    pool.run_chunked(nchunks, span_fn);
+    run_on_parked_pool(t, nchunks, span_fn);
   }
   result.completed = completed;
   result.skipped = skipped;

@@ -18,6 +18,15 @@
 //    1 — the serial fallback, which runs the body inline on the caller with
 //    no pool at all (and is what FLOPSIM_THREADS=1 selects).
 //
+// Pools are parked, not built per call: parallel_for_chunked and
+// parallel_for_grid take an idle ThreadPool of their size from a
+// process-wide park (building one only when none is idle) and park it
+// again on return, also after a throw. A pool serves one call at a time,
+// so concurrent callers, and calls made from inside a worker chunk, each
+// run on a pool of their own. Which OS thread runs a worker index changes
+// nothing: the chunk assignment is still a pure function of
+// (count, threads).
+//
 // Instrumentation: every chunk execution is wrapped in an obs:: span
 // (name "chunk", category "worker", tid = worker index) so a `--trace=`
 // run shows per-worker utilization; with the tracer disabled this costs
@@ -86,10 +95,10 @@ class ThreadPool {
   std::unique_ptr<Impl> impl_;
 };
 
-/// One-shot convenience over ThreadPool: resolve_threads(threads), clamp to
-/// count (never more workers than trials), run fn over the static chunks
-/// and return when all are done. With one effective thread the body runs
-/// inline — no threads are created and no synchronization happens.
+/// One-shot convenience over a parked ThreadPool: resolve_threads(threads),
+/// clamp to count (never more workers than trials), run fn over the static
+/// chunks and return when all are done. With one effective thread the body
+/// runs inline — no pool is taken and no synchronization happens.
 void parallel_for_chunked(std::size_t count, int threads,
                           const ThreadPool::ChunkFn& fn);
 
@@ -143,7 +152,8 @@ std::size_t grid_chunk_count(std::size_t count, int threads,
 /// Run fn over the static chunk grid: fn(worker, begin, end) once per
 /// grid chunk, contiguous chunk spans assigned per worker, chunk
 /// boundaries independent of the thread count when opts.chunk > 0.
-/// Serial (inline, no pool) with one effective worker.
+/// Runs on a parked pool; serial (inline, no pool) with one effective
+/// worker.
 GridResult parallel_for_grid(std::size_t count, int threads,
                              const ThreadPool::ChunkFn& fn,
                              const GridOptions& opts = {});

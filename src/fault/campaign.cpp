@@ -4,6 +4,7 @@
 #include <cmath>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 #include "fault/secded.hpp"
 #include "obs/metrics.hpp"
@@ -57,6 +58,14 @@ long LatchProfile::total_bits() const {
   return bits;
 }
 
+void LatchProfile::observe(const std::vector<rtl::SignalSet>& latches) {
+  for (std::size_t s = 0; s < latches.size(); ++s) {
+    for (std::size_t l = 0; l < rtl::kMaxSignals; ++l) {
+      occupied[s][l] |= latches[s].lane[l];
+    }
+  }
+}
+
 LatchProfile profile_unit_latches(const units::FpUnit& unit, int vectors,
                                   std::uint64_t seed) {
   units::FpUnit probe = unit.clone();  // fresh pipeline; caller's untouched
@@ -71,14 +80,39 @@ LatchProfile profile_unit_latches(const units::FpUnit& unit, int vectors,
     } else {
       probe.step(std::nullopt);
     }
-    const std::vector<rtl::SignalSet>& latches = probe.latches();
-    for (std::size_t s = 0; s < latches.size(); ++s) {
-      for (int l = 0; l < rtl::kMaxSignals; ++l) {
-        profile.occupied[s][static_cast<std::size_t>(l)] |= latches[s][l];
-      }
-    }
+    profile.observe(probe.latches());
   }
   return profile;
+}
+
+CleanUnitRun record_clean_unit_run(units::FpUnit& unit,
+                                   const std::vector<units::UnitInput>& workload,
+                                   long horizon, bool keep_states) {
+  CleanUnitRun run;
+  run.golden.reserve(static_cast<std::size_t>(horizon));
+  run.profile.occupied.assign(static_cast<std::size_t>(unit.stages()), {});
+  std::shared_ptr<rtl::CleanRun> clean;
+  if (keep_states) {
+    std::vector<rtl::SignalSet> inputs;
+    inputs.reserve(workload.size());
+    for (const units::UnitInput& in : workload) {
+      inputs.push_back(units::FpUnit::pack(in));
+    }
+    clean = std::make_shared<rtl::CleanRun>(std::move(inputs), horizon,
+                                            unit.stages());
+  }
+  const long vectors = static_cast<long>(workload.size());
+  unit.reset();
+  for (long t = 0; t < horizon; ++t) {
+    unit.step(t < vectors ? std::optional<units::UnitInput>(
+                                workload[static_cast<std::size_t>(t)])
+                          : std::nullopt);
+    run.golden.push_back(unit.output());
+    run.profile.observe(unit.latches());
+    if (clean) clean->record(t, unit.latches());
+  }
+  run.clean = std::move(clean);
+  return run;
 }
 
 std::vector<units::UnitInput> campaign_workload(units::UnitKind kind,

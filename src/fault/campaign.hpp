@@ -19,6 +19,8 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -41,6 +43,8 @@ struct LatchProfile {
   /// Occupied data bits (plus valid/flag bits when included) per stage,
   /// summed — the AVF denominator.
   long total_bits() const;
+  /// OR one clock's stage latches into `occupied` (sized to stages()).
+  void observe(const std::vector<rtl::SignalSet>& latches);
 };
 
 /// Drive `vectors` deterministic operands (plus drain bubbles) through a
@@ -49,6 +53,25 @@ struct LatchProfile {
 /// shared across campaign worker threads).
 LatchProfile profile_unit_latches(const units::FpUnit& unit, int vectors,
                                   std::uint64_t seed);
+
+/// Everything a unit campaign reads from its clean pipeline, recorded in
+/// one simulation: the registered output of every cycle (the interpreted
+/// trials' oracle), the occupied-bit profile (equal to
+/// profile_unit_latches over the same workload and horizon) and, when
+/// asked, the stage-boundary states the compiled and bitsliced
+/// evaluators bind to (equal to rtl::bind_clean_states').
+struct CleanUnitRun {
+  std::vector<std::optional<units::UnitOutput>> golden;  ///< per cycle
+  LatchProfile profile;
+  std::shared_ptr<const rtl::CleanRun> clean;  ///< null unless kept
+};
+
+/// Reset `unit` and step it over `workload` (bubbles after) for
+/// `horizon` cycles, recording the run. `unit` is left holding the clean
+/// run's end state (its occupancy counters included).
+CleanUnitRun record_clean_unit_run(units::FpUnit& unit,
+                                   const std::vector<units::UnitInput>& workload,
+                                   long horizon, bool keep_states);
 
 /// Deterministic operand stream for campaigns: uniform encodings of the
 /// unit's format with alternating subtract for adders. The same (fmt,

@@ -100,6 +100,28 @@ bool output_depends_on_lane(const SignalSet& baseline_out,
   return false;
 }
 
+/// The probe's entry state for stimulus `v`: every lane the contract does
+/// not initialize is poisoned with a per-lane pattern, so writes of
+/// "natural" values (zero included) are observable as changes.
+SignalSet entry_state(const ChainContract& contract, const Options& opts,
+                      std::size_t v) {
+  SignalSet state;
+  for (int l = 0; l < kMaxSignals; ++l) {
+    state.lane[static_cast<std::size_t>(l)] =
+        u64{0x9E3779B97F4A7C15} * static_cast<u64>(l + 3) ^
+        (opts.seed + 0xD1B54A32D192ED03 * v);
+  }
+  for (int l : contract.input_lanes) {
+    if (l >= 0 && l < kMaxSignals) {
+      state.lane[static_cast<std::size_t>(l)] =
+          contract.stimuli[v].lane[static_cast<std::size_t>(l)];
+    }
+  }
+  state.valid = true;
+  state.flags = 0;
+  return state;
+}
+
 }  // namespace
 
 int effective_width(u64 value) {
@@ -129,22 +151,7 @@ ChainAccess infer_chain_access(const rtl::PieceChain& chain,
 
   AccessRecorder recorder;
   for (std::size_t v = 0; v < contract.stimuli.size(); ++v) {
-    // Poison every lane the contract does not initialize, so writes of
-    // "natural" values (zero included) are observable as changes.
-    SignalSet state;
-    for (int l = 0; l < kMaxSignals; ++l) {
-      state.lane[static_cast<std::size_t>(l)] =
-          u64{0x9E3779B97F4A7C15} * static_cast<u64>(l + 3) ^
-          (opts.seed + 0xD1B54A32D192ED03 * v);
-    }
-    for (int l : contract.input_lanes) {
-      if (l >= 0 && l < kMaxSignals) {
-        state.lane[static_cast<std::size_t>(l)] =
-            contract.stimuli[v].lane[static_cast<std::size_t>(l)];
-      }
-    }
-    state.valid = true;
-    state.flags = 0;
+    SignalSet state = entry_state(contract, opts, v);
 
     // Lanes holding a defined value in THIS vector: contract inputs plus
     // whatever pieces have written so far. Poison in a not-yet-written
@@ -235,6 +242,36 @@ ChainAccess infer_chain_access(const rtl::PieceChain& chain,
     for (auto& pa : access.piece) pa.write_always.fill(false);
   }
   return access;
+}
+
+ChainGuards infer_chain_guards(const rtl::PieceChain& chain,
+                               const ChainContract& contract,
+                               const Options& opts) {
+  // The baseline walk and the identical rerun of infer_chain_access, from
+  // the same entry states, without its perturbation and width passes and
+  // without a lane listener: nothing the guards need reads the probe's
+  // out-of-range capture, a campaign's clean run has already evaluated
+  // every piece without a listener, and the lint zoo gate (DL103) still
+  // runs the listened probe on every unit chain.
+  ChainGuards guards;
+  std::vector<char> diverged(chain.size(), 0);
+  for (std::size_t v = 0; v < contract.stimuli.size(); ++v) {
+    SignalSet state = entry_state(contract, opts, v);
+    for (std::size_t p = 0; p < chain.size(); ++p) {
+      const SignalSet pre = state;
+      chain[p].eval(state);
+      if (diverged[p] == 0) {
+        SignalSet rerun = pre;
+        chain[p].eval(rerun);
+        if (!states_equal(rerun, state)) {
+          diverged[p] = 1;
+          guards.nondeterministic = true;
+        }
+      }
+      if (state.valid != pre.valid) guards.writes_valid = true;
+    }
+  }
+  return guards;
 }
 
 }  // namespace flopsim::lint

@@ -17,6 +17,11 @@
 // than a reader of a coincidentally-zero value. Classification errs
 // toward the conservative side: a missed read can suppress a dead-write
 // warning but can never fabricate an uninitialized-read error.
+//
+// infer_chain_guards is the probe cut down to what compile_program
+// needs (rtl/program.hpp): from the same poisoned entry states, only the
+// baseline evals and the identical reruns, yielding the DONE-write and
+// nondeterminism bits OR-ed over the chain.
 #pragma once
 
 #include <array>
@@ -66,6 +71,20 @@ int effective_width(fp::u64 value);
 /// Run the inference. Requires every piece to have a non-null eval (the
 /// structural rules reject such chains before inference runs).
 ChainAccess infer_chain_access(const rtl::PieceChain& chain,
+                               const ChainContract& contract,
+                               const Options& opts);
+
+/// The two bits compile_program guards the campaign fast paths with, as
+/// infer_chain_access would report them OR-ed over the chain's pieces.
+struct ChainGuards {
+  bool writes_valid = false;      ///< some piece changed SignalSet::valid
+  bool nondeterministic = false;  ///< some piece diverged on a rerun
+};
+
+/// The guard walk: infer_chain_access's baseline evals and identical
+/// reruns only, from the same poisoned entry states. Requires what
+/// infer_chain_access requires, and in-range lane indices.
+ChainGuards infer_chain_guards(const rtl::PieceChain& chain,
                                const ChainContract& contract,
                                const Options& opts);
 

@@ -35,65 +35,39 @@ EvalBackend resolve_backend(EvalBackend requested) {
   return EvalBackend::kInterpreted;
 }
 
-namespace {
+CleanRun::CleanRun(std::vector<SignalSet> in, long h, int s)
+    : inputs(std::move(in)),
+      horizon(h),
+      vectors(static_cast<int>(inputs.size())),
+      stages(s),
+      states(static_cast<std::size_t>(vectors) * static_cast<std::size_t>(s),
+             SignalSet{}) {}
 
-/// The workload bound to an evaluator, plus the clean stage-boundary
-/// states B[v][s]: the contents of stage s's output register while
-/// holding vector v. Computed once by stepping a real PipelineSim (the
-/// latch for (v, s) loads on cycle v + s), then shared immutably across
-/// every fork — this is the single source of truth all three backends
-/// compare against, so they cannot drift from the machine.
-struct Bound {
-  std::vector<SignalSet> inputs;
-  long horizon = 0;
-  int vectors = 0;
-  int stages = 0;
-  std::vector<SignalSet> states;  // [v * stages + s]
-
-  const SignalSet& state(int v, int s) const {
-    return states[static_cast<std::size_t>(v) *
-                      static_cast<std::size_t>(stages) +
-                  static_cast<std::size_t>(s)];
-  }
-};
-
-std::shared_ptr<const Bound> bind_clean_states(
-    const PieceChain& chain, const PipelinePlan& plan,
-    const std::vector<SignalSet>& inputs, long horizon) {
-  // The one-time full-pipeline simulation is the expensive part of
-  // bind(); under --trace= this span lands beneath whatever owns the
-  // evaluation (a campaign span, or a serve request's eval span via the
-  // installed obs::SpanContext).
-  auto span = obs::Tracer::global().span(
-      "bind", "evaluator",
-      {{"vectors", static_cast<long>(inputs.size())},
-       {"stages", plan.stages()}});
-  auto b = std::make_shared<Bound>();
-  b->inputs = inputs;
-  b->horizon = horizon;
-  b->vectors = static_cast<int>(inputs.size());
-  b->stages = plan.stages();
-  b->states.assign(
-      static_cast<std::size_t>(b->vectors) * static_cast<std::size_t>(b->stages),
-      SignalSet{});
-  PipelineSim sim(&chain, plan);
-  for (long t = 0; t < horizon; ++t) {
-    sim.step(t < b->vectors ? std::optional<SignalSet>(
-                                  b->inputs[static_cast<std::size_t>(t)])
-                            : std::nullopt);
-    const std::vector<SignalSet>& latch = sim.latches();
-    for (int s = 0; s < b->stages; ++s) {
-      const long v = t - s;
-      if (v >= 0 && v < b->vectors) {
-        b->states[static_cast<std::size_t>(v) *
-                      static_cast<std::size_t>(b->stages) +
-                  static_cast<std::size_t>(s)] =
-            latch[static_cast<std::size_t>(s)];
-      }
+void CleanRun::record(long cycle, const std::vector<SignalSet>& latches) {
+  for (int s = 0; s < stages; ++s) {
+    const long v = cycle - s;
+    if (v >= 0 && v < vectors) {
+      states[static_cast<std::size_t>(v) * static_cast<std::size_t>(stages) +
+             static_cast<std::size_t>(s)] = latches[static_cast<std::size_t>(s)];
     }
   }
-  return b;
 }
+
+std::shared_ptr<const CleanRun> bind_clean_states(
+    const PieceChain& chain, const PipelinePlan& plan,
+    const std::vector<SignalSet>& inputs, long horizon) {
+  auto run = std::make_shared<CleanRun>(inputs, horizon, plan.stages());
+  PipelineSim sim(&chain, plan);
+  for (long t = 0; t < horizon; ++t) {
+    sim.step(t < run->vectors ? std::optional<SignalSet>(
+                                    run->inputs[static_cast<std::size_t>(t)])
+                              : std::nullopt);
+    run->record(t, sim.latches());
+  }
+  return run;
+}
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Interpreted: the faithful reference. Every trial re-steps a PipelineSim
@@ -111,8 +85,8 @@ class InterpretedEvaluator final : public Evaluator {
 
   EvalBackend backend() const override { return EvalBackend::kInterpreted; }
 
-  void bind(const std::vector<SignalSet>& inputs, long horizon) override {
-    bound_ = bind_clean_states(*chain_, plan_, inputs, horizon);
+  void bind(std::shared_ptr<const CleanRun> run) override {
+    bound_ = std::move(run);
   }
 
   int stages() const override { return plan_.stages(); }
@@ -124,7 +98,7 @@ class InterpretedEvaluator final : public Evaluator {
 
   UpsetTrial trial(const LatchUpset& u) override {
     UpsetTrial t;
-    const Bound& b = *bound_;
+    const CleanRun& b = *bound_;
     const int s_count = plan_.stages();
     const long v = u.cycle - u.stage;
     const bool struck =
@@ -190,7 +164,7 @@ class InterpretedEvaluator final : public Evaluator {
   PipelinePlan plan_;
   int result_lane_;
   PipelineSim sim_;
-  std::shared_ptr<const Bound> bound_;
+  std::shared_ptr<const CleanRun> bound_;
 };
 
 // ---------------------------------------------------------------------------
@@ -204,7 +178,7 @@ struct CompiledCore {
   PipelinePlan plan;
   int result_lane = 0;
   CompiledProgram program;
-  std::shared_ptr<const Bound> bound;
+  std::shared_ptr<const CleanRun> bound;
 };
 
 class CompiledEvaluator : public Evaluator {
@@ -224,9 +198,8 @@ class CompiledEvaluator : public Evaluator {
 
   EvalBackend backend() const override { return EvalBackend::kCompiled; }
 
-  void bind(const std::vector<SignalSet>& inputs, long horizon) override {
-    core_->bound = bind_clean_states(*core_->chain, core_->plan, inputs,
-                                     horizon);
+  void bind(std::shared_ptr<const CleanRun> run) override {
+    core_->bound = std::move(run);
   }
 
   int stages() const override { return core_->plan.stages(); }
@@ -241,7 +214,7 @@ class CompiledEvaluator : public Evaluator {
   UpsetTrial trial(const LatchUpset& u) override {
     UpsetTrial t;
     const CompiledCore& core = *core_;
-    const Bound& b = *core.bound;
+    const CleanRun& b = *core.bound;
     const int s_count = b.stages;
     const long v = u.cycle - u.stage;
     if (u.stage < 0 || u.stage >= s_count || v < 0 || v >= b.vectors ||
@@ -295,7 +268,7 @@ class BitslicedEvaluator final : public CompiledEvaluator {
   void trials(const LatchUpset* upsets, UpsetTrial* out,
               std::size_t n) override {
     const CompiledCore& core = *this->core();
-    const Bound& b = *core.bound;
+    const CleanRun& b = *core.bound;
     const int s_count = b.stages;
     const auto rl = static_cast<std::size_t>(core.result_lane);
     for (std::size_t base = 0; base < n; base += 64) {

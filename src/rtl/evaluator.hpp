@@ -7,12 +7,10 @@
 //   * kInterpreted: the faithful reference. Each trial re-steps a
 //     PipelineSim over the whole horizon with a one-shot injector, the
 //     way the campaigns always ran.
-//   * kCompiled: compile-once/run-many. bind() precomputes the clean
-//     stage-boundary states B[v][s] for every workload vector by
-//     stepping a real PipelineSim once; a trial then copies the struck
-//     state, flips the bit, and replays only the compiled suffix stages
-//     — O(pieces downstream of the strike) instead of
-//     O(horizon x pieces).
+//   * kCompiled: compile-once/run-many. A trial copies the struck clean
+//     stage-boundary state B[v][s], flips the bit, and replays only the
+//     compiled suffix stages — O(pieces downstream of the strike) instead
+//     of O(horizon x pieces).
 //   * kBitsliced: the compiled backend's batch mode. trials() packs up
 //     to 64 upsets into one block, walks the compiled program op-major
 //     (each op is fetched once per block, applied to every live slot)
@@ -21,6 +19,12 @@
 //     *trials* (one program pass serves 64 verdicts), not inside the
 //     piece arithmetic.
 //
+// Every backend binds to one CleanRun: the workload and the clean
+// stage-boundary states B[v][s], recorded once by whoever stepped the
+// clean pipeline (a unit campaign records it in its golden loop,
+// fault::record_clean_unit_run; bind_clean_states is the reference
+// recorder). bind() only shares that run, so binding simulates nothing.
+//
 // All backends are locked to the same contract: identical UpsetTrial
 // results for identical upsets, byte for byte. The compiled program runs
 // every piece in PipelineSim's order (rtl/program.hpp), so the suffix a
@@ -28,15 +32,16 @@
 // pipeline performs after the flip; the contract holds by construction,
 // not by a bind-time check.
 //
-// Thread safety: bound state is immutable and shared; call fork() to get
-// a per-worker evaluator (cheap — the program and B[v][s] table are
-// shared behind shared_ptr).
+// Thread safety: the bound CleanRun is immutable and shared; call fork()
+// to get a per-worker evaluator (cheap — the program and the clean run
+// are shared behind shared_ptr).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "rtl/program.hpp"
 
@@ -84,6 +89,44 @@ struct UpsetTrial {
   std::uint8_t flags = 0;    ///< faulty carried flags
 };
 
+/// One clean simulation of a workload: the packed operand bundles
+/// presented on cycles 0..vectors-1 (bubbles after), the horizon a
+/// campaign steps, and the clean stage-boundary states B[v][s] — the
+/// contents of stage s's output register while holding vector v, which
+/// loads on cycle v + s. The single source of truth every backend
+/// compares against, so none can drift from the machine.
+struct CleanRun {
+  std::vector<SignalSet> inputs;
+  long horizon = 0;
+  int vectors = 0;
+  int stages = 0;
+  std::vector<SignalSet> states;  // [v * stages + s]
+
+  CleanRun() = default;
+  /// An empty run of `stages` stages over `inputs`, ready for record().
+  CleanRun(std::vector<SignalSet> inputs, long horizon, int stages);
+
+  /// Record the latches a clean PipelineSim holds after stepping clock
+  /// `cycle`: latch s holds vector cycle - s.
+  void record(long cycle, const std::vector<SignalSet>& latches);
+
+  const SignalSet& state(int v, int s) const {
+    return states[static_cast<std::size_t>(v) *
+                      static_cast<std::size_t>(stages) +
+                  static_cast<std::size_t>(s)];
+  }
+
+  friend bool operator==(const CleanRun&, const CleanRun&) = default;
+};
+
+/// The reference recorder: step a fresh PipelineSim over `inputs` for
+/// `horizon` cycles and record every stage-boundary state. Campaigns
+/// record the same run in their golden loop instead; tests bind from
+/// this one.
+std::shared_ptr<const CleanRun> bind_clean_states(
+    const PieceChain& chain, const PipelinePlan& plan,
+    const std::vector<SignalSet>& inputs, long horizon);
+
 /// A bound evaluator answers upset trials against one fixed workload.
 /// Lifecycle: make_evaluator() -> bind() once -> trial()/trials() many.
 class Evaluator {
@@ -92,11 +135,9 @@ class Evaluator {
 
   virtual EvalBackend backend() const = 0;
 
-  /// Bind the workload: `inputs` are the packed operand bundles presented
-  /// on cycles 0..inputs.size()-1 (bubbles after), `horizon` the total
-  /// cycles a campaign steps. Precomputes whatever the backend reuses
-  /// across trials.
-  virtual void bind(const std::vector<SignalSet>& inputs, long horizon) = 0;
+  /// Bind the clean run of the workload (recorded over this evaluator's
+  /// chain and plan). Shared, never copied: forks see the same run.
+  virtual void bind(std::shared_ptr<const CleanRun> run) = 0;
 
   virtual int stages() const = 0;
   virtual int vectors() const = 0;

@@ -39,13 +39,10 @@ CompiledProgram compile_program(const PieceChain& chain,
   lc.input_lanes = contract.input_lanes;
   lc.result_lane = contract.result_lane;
   lc.stimuli = contract.stimuli;
-  const lint::ChainAccess access =
-      lint::infer_chain_access(chain, lc, lint::Options{});
-  for (const lint::PieceAccess& pa : access.piece) {
-    prog.stats_.alters_valid = prog.stats_.alters_valid || pa.writes_valid;
-    prog.stats_.nondeterministic =
-        prog.stats_.nondeterministic || pa.nondeterministic;
-  }
+  const lint::ChainGuards guards =
+      lint::infer_chain_guards(chain, lc, lint::Options{});
+  prog.stats_.alters_valid = guards.writes_valid;
+  prog.stats_.nondeterministic = guards.nondeterministic;
 
   // Ops are index-aligned with the chain, so the plan's piece boundaries
   // are the op boundaries.

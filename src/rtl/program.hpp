@@ -15,10 +15,14 @@
 // on clean and faulty states alike: no self-check or bind-time battery
 // has to vouch for it.
 //
-// Compilation runs the lint engine's lane def-use probe (src/lint/probe.*)
-// once, only for the two guard bits in stats(): campaign fast paths that
-// map a program's verdicts onto checker schemes refuse chains that write
-// the DONE bit or behave nondeterministically.
+// Compilation computes only the two guard bits in stats(): campaign fast
+// paths that map a program's verdicts onto checker schemes refuse chains
+// that write the DONE bit or behave nondeterministically. They come from
+// the lint engine's guard walk (lint::infer_chain_guards in
+// src/lint/probe.*): each piece's baseline eval and identical rerun over
+// the contract's stimuli, from the def-use probe's poisoned entry state,
+// without the probe's perturbation and width passes. The bits equal the
+// probe's writes_valid / nondeterministic OR-ed over the chain.
 //
 // Borrow semantics: like PipelineSim, a CompiledProgram references the
 // chain's eval functors — the chain must outlive the program.
@@ -35,14 +39,15 @@ namespace flopsim::rtl {
 
 /// What the chain promises the compiler: which lanes arrive initialized,
 /// which lane carries the result, and the stimulus bundles (packed
-/// inputs, valid set) that drive the def-use probe.
+/// inputs, valid set) that drive the guard walk.
 struct CompileContract {
   std::vector<int> input_lanes;
   int result_lane = 0;
   std::vector<SignalSet> stimuli;
 };
 
-/// The probe's verdict on behaviours a campaign fast path cannot model.
+/// The guard walk's verdict on behaviours a campaign fast path cannot
+/// model.
 struct CompileStats {
   bool alters_valid = false;      ///< some piece writes the DONE bit
   bool nondeterministic = false;  ///< some piece diverged on identical input

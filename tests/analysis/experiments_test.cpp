@@ -7,6 +7,9 @@
 
 #include <cstdlib>
 
+#include "kernel/block_matmul.hpp"
+#include "kernel/metrics.hpp"
+
 namespace flopsim::analysis {
 namespace {
 
@@ -197,6 +200,31 @@ TEST(Experiments, Fig4DeepPipesWasteAtSmallN) {
   const double n30_pl25 = std::strtod(total[6].c_str(), nullptr);
   EXPECT_GT(n10_pl25, 2.0 * n10_pl10);
   EXPECT_LT(n30_pl25, 1.25 * n30_pl10);
+}
+
+// The padding fractions EXPERIMENTS.md quotes for Figures 4 and 6; the
+// paper CSVs do not carry them, so this test is their source.
+TEST(Experiments, Fig4Fig6PaddingFractions) {
+  struct Case {
+    kernel::PeConfig cfg;
+    int pl;
+    double fig4_n10;  // zero-padding share of MAC energy at n = 10
+    double fig6_b1;   // padded issue share of a b = 1 blocked n = 16 run
+  };
+  const Case cases[] = {
+      {kernel::pe_min_pipelined(), 10, 0.0, 0.900},
+      {kernel::pe_moderate_pipelined(), 19, 0.474, 0.947},
+      {kernel::pe_max_pipelined(), 25, 0.600, 0.960},
+  };
+  for (const Case& c : cases) {
+    const kernel::KernelDesign d(c.cfg);
+    ASSERT_EQ(d.pl(), c.pl);
+    EXPECT_NEAR(d.padding_waste_fraction(10), c.fig4_n10, 5e-4)
+        << "pl=" << c.pl;
+    EXPECT_NEAR(kernel::block_matmul_stats(16, 1, c.pl).padding_fraction,
+                c.fig6_b1, 5e-4)
+        << "pl=" << c.pl;
+  }
 }
 
 TEST(Experiments, Fig5Shapes) {

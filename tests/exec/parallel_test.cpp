@@ -1,11 +1,14 @@
 // The exec layer's determinism contract: static chunk assignment is a pure
 // function of (count, threads), every index is covered exactly once, the
-// serial path runs inline, and exceptions propagate deterministically.
+// serial path runs inline, and exceptions propagate deterministically —
+// also on the parked pools the one-shot calls reuse.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -209,6 +212,102 @@ TEST(ThreadPool, CallerChunkExceptionPropagates) {
                                   }
                                 }),
                std::runtime_error);
+}
+
+// --- parked pools ---------------------------------------------------------
+
+/// The OS threads that ran worker chunks 1..threads-1 of one grid call.
+std::set<std::thread::id> grid_worker_threads(int threads) {
+  std::mutex m;
+  std::set<std::thread::id> ids;
+  const std::thread::id caller = std::this_thread::get_id();
+  parallel_for_grid(static_cast<std::size_t>(threads), threads,
+                    [&](int worker, std::size_t, std::size_t) {
+                      std::lock_guard<std::mutex> lk(m);
+                      EXPECT_EQ(worker == 0,
+                                std::this_thread::get_id() == caller);
+                      if (worker != 0) ids.insert(std::this_thread::get_id());
+                    });
+  return ids;
+}
+
+TEST(ParkedPools, ConsecutiveCallsOfOneSizeRunOnTheSameWorkers) {
+  const std::set<std::thread::id> first = grid_worker_threads(3);
+  const std::set<std::thread::id> second = grid_worker_threads(3);
+  EXPECT_EQ(first.size(), 2u);
+  EXPECT_EQ(first, second);
+}
+
+TEST(ParkedPools, ConcurrentCallersEachGetTheirOwnResult) {
+  constexpr int kCallers = 4;
+  constexpr std::size_t kCount = 997;
+  std::vector<std::vector<long>> slots(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&slots, c] {
+      std::vector<long>& out = slots[static_cast<std::size_t>(c)];
+      out.assign(kCount, -1);
+      for (int round = 0; round < 8; ++round) {
+        GridOptions opts;
+        opts.chunk = 10;
+        const GridResult r = parallel_for_grid(
+            kCount, 3,
+            [&](int, std::size_t begin, std::size_t end) {
+              for (std::size_t i = begin; i < end; ++i) {
+                out[i] = static_cast<long>(i) * (c + 1) + round;
+              }
+            },
+            opts);
+        EXPECT_TRUE(r.complete());
+        for (std::size_t i = 0; i < kCount; ++i) {
+          ASSERT_EQ(out[i], static_cast<long>(i) * (c + 1) + round)
+              << "caller " << c << " round " << round << " index " << i;
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+}
+
+TEST(ParkedPools, ACallFromInsideAWorkerChunkCompletes) {
+  std::vector<std::vector<int>> inner(4);
+  parallel_for_grid(4, 4, [&](int /*worker*/, std::size_t begin,
+                              std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      std::vector<int>& out = inner[i];
+      out.assign(6, 0);
+      parallel_for_grid(out.size(), 4,
+                        [&](int, std::size_t b, std::size_t e) {
+                          for (std::size_t k = b; k < e; ++k) {
+                            out[k] = static_cast<int>(i * 10 + k);
+                          }
+                        });
+    }
+  });
+  for (std::size_t i = 0; i < inner.size(); ++i) {
+    for (std::size_t k = 0; k < inner[i].size(); ++k) {
+      EXPECT_EQ(inner[i][k], static_cast<int>(i * 10 + k));
+    }
+  }
+}
+
+TEST(ParkedPools, AThrowingCallRethrowsAndTheNextCallWorks) {
+  try {
+    parallel_for_grid(4, 4, [&](int worker, std::size_t, std::size_t) {
+      if (worker == 2) throw std::runtime_error("from worker 2");
+      if (worker == 3) throw std::logic_error("from worker 3");
+    });
+    FAIL() << "expected parallel_for_grid to rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "from worker 2");
+  }
+  std::atomic<int> covered{0};
+  const GridResult r =
+      parallel_for_grid(4, 4, [&](int, std::size_t begin, std::size_t end) {
+        covered.fetch_add(static_cast<int>(end - begin));
+      });
+  EXPECT_TRUE(r.complete());
+  EXPECT_EQ(covered.load(), 4);
 }
 
 }  // namespace

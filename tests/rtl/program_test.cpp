@@ -1,7 +1,10 @@
 // CompiledProgram and the Evaluator backends: the compiled program runs
 // every piece of the chain in stage order, honours the per-stage valid
-// gate, and the interpreted / compiled / bitsliced evaluators answer every
-// upset with identical results on real units.
+// gate, takes its guard bits from the lint guard walk exactly as the
+// def-use probe reports them, and the interpreted / compiled / bitsliced
+// evaluators answer every upset with identical results on real units,
+// bound to a clean run the campaign's golden loop records exactly as the
+// reference recorder does.
 #include "rtl/program.hpp"
 
 #include <gtest/gtest.h>
@@ -10,9 +13,16 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <set>
+#include <stdexcept>
 #include <vector>
 
+#include "analysis/pareto.hpp"
+#include "analysis/seu.hpp"
+#include "analysis/sweep.hpp"
 #include "fault/campaign.hpp"
+#include "lint/probe.hpp"
 #include "rtl/evaluator.hpp"
 #include "units/fp_unit.hpp"
 
@@ -87,6 +97,34 @@ TEST(CompiledProgram, InvalidBundlesFlowThroughUnevaluated) {
   EXPECT_EQ(bubble.lane, before.lane);
 }
 
+// The guard bits. The compiled program keeps only these two from the
+// lint engine; the toy chains below make each one true on its own.
+TEST(CompiledProgram, APieceThatClearsValidCompilesWithAltersValid) {
+  PieceChain chain = three_way_chain();
+  chain.push_back(piece("drop", [](SignalSet& s) {
+    if ((s[1] & 1) != 0) s.valid = false;
+  }));
+  PipelinePlan plan;
+  plan.stage_begin = {0, static_cast<int>(chain.size())};
+  const CompiledProgram prog =
+      compile_program(chain, plan, three_way_contract());
+  EXPECT_TRUE(prog.stats().alters_valid);
+  EXPECT_FALSE(prog.stats().nondeterministic);
+}
+
+TEST(CompiledProgram, AStatefulPieceCompilesNondeterministic) {
+  PieceChain chain = three_way_chain();
+  chain.push_back(piece("count", [n = fp::u64{0}](SignalSet& s) mutable {
+    s[4] = s[1] + n++;
+  }));
+  PipelinePlan plan;
+  plan.stage_begin = {0, static_cast<int>(chain.size())};
+  const CompiledProgram prog =
+      compile_program(chain, plan, three_way_contract());
+  EXPECT_TRUE(prog.stats().nondeterministic);
+  EXPECT_FALSE(prog.stats().alters_valid);
+}
+
 CompileContract unit_contract(const units::FpUnit& unit, int vectors,
                               std::uint64_t seed) {
   CompileContract contract;
@@ -128,6 +166,57 @@ TEST(CompiledProgram, RealUnitsCompileCleanAndMatchTheChain) {
   }
 }
 
+// Compile's guard walk reports exactly what the def-use probe reports,
+// OR-ed over the chain, on every unit chain of the four lint zoos under
+// the campaign's own contract.
+TEST(CompiledProgram, GuardBitsEqualTheProbesOnEveryZooChain) {
+  units::UnitConfig ieee;
+  ieee.ieee_mode = true;
+  units::UnitConfig speed;
+  speed.objective = device::Objective::kSpeed;
+  units::UnitConfig fabric;
+  fabric.use_embedded_multipliers = false;
+  int compared = 0;
+  for (const units::UnitConfig& zoo :
+       {units::UnitConfig{}, ieee, speed, fabric}) {
+    for (const units::UnitKind kind :
+         {units::UnitKind::kAdder, units::UnitKind::kMultiplier,
+          units::UnitKind::kDivider, units::UnitKind::kSqrt,
+          units::UnitKind::kMac}) {
+      for (const fp::FpFormat& fmt : analysis::paper_formats()) {
+        std::optional<units::FpUnit> unit;
+        try {
+          unit.emplace(kind, fmt, zoo);
+        } catch (const std::invalid_argument&) {
+          continue;  // a configuration this kind's builder rejects
+        }
+        const CompileContract contract =
+            unit_contract(*unit, analysis::SeuCampaignConfig{}.vectors,
+                          analysis::SeuCampaignConfig{}.seed);
+        lint::ChainContract lc;
+        lc.input_lanes = contract.input_lanes;
+        lc.result_lane = contract.result_lane;
+        lc.stimuli = contract.stimuli;
+        const lint::ChainAccess access =
+            lint::infer_chain_access(unit->pieces(), lc, lint::Options{});
+        bool writes_valid = false;
+        bool nondeterministic = false;
+        for (const lint::PieceAccess& pa : access.piece) {
+          writes_valid = writes_valid || pa.writes_valid;
+          nondeterministic = nondeterministic || pa.nondeterministic;
+        }
+        const CompiledProgram prog =
+            compile_program(unit->pieces(), unit->plan(), contract);
+        EXPECT_EQ(prog.stats().alters_valid, writes_valid) << unit->name();
+        EXPECT_EQ(prog.stats().nondeterministic, nondeterministic)
+            << unit->name();
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GE(compared, 50);
+}
+
 // Drive `upsets` through all three backends bound to `contract`'s
 // stimuli and compare every UpsetTrial field. Returns how many upsets
 // struck an occupied latch.
@@ -144,8 +233,10 @@ int expect_backends_agree(const units::FpUnit& unit,
       EvalBackend::kBitsliced, unit.pieces(), unit.plan(), contract);
   EXPECT_EQ(interp->compile_stats(), nullptr);
   EXPECT_NE(compiled->compile_stats(), nullptr);
+  const std::shared_ptr<const CleanRun> run =
+      bind_clean_states(unit.pieces(), unit.plan(), contract.stimuli, horizon);
   for (Evaluator* ev : {interp.get(), compiled.get(), sliced.get()}) {
-    ev->bind(contract.stimuli, horizon);
+    ev->bind(run);
     EXPECT_EQ(ev->stages(), unit.plan().stages());
     EXPECT_EQ(ev->vectors(), vectors);
   }
@@ -248,7 +339,8 @@ TEST(Evaluator, ForksAnswerLikeTheOriginal) {
   const long horizon = 8 + unit.latency() + 2;
   std::unique_ptr<Evaluator> sliced = make_evaluator(
       EvalBackend::kBitsliced, unit.pieces(), unit.plan(), contract);
-  sliced->bind(contract.stimuli, horizon);
+  sliced->bind(
+      bind_clean_states(unit.pieces(), unit.plan(), contract.stimuli, horizon));
   const std::unique_ptr<Evaluator> forked = sliced->fork();
   EXPECT_EQ(forked->backend(), EvalBackend::kBitsliced);
   for (long cycle = 0; cycle < horizon; cycle += 3) {
@@ -258,6 +350,65 @@ TEST(Evaluator, ForksAnswerLikeTheOriginal) {
     EXPECT_EQ(a.struck, b.struck);
     EXPECT_EQ(a.corrupted, b.corrupted);
     EXPECT_EQ(a.result, b.result);
+  }
+}
+
+// The campaign's one clean run records, for every unit kind at its
+// paper min/opt/max depths, exactly the stage-boundary states the
+// reference recorder records and exactly profile_unit_latches' profile.
+TEST(CleanRun, CampaignLoopMatchesTheReferenceRecorder) {
+  const analysis::SeuCampaignConfig camp;
+  for (const units::UnitKind kind :
+       {units::UnitKind::kAdder, units::UnitKind::kMultiplier,
+        units::UnitKind::kDivider, units::UnitKind::kSqrt,
+        units::UnitKind::kMac}) {
+    for (const fp::FpFormat fmt :
+         {fp::FpFormat::binary32(), fp::FpFormat::binary64()}) {
+      const analysis::Selection sel =
+          analysis::select_min_max_opt(analysis::sweep_unit(kind, fmt));
+      for (const int depth :
+           std::set<int>{sel.min.stages, sel.opt.stages, sel.max.stages}) {
+        units::UnitConfig cfg;
+        cfg.stages = depth;
+        units::FpUnit probe(kind, fmt, cfg);
+        const long horizon = camp.vectors + probe.latency() + 2;
+        const std::vector<units::UnitInput> workload =
+            fault::campaign_workload(kind, fmt, camp.vectors, camp.seed);
+        const fault::CleanUnitRun run =
+            fault::record_clean_unit_run(probe, workload, horizon, true);
+        ASSERT_NE(run.clean, nullptr);
+
+        std::vector<SignalSet> packed;
+        for (const units::UnitInput& in : workload) {
+          packed.push_back(units::FpUnit::pack(in));
+        }
+        const std::shared_ptr<const CleanRun> ref =
+            bind_clean_states(probe.pieces(), probe.plan(), packed, horizon);
+        EXPECT_EQ(run.clean->inputs, ref->inputs) << probe.name();
+        EXPECT_EQ(run.clean->horizon, ref->horizon) << probe.name();
+        ASSERT_EQ(run.clean->vectors, ref->vectors) << probe.name();
+        ASSERT_EQ(run.clean->stages, ref->stages) << probe.name();
+        int differing = 0;
+        for (int v = 0; v < ref->vectors; ++v) {
+          for (int s = 0; s < ref->stages; ++s) {
+            if (run.clean->state(v, s) != ref->state(v, s) &&
+                ++differing <= 4) {
+              ADD_FAILURE() << probe.name() << " depth " << depth
+                            << ": state (vector " << v << ", stage " << s
+                            << ") differs from the reference recorder's";
+            }
+          }
+        }
+        EXPECT_EQ(differing, 0) << probe.name() << " depth " << depth;
+
+        const fault::LatchProfile profile =
+            fault::profile_unit_latches(probe, camp.vectors, camp.seed);
+        EXPECT_EQ(run.profile.occupied, profile.occupied)
+            << probe.name() << " depth " << depth;
+        EXPECT_EQ(run.profile.total_bits(), profile.total_bits());
+        EXPECT_EQ(run.golden.size(), static_cast<std::size_t>(horizon));
+      }
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include "exec/parallel.hpp"
 #include "fault/checkpoint.hpp"
+#include "lint/probe.hpp"
 #include "obs/probe.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
@@ -63,15 +64,15 @@ bool unit_trial_silent(const UnitTrial& t, fault::Scheme scheme) {
   return t.corrupted && !t.mismatch;
 }
 
-// --- evaluator fast path ------------------------------------------------
+// --- upset-replay fast path ---------------------------------------------
 
-/// Whether the compiled/bitsliced evaluators' guarantees cover this
-/// campaign: every fault a one-shot data-lane latch flip, and the compiled
-/// chain free of the behaviours (DONE writes, nondeterminism) that make
-/// the scheme mapping below unsound. Anything else runs interpreted.
+/// Whether the upset-replay engine's guarantees cover this campaign:
+/// every fault a one-shot data-lane latch flip, and the chain free of the
+/// behaviours (DONE writes, nondeterminism) that make the scheme mapping
+/// below unsound. Anything else runs interpreted.
 bool fast_path_covers(const std::vector<fault::Fault>& faults,
-                      const rtl::CompileStats& stats) {
-  if (stats.alters_valid || stats.nondeterministic) return false;
+                      const lint::ChainGuards& guards) {
+  if (guards.writes_valid || guards.nondeterministic) return false;
   for (const fault::Fault& f : faults) {
     if (f.site != fault::FaultSite::kStageLatch || f.lane < 0 ||
         f.lane >= rtl::kMaxSignals || f.bit < 0 || f.bit >= 64) {
@@ -81,7 +82,7 @@ bool fast_path_covers(const std::vector<fault::Fault>& faults,
   return true;
 }
 
-/// Map an evaluator verdict onto the scheme-aware trial the legacy
+/// Map an engine verdict onto the scheme-aware trial the legacy
 /// HardenedUnit loop produces — the exact per-scheme truth table, byte
 /// for byte (these bytes ARE the checkpoint format):
 ///  * kNone / kEcc  — no checker; the hardened output is copy 0's.
@@ -217,7 +218,8 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   // The clean reference: the probe unit, the workload and one clean run
   // of it, which records everything the rest of the campaign reads — the
   // golden outputs, the occupied-bit profile the faults are drawn from,
-  // and (for the evaluator backends) the stage-boundary states they bind.
+  // and (for the compiled and bitsliced backends) the stage-boundary
+  // states the upset-replay engine replays from.
   auto golden_span = tracer.span("golden", "campaign");
   units::FpUnit probe = [&] {
     auto build_span = tracer.span("unit_build", "campaign");
@@ -248,7 +250,6 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   draw_spec.horizon = horizon;
   draw_spec.count = camp.faults;
   draw_spec.seed = camp.seed + 1;
-  draw_spec.backend = camp.backend;
   const fault::FaultCampaign campaign = fault::FaultCampaign::make(draw_spec);
   const std::vector<fault::Fault>& faults = campaign.faults();
   std::vector<UnitTrial> trials(faults.size());
@@ -268,27 +269,27 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
                  dropped, camp.faults);
   }
 
-  // Backend selection: compile once per campaign, fork per worker. The
-  // evaluator is only trusted where its guarantees hold (fast_path_covers);
+  // Backend selection: compiled and bitsliced requests replay each upset
+  // on the upset-replay engine (one per worker, below) where its
+  // guarantees hold (fast_path_covers, from the lint guard walk: each
+  // piece's baseline eval and identical rerun over the workload);
   // everything else — and every kInterpreted request — runs the legacy
   // HardenedUnit loop. Tallies and checkpoint bytes are backend-invariant,
   // which is why the backend never folds into the spec hash below.
-  std::unique_ptr<rtl::Evaluator> evaluator;
+  bool fast = false;
   if (backend != rtl::EvalBackend::kInterpreted && !faults.empty()) {
-    rtl::CompileContract contract;
+    auto compile_span = tracer.span("compile", "evaluator",
+                                    {{"stages", probe.stages()}});
+    lint::ChainContract contract;
     contract.input_lanes = {units::detail::kLaneInA, units::detail::kLaneInB,
                             units::detail::kLaneInCtl, units::detail::kLaneInC};
     contract.result_lane = units::detail::kLaneResult;
     contract.stimuli = clean.clean->inputs;
-    evaluator =
-        rtl::make_evaluator(backend, probe.pieces(), probe.plan(), contract);
-    const rtl::CompileStats* cs = evaluator->compile_stats();
-    if (cs == nullptr || !fast_path_covers(faults, *cs)) {
-      evaluator.reset();
-      reg.counter("campaign.unit.backend_fallback").inc();
-    } else {
-      evaluator->bind(clean.clean);
-    }
+    fast = fast_path_covers(
+        faults,
+        lint::infer_chain_guards(probe.pieces(), contract, lint::Options{}));
+    compile_span.end();
+    if (!fast) reg.counter("campaign.unit.backend_fallback").inc();
   }
 
   // Static checkpoint grid: boundaries depend only on (count, chunk), so
@@ -343,10 +344,10 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   // Restored trials count as already-done progress.
   if (done_trials > 0) progress.tick(done_trials);
   auto inject_span = tracer.span("inject", "campaign");
-  // The hardened copies step only on the interpreted path; a compiled or
-  // bitsliced evaluator runs every trial without them.
+  // The hardened copies step only on the interpreted path; the
+  // upset-replay engine runs every trial without them.
   std::optional<fault::HardenedUnit> proto;
-  if (evaluator == nullptr) proto.emplace(kind, fmt, cfg, camp.scheme);
+  if (!fast) proto.emplace(kind, fmt, cfg, camp.scheme);
 
   long executed = 0;
   exec::GridOptions grid_opts;
@@ -381,26 +382,29 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
     }
   };
 
-  const int eval_stages = evaluator != nullptr ? evaluator->stages() : 0;
   const fp::u64 frac_mask = fmt.frac_mask();
-  // Resolved once: the per-worker evaluator slots below are indexed by
+  // Resolved once: the per-worker engine slots below are indexed by
   // worker.
   const int threads = exec::resolve_threads(camp.threads);
   struct WorkerBatch {
-    std::unique_ptr<rtl::Evaluator> ev;
+    std::optional<rtl::Evaluator> ev;
     std::vector<rtl::LatchUpset> upsets;
     std::vector<rtl::UpsetTrial> verdicts;
   };
-  std::vector<WorkerBatch> batches(
-      evaluator != nullptr ? static_cast<std::size_t>(threads) : 0);
+  std::vector<WorkerBatch> batches(fast ? static_cast<std::size_t>(threads)
+                                        : 0);
   const exec::GridResult grid = exec::parallel_for_grid(
       count, threads,
       [&](int worker, std::size_t begin, std::size_t end) {
-        if (evaluator != nullptr) {
-          // Compiled / bitsliced fast path: one forked evaluator per
-          // worker, each chunk batched through trials().
+        if (fast) {
+          // Compiled / bitsliced fast path: one engine per worker, each
+          // chunk batched through trials().
+          const rtl::CleanRun& run = *clean.clean;
           WorkerBatch& b = batches[static_cast<std::size_t>(worker)];
-          if (b.ev == nullptr) b.ev = evaluator->fork();
+          if (!b.ev) {
+            b.ev.emplace(probe.pieces(), probe.plan(),
+                         units::detail::kLaneResult, clean.clean);
+          }
           const std::size_t nt = end - begin;
           b.upsets.resize(nt);
           b.verdicts.resize(nt);
@@ -414,8 +418,7 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
             const rtl::UpsetTrial& v = b.verdicts[i - begin];
             const long vec = faults[i].cycle - faults[i].index;
             const fp::u64 clean_result =
-                v.struck ? b.ev->clean_state(static_cast<int>(vec),
-                                             eval_stages - 1)
+                v.struck ? run.state(static_cast<int>(vec), run.stages - 1)
                                .lane[units::detail::kLaneResult]
                          : 0;
             trials[i] =
@@ -848,7 +851,7 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   std::optional<kernel::MatmulReplay> replay;
   if (replay_pe) {
     replay.emplace(array, a, b);
-    exec::parallel_for_chunked(
+    exec::parallel_for_grid(
         static_cast<std::size_t>(n), threads,
         [&](int /*worker*/, std::size_t begin, std::size_t end) {
           for (std::size_t j = begin; j < end; ++j) {

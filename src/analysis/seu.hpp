@@ -37,13 +37,14 @@ struct SeuCampaignConfig {
   /// The fault list is pre-drawn and tallies reduce in fault-list order,
   /// so results are bit-identical for every thread count.
   int threads = 0;
-  /// Trial evaluation backend (rtl::Evaluator). kAuto resolves via
-  /// FLOPSIM_BACKEND, defaulting to the interpreted reference. The
-  /// compiled/bitsliced fast paths produce bit-identical tallies (and
-  /// checkpoint bytes — the backend never enters the spec hash); a
-  /// campaign whose faults or chain fall outside their guarantees
-  /// (non-latch faults, DONE-writing pieces) silently falls back to the
-  /// interpreted loop and bumps campaign.unit.backend_fallback.
+  /// Trial evaluation backend. kAuto resolves via FLOPSIM_BACKEND,
+  /// defaulting to the interpreted reference. kCompiled and kBitsliced
+  /// both run the upset-replay engine (rtl::Evaluator), which produces
+  /// bit-identical tallies (and checkpoint bytes — the backend never
+  /// enters the spec hash); a campaign whose faults or chain fall outside
+  /// its guarantees (non-latch faults, DONE-writing pieces) silently
+  /// falls back to the interpreted loop and bumps
+  /// campaign.unit.backend_fallback.
   rtl::EvalBackend backend = rtl::EvalBackend::kAuto;
 };
 

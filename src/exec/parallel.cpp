@@ -32,14 +32,14 @@ void run_chunk_traced(const ThreadPool::ChunkFn& fn, int worker,
   fn(worker, begin, end);
 }
 
-/// Idle pools, kept between parallel_for_chunked / parallel_for_grid
-/// calls so a call pays for its chunks, not for starting and joining
-/// threads. A call takes an idle pool of its size (the most recently
-/// parked, so consecutive calls reuse one set of workers) or builds one,
-/// and parks it again when it returns or throws: a checked-out pool
-/// belongs to one caller, so concurrent and nested calls never share a
-/// pool. The park is the only process-wide state here. It is never
-/// destroyed: idle workers simply wait until the process exits.
+/// Idle pools, kept between parallel_for_grid calls so a call pays for
+/// its chunks, not for starting and joining threads. A call takes an idle
+/// pool of its size (the most recently parked, so consecutive calls reuse
+/// one set of workers) or builds one, and parks it again when it returns
+/// or throws: a checked-out pool belongs to one caller, so concurrent and
+/// nested calls never share a pool. The park is the only process-wide
+/// state here. It is never destroyed: idle workers simply wait until the
+/// process exits.
 class PoolPark {
  public:
   std::unique_ptr<ThreadPool> take(int threads) {
@@ -215,19 +215,6 @@ void ThreadPool::run_chunked(std::size_t count, const ChunkFn& fn) {
   }
 }
 
-void parallel_for_chunked(std::size_t count, int threads,
-                          const ThreadPool::ChunkFn& fn) {
-  int t = resolve_threads(threads);
-  if (static_cast<std::size_t>(t) > count) {
-    t = count < 1 ? 1 : static_cast<int>(count);
-  }
-  if (t <= 1) {
-    if (count > 0) run_chunk_traced(fn, 0, 0, count);
-    return;
-  }
-  run_on_parked_pool(t, count, fn);
-}
-
 namespace {
 
 /// Effective worker count for a grid run: never more workers than chunks.
@@ -242,7 +229,7 @@ int grid_threads(std::size_t nchunks, int threads) {
 std::size_t resolve_grid_chunk(std::size_t count, int threads,
                                std::size_t chunk) {
   if (chunk > 0) return chunk;
-  // Legacy layout: one chunk per effective worker.
+  // One chunk per effective worker.
   const int t = grid_threads(count, threads);
   return (count + static_cast<std::size_t>(t) - 1) /
          static_cast<std::size_t>(t);

@@ -4,13 +4,14 @@
 // Every hot loop in the analysis layer is an embarrassingly parallel trial
 // loop: the fault list (or depth grid) is fully drawn up front, each trial
 // is independent, and the tallies are a fold over per-trial verdicts. This
-// layer supplies the one primitive those loops need — parallel_for_chunked,
+// layer supplies the one primitive those loops need — parallel_for_grid,
 // a fixed-size thread pool running *static* contiguous chunks — under a
 // strict determinism contract:
 //
-//  * Work is split into exactly `threads` contiguous chunks of [0, count),
-//    assigned by worker index (never stolen, never rebalanced), so which
-//    worker computes which trial is a pure function of (count, threads).
+//  * Work is split into contiguous chunks of [0, count) whose boundaries
+//    are a pure function of (count, chunk size), or of (count, threads)
+//    when no chunk size is given; each worker owns a contiguous span of
+//    chunks by index (never stolen, never rebalanced).
 //  * Workers only write per-index slots the caller pre-sized; the caller
 //    reduces those slots in index (fault-list) order afterwards, never in
 //    arrival order.
@@ -18,14 +19,13 @@
 //    1 — the serial fallback, which runs the body inline on the caller with
 //    no pool at all (and is what FLOPSIM_THREADS=1 selects).
 //
-// Pools are parked, not built per call: parallel_for_chunked and
-// parallel_for_grid take an idle ThreadPool of their size from a
-// process-wide park (building one only when none is idle) and park it
-// again on return, also after a throw. A pool serves one call at a time,
-// so concurrent callers, and calls made from inside a worker chunk, each
-// run on a pool of their own. Which OS thread runs a worker index changes
-// nothing: the chunk assignment is still a pure function of
-// (count, threads).
+// Pools are parked, not built per call: parallel_for_grid takes an idle
+// ThreadPool of its size from a process-wide park (building one only when
+// none is idle) and parks it again on return, also after a throw. A pool
+// serves one call at a time, so concurrent callers, and calls made from
+// inside a worker chunk, each run on a pool of their own. Which OS thread
+// runs a worker index changes nothing: the chunk assignment is still a
+// pure function of (count, threads).
 //
 // Instrumentation: every chunk execution is wrapped in an obs:: span
 // (name "chunk", category "worker", tid = worker index) so a `--trace=`
@@ -95,28 +95,21 @@ class ThreadPool {
   std::unique_ptr<Impl> impl_;
 };
 
-/// One-shot convenience over a parked ThreadPool: resolve_threads(threads),
-/// clamp to count (never more workers than trials), run fn over the static
-/// chunks and return when all are done. With one effective thread the body
-/// runs inline — no pool is taken and no synchronization happens.
-void parallel_for_chunked(std::size_t count, int threads,
-                          const ThreadPool::ChunkFn& fn);
-
-// --- static-grid execution (the resilience substrate) -------------------
+// --- static-grid execution ------------------------------------------------
 //
-// parallel_for_chunked's chunk boundaries are a function of the thread
-// count, which is exactly wrong for checkpointing: a campaign resumed at a
-// different --threads= must re-run the *same* remaining chunks. The grid
-// variant fixes the chunk boundaries by an explicit chunk size instead —
-// a pure function of (count, chunk) — and distributes contiguous spans of
-// grid chunks across the pool's static workers. Per-trial slot writes and
-// the caller's ordered reduction keep results bit-identical at any thread
-// count, for any chunk size, and across any interrupt/resume split.
+// A checkpointed campaign resumed at a different --threads= must re-run
+// the *same* remaining chunks, so the grid fixes the chunk boundaries by
+// an explicit chunk size — a pure function of (count, chunk) — and
+// distributes contiguous spans of grid chunks across the pool's static
+// workers. Per-trial slot writes and the caller's ordered reduction keep
+// results bit-identical at any thread count, for any chunk size, and
+// across any interrupt/resume split.
 
 struct GridOptions {
-  /// Trials per grid chunk. 0 = one chunk per effective worker (exactly
-  /// parallel_for_chunked's legacy layout). Checkpointed campaigns pass an
-  /// explicit size so the grid survives thread-count changes.
+  /// Trials per grid chunk. 0 = one chunk per effective worker, never
+  /// more workers than trials (the layout for loops that are not
+  /// checkpointed). Checkpointed campaigns pass an explicit size so the
+  /// grid survives thread-count changes.
   std::size_t chunk = 0;
   /// Per-chunk skip flags (restored-from-checkpoint chunks); nonzero
   /// entries are not run but count as done. Must have at least

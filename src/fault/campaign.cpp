@@ -310,54 +310,4 @@ FaultCampaign FaultCampaign::from_list(std::vector<Fault> faults) {
   return make(spec);
 }
 
-FaultCampaign FaultCampaign::random(const LatchProfile& profile, long horizon,
-                                    int count, std::uint64_t seed) {
-  CampaignSpec spec;
-  spec.source = CampaignSpec::Source::kRandom;
-  spec.profile = &profile;
-  spec.horizon = horizon;
-  spec.count = count;
-  spec.seed = seed;
-  return make(spec);
-}
-
-FaultCampaign FaultCampaign::poisson(const LatchProfile& profile, long horizon,
-                                     double upsets_per_bit_cycle,
-                                     std::uint64_t seed) {
-  CampaignSpec spec;
-  spec.source = CampaignSpec::Source::kPoisson;
-  spec.profile = &profile;
-  spec.horizon = horizon;
-  spec.rate = upsets_per_bit_cycle;
-  spec.seed = seed;
-  return make(spec);
-}
-
-FaultCampaign FaultCampaign::random_accumulator(int rows, int word_bits,
-                                                long horizon, int count,
-                                                std::uint64_t seed) {
-  CampaignSpec spec;
-  spec.source = CampaignSpec::Source::kAccumulator;
-  spec.rows = rows;
-  spec.word_bits = word_bits;
-  spec.horizon = horizon;
-  spec.count = count;
-  spec.seed = seed;
-  return make(spec);
-}
-
-FaultCampaign FaultCampaign::cram(const LatchProfile& profile, long horizon,
-                                  int count, std::uint64_t seed,
-                                  long scrub_period_cycles, int mask_bits) {
-  CampaignSpec spec;
-  spec.source = CampaignSpec::Source::kCram;
-  spec.profile = &profile;
-  spec.horizon = horizon;
-  spec.count = count;
-  spec.seed = seed;
-  spec.scrub_period_cycles = scrub_period_cycles;
-  spec.mask_bits = mask_bits;
-  return make(spec);
-}
-
 }  // namespace flopsim::fault

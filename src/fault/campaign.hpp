@@ -12,9 +12,8 @@
 // and every run.
 //
 // All sources funnel through one declarative description, CampaignSpec,
-// and a single constructor, FaultCampaign::make(spec). The per-source
-// static factories remain as thin wrappers: make() with equal parameters
-// reproduces their fault lists exactly (same RNG draw sequence).
+// and a single constructor, FaultCampaign::make(spec); cram_test pins the
+// fault list each source draws for a fixed spec, value by value.
 #pragma once
 
 #include <array>
@@ -58,8 +57,8 @@ LatchProfile profile_unit_latches(const units::FpUnit& unit, int vectors,
 /// one simulation: the registered output of every cycle (the interpreted
 /// trials' oracle), the occupied-bit profile (equal to
 /// profile_unit_latches over the same workload and horizon) and, when
-/// asked, the stage-boundary states the compiled and bitsliced
-/// evaluators bind to (equal to rtl::bind_clean_states').
+/// asked, the stage-boundary states the upset-replay engine
+/// (rtl::Evaluator) replays from.
 struct CleanUnitRun {
   std::vector<std::optional<units::UnitOutput>> golden;  ///< per cycle
   LatchProfile profile;
@@ -116,59 +115,28 @@ struct CampaignSpec {
   /// kCram: width of the stuck mask a single upset imposes — a LUT/routing
   /// flip typically perturbs a couple of adjacent signal bits, not one.
   int mask_bits = 2;
-
-  /// How the campaign drivers evaluate the trials this spec seeds
-  /// (rtl::Evaluator backend selection; see SeuCampaignConfig::backend).
-  /// Purely advisory here: fault drawing ignores it, and it never enters
-  /// a campaign's checkpoint spec hash — every backend produces the same
-  /// tallies, so sidecars stay shareable across backends.
-  rtl::EvalBackend backend = rtl::EvalBackend::kAuto;
 };
 
 class FaultCampaign {
  public:
-  /// The one constructor: build the fault list `spec` describes. Equal
-  /// parameters reproduce the corresponding legacy factory exactly.
+  /// The one constructor: build the fault list `spec` describes.
+  ///  * kRandom: `count` faults uniform over the profile's occupied bits
+  ///    x stages x [0, horizon) cycles.
+  ///  * kPoisson: the number of faults is Poisson-distributed with mean
+  ///    `rate * profile.total_bits() * horizon`, each placed like kRandom.
+  ///  * kAccumulator: `count` single-bit accumulator upsets: row uniform
+  ///    in [0, rows), bit uniform in [0, word_bits), cycle uniform in
+  ///    [0, horizon).
+  ///  * kCram: `count` persistent configuration upsets (FaultSite::kConfig):
+  ///    the struck site is uniform over the profile's occupied *data*
+  ///    bits, the stuck mask covers `mask_bits` occupied bits upward from
+  ///    it, the stuck value is a random draw under that mask, and the
+  ///    fault repairs at the first scrub boundary after the strike (never,
+  ///    if no scrub period).
   static FaultCampaign make(const CampaignSpec& spec);
 
   /// An explicit fault list.
   static FaultCampaign from_list(std::vector<Fault> faults);
-
-  /// `count` faults uniform over the profile's occupied bits x stages x
-  /// [0, horizon) cycles.
-  /// Deprecated: fill a CampaignSpec (Source::kRandom) and call make().
-  [[deprecated("use CampaignSpec{Source::kRandom} + FaultCampaign::make")]]
-  static FaultCampaign random(const LatchProfile& profile, long horizon,
-                              int count, std::uint64_t seed);
-
-  /// Poisson upset-rate model: the number of faults is Poisson-distributed
-  /// with mean `upsets_per_bit_cycle * profile.total_bits() * horizon`,
-  /// each fault then placed like random().
-  /// Deprecated: fill a CampaignSpec (Source::kPoisson) and call make().
-  [[deprecated("use CampaignSpec{Source::kPoisson} + FaultCampaign::make")]]
-  static FaultCampaign poisson(const LatchProfile& profile, long horizon,
-                               double upsets_per_bit_cycle,
-                               std::uint64_t seed);
-
-  /// `count` single-bit accumulator upsets: row uniform in [0, rows),
-  /// bit uniform in [0, word_bits), cycle uniform in [0, horizon).
-  /// Deprecated: fill a CampaignSpec (Source::kAccumulator), call make().
-  [[deprecated(
-      "use CampaignSpec{Source::kAccumulator} + FaultCampaign::make")]]
-  static FaultCampaign random_accumulator(int rows, int word_bits,
-                                          long horizon, int count,
-                                          std::uint64_t seed);
-
-  /// `count` persistent configuration upsets (FaultSite::kConfig): the
-  /// struck site is uniform over the profile's occupied *data* bits, the
-  /// stuck mask covers `mask_bits` occupied bits upward from it, the stuck
-  /// value is a random draw under that mask, and the fault repairs at the
-  /// first scrub boundary after the strike (never, if no scrub period).
-  /// Deprecated: fill a CampaignSpec (Source::kCram) and call make().
-  [[deprecated("use CampaignSpec{Source::kCram} + FaultCampaign::make")]]
-  static FaultCampaign cram(const LatchProfile& profile, long horizon,
-                            int count, std::uint64_t seed,
-                            long scrub_period_cycles = 0, int mask_bits = 2);
 
   const std::vector<Fault>& faults() const { return faults_; }
   bool empty() const { return faults_.empty(); }

@@ -18,10 +18,10 @@
 // toward the conservative side: a missed read can suppress a dead-write
 // warning but can never fabricate an uninitialized-read error.
 //
-// infer_chain_guards is the probe cut down to what compile_program
-// needs (rtl/program.hpp): from the same poisoned entry states, only the
-// baseline evals and the identical reruns, yielding the DONE-write and
-// nondeterminism bits OR-ed over the chain.
+// infer_chain_guards is the probe cut down to what a unit campaign's
+// fast path needs (analysis/seu.cpp): from the same poisoned entry
+// states, only the baseline evals and the identical reruns, yielding the
+// DONE-write and nondeterminism bits OR-ed over the chain.
 #pragma once
 
 #include <array>
@@ -50,8 +50,8 @@ struct PieceAccess {
   /// The piece changed SignalSet::flags in at least one stimulus vector.
   bool writes_flags = false;
   /// The piece changed SignalSet::valid in at least one stimulus vector.
-  /// Units never should (DONE belongs to the simulator); the compiled
-  /// evaluation backends refuse chains where this fires (rtl/program.*).
+  /// Units never should (DONE belongs to the simulator); the unit
+  /// campaigns' fast path refuses chains where this fires.
   bool writes_valid = false;
 };
 
@@ -74,7 +74,7 @@ ChainAccess infer_chain_access(const rtl::PieceChain& chain,
                                const ChainContract& contract,
                                const Options& opts);
 
-/// The two bits compile_program guards the campaign fast paths with, as
+/// The two bits the unit campaigns guard their fast path with, as
 /// infer_chain_access would report them OR-ed over the chain's pieces.
 struct ChainGuards {
   bool writes_valid = false;      ///< some piece changed SignalSet::valid

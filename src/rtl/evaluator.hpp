@@ -1,59 +1,53 @@
-// The unified evaluation API for campaign trial loops.
+// The upset-replay engine for campaign trial loops.
 //
-// Three backends answer the same question — "flip this latched bit at
-// this (cycle, stage); what reaches the output register?" — at very
-// different speeds:
+// A unit campaign asks one question millions of times: "flip this latched
+// bit at this (cycle, stage); what reaches the output register?" Every
+// trial of one campaign shares the workload and its clean run, so the
+// answer needs only the struck vector's clean state at the struck stage
+// and the stages after it:
 //
-//   * kInterpreted: the faithful reference. Each trial re-steps a
-//     PipelineSim over the whole horizon with a one-shot injector, the
-//     way the campaigns always ran.
-//   * kCompiled: compile-once/run-many. A trial copies the struck clean
-//     stage-boundary state B[v][s], flips the bit, and replays only the
-//     compiled suffix stages — O(pieces downstream of the strike) instead
-//     of O(horizon x pieces).
-//   * kBitsliced: the compiled backend's batch mode. trials() packs up
-//     to 64 upsets into one block, walks the compiled program op-major
-//     (each op is fetched once per block, applied to every live slot)
-//     and packs the struck/corrupted verdicts into 64-bit words.
-//     Pieces stay word-level functions, so the slicing is across
-//     *trials* (one program pass serves 64 verdicts), not inside the
-//     piece arithmetic.
+//   * a trial copies the clean stage-boundary state B[v][s] of the vector
+//     v = cycle - stage it struck, flips the bit, and replays the chain's
+//     pieces of stages s+1 .. S-1 — chain[plan.stage_begin[st] ..
+//     stage_begin[st+1]), the ranges PipelineSim::step walks, behind the
+//     same per-stage valid gate — then compares the observables (valid,
+//     result lane, flags) with the clean output;
+//   * trials run in blocks of up to 64, op-major: each piece of a stage is
+//     fetched once and applied to every live trial of the block. Pieces
+//     stay word-level functions, so the slicing is across trials, not
+//     inside the piece arithmetic.
 //
-// Every backend binds to one CleanRun: the workload and the clean
-// stage-boundary states B[v][s], recorded once by whoever stepped the
-// clean pipeline (a unit campaign records it in its golden loop,
-// fault::record_clean_unit_run; bind_clean_states is the reference
-// recorder). bind() only shares that run, so binding simulates nothing.
+// The engine runs every piece PipelineSim runs, in its order, so its
+// verdicts equal a full re-simulation's by construction, on faulty states
+// as on clean ones. The `compiled` and `bitsliced` backend names both
+// select it; `interpreted` is the campaigns' HardenedUnit loop.
 //
-// All backends are locked to the same contract: identical UpsetTrial
-// results for identical upsets, byte for byte. The compiled program runs
-// every piece in PipelineSim's order (rtl/program.hpp), so the suffix a
-// compiled or bitsliced trial replays is the computation the interpreted
-// pipeline performs after the flip; the contract holds by construction,
-// not by a bind-time check.
-//
-// Thread safety: the bound CleanRun is immutable and shared; call fork()
-// to get a per-worker evaluator (cheap — the program and the clean run
-// are shared behind shared_ptr).
+// The clean run (CleanRun) is recorded once by whoever stepped the clean
+// pipeline (a unit campaign records it in its golden loop,
+// fault::record_clean_unit_run) and shared, immutable, by every worker's
+// engine. An engine is not safe for concurrent calls: each worker builds
+// its own, which costs one shared_ptr copy and no simulation.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "rtl/program.hpp"
+#include "rtl/pipeline.hpp"
+#include "rtl/signals.hpp"
 
 namespace flopsim::rtl {
 
-/// Backend selection, shared by CampaignSpec, the campaign configs, and
-/// the --backend= CLI flag.
+/// Backend selection, shared by the campaign configs and the --backend=
+/// CLI flag.
 enum class EvalBackend {
   kAuto,         ///< resolve via FLOPSIM_BACKEND, default interpreted
   kInterpreted,
-  kCompiled,
-  kBitsliced,
+  kCompiled,     ///< the upset-replay engine (same engine as kBitsliced)
+  kBitsliced,    ///< the upset-replay engine
 };
 
 const char* to_string(EvalBackend b);
@@ -93,8 +87,8 @@ struct UpsetTrial {
 /// presented on cycles 0..vectors-1 (bubbles after), the horizon a
 /// campaign steps, and the clean stage-boundary states B[v][s] — the
 /// contents of stage s's output register while holding vector v, which
-/// loads on cycle v + s. The single source of truth every backend
-/// compares against, so none can drift from the machine.
+/// loads on cycle v + s. The single source of truth every trial compares
+/// against, so none can drift from the machine.
 struct CleanRun {
   std::vector<SignalSet> inputs;
   long horizon = 0;
@@ -119,61 +113,24 @@ struct CleanRun {
   friend bool operator==(const CleanRun&, const CleanRun&) = default;
 };
 
-/// The reference recorder: step a fresh PipelineSim over `inputs` for
-/// `horizon` cycles and record every stage-boundary state. Campaigns
-/// record the same run in their golden loop instead; tests bind from
-/// this one.
-std::shared_ptr<const CleanRun> bind_clean_states(
-    const PieceChain& chain, const PipelinePlan& plan,
-    const std::vector<SignalSet>& inputs, long horizon);
-
-/// A bound evaluator answers upset trials against one fixed workload.
-/// Lifecycle: make_evaluator() -> bind() once -> trial()/trials() many.
+/// Answers latch upsets against one clean run of a chain.
 class Evaluator {
  public:
-  virtual ~Evaluator() = default;
+  /// Borrows `chain` and `plan` (both must outlive the engine, like
+  /// PipelineSim's borrow) and shares `run`, recorded over them.
+  /// `result_lane` is the data lane the output comparison reads.
+  Evaluator(const PieceChain& chain, const PipelinePlan& plan,
+            int result_lane, std::shared_ptr<const CleanRun> run);
 
-  virtual EvalBackend backend() const = 0;
+  /// Answer `n` upsets into out[0..n), 64 at a time.
+  void trials(const LatchUpset* upsets, UpsetTrial* out, std::size_t n);
 
-  /// Bind the clean run of the workload (recorded over this evaluator's
-  /// chain and plan). Shared, never copied: forks see the same run.
-  virtual void bind(std::shared_ptr<const CleanRun> run) = 0;
-
-  virtual int stages() const = 0;
-  virtual int vectors() const = 0;
-
-  /// Clean stage-boundary state: the contents of stage `stage`'s output
-  /// register while holding vector `vector` (== the PipelineSim latch at
-  /// cycle vector + stage). Valid after bind(); stage stages()-1 is the
-  /// clean registered output.
-  virtual const SignalSet& clean_state(int vector, int stage) const = 0;
-
-  /// Run one upset trial. Requires bind().
-  virtual UpsetTrial trial(const LatchUpset& upset) = 0;
-
-  /// Batched trials — the bitsliced backend's fast path; the default
-  /// implementation loops trial().
-  virtual void trials(const LatchUpset* upsets, UpsetTrial* out,
-                      std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = trial(upsets[i]);
-  }
-
-  /// A per-worker evaluator sharing this one's bound state. Evaluators
-  /// are not safe for concurrent trial() calls; forks are.
-  virtual std::unique_ptr<Evaluator> fork() const = 0;
-
-  /// The compiled program's guard bits; nullptr for the interpreted
-  /// backend.
-  virtual const CompileStats* compile_stats() const { return nullptr; }
+ private:
+  const PieceChain* chain_;
+  const PipelinePlan* plan_;
+  int result_lane_;
+  std::shared_ptr<const CleanRun> run_;
+  std::array<SignalSet, 64> slot_{};
 };
-
-/// Build an evaluator over a borrowed chain + plan (both must outlive the
-/// evaluator and every fork, like PipelineSim's borrow). `backend` may be
-/// kAuto (resolved here). The compiled backends compile eagerly; the
-/// interpreted one ignores the contract.
-std::unique_ptr<Evaluator> make_evaluator(EvalBackend backend,
-                                          const PieceChain& chain,
-                                          const PipelinePlan& plan,
-                                          const CompileContract& contract);
 
 }  // namespace flopsim::rtl

@@ -56,7 +56,7 @@ struct RequestTrace;
 
 struct ServiceConfig {
   /// Worker threads for each request's *inner* trial/sweep loops
-  /// (exec::parallel_for_chunked). The server runs requests on its own
+  /// (exec::parallel_for_grid). The server runs requests on its own
   /// pool, so the default keeps each request serial and lets concurrency
   /// come from request-level parallelism.
   int threads = 1;

@@ -72,8 +72,9 @@ class FpUnit {
   // --- cycle-accurate interface --------------------------------------------
   /// The operand bundle `in` as it enters the pipeline: lanes packed per
   /// the detail:: lane conventions, valid set. This is exactly what
-  /// step() presents to the simulator — campaign evaluators pack their
-  /// workloads through here so compiled stimuli match the machine.
+  /// step() presents to the simulator — campaigns pack their workloads
+  /// through here so the clean run and guard-walk stimuli match the
+  /// machine.
   static rtl::SignalSet pack(const UnitInput& in);
   /// Present an operand pair (or a bubble) and advance one clock.
   void step(const std::optional<UnitInput>& in);

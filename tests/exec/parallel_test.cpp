@@ -120,8 +120,8 @@ TEST(ResolveThreads, DegenerateEnvValuesFallBackOrClamp) {
 TEST(ParallelFor, SerialPathRunsInlineOnTheCaller) {
   const std::thread::id caller = std::this_thread::get_id();
   int calls = 0;
-  parallel_for_chunked(10, 1, [&](int worker, std::size_t begin,
-                                  std::size_t end) {
+  parallel_for_grid(10, 1, [&](int worker, std::size_t begin,
+                               std::size_t end) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
     EXPECT_EQ(worker, 0);
     EXPECT_EQ(begin, 0u);
@@ -139,8 +139,8 @@ TEST(ParallelFor, EveryThreadCountProducesTheSameSlots) {
   }
   for (int threads : {1, 2, 3, 8, 32}) {
     std::vector<long> slots(n, -1);
-    parallel_for_chunked(n, threads, [&](int /*worker*/, std::size_t begin,
-                                         std::size_t end) {
+    parallel_for_grid(n, threads, [&](int /*worker*/, std::size_t begin,
+                                      std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
         slots[i] = static_cast<long>(i * i + 1);
       }
@@ -151,8 +151,8 @@ TEST(ParallelFor, EveryThreadCountProducesTheSameSlots) {
 
 TEST(ParallelFor, ClampsWorkersToTheTrialCount) {
   std::atomic<int> distinct{0};
-  parallel_for_chunked(3, 16, [&](int /*worker*/, std::size_t begin,
-                                  std::size_t end) {
+  parallel_for_grid(3, 16, [&](int /*worker*/, std::size_t begin,
+                               std::size_t end) {
     if (begin != end) distinct.fetch_add(1);
   });
   EXPECT_EQ(distinct.load(), 3) << "never more live chunks than trials";
@@ -160,7 +160,7 @@ TEST(ParallelFor, ClampsWorkersToTheTrialCount) {
 
 TEST(ParallelFor, ZeroCountIsANoOp) {
   int calls = 0;
-  parallel_for_chunked(0, 8, [&](int, std::size_t, std::size_t) { ++calls; });
+  parallel_for_grid(0, 8, [&](int, std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 

@@ -111,14 +111,15 @@ TEST(Cram, CramCampaignIsDeterministicAndWellFormed) {
   EXPECT_NE(a.faults(), c.faults());
 }
 
-// The unified CampaignSpec constructor must reproduce every legacy factory
-// draw-for-draw. Comparing against the deprecated factories is this test's
-// whole point, so the deprecation warnings are silenced here — and only
-// here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// The unified CampaignSpec constructor draws, for each source, exactly
+// the fault list the per-source factories it replaced drew for the same
+// parameters, pinned here value by value: a changed draw sequence fails.
 TEST(Cram, CampaignSpecReproducesLegacyFactories) {
   const LatchProfile profile = adder_profile(9);
+  ASSERT_EQ(profile.total_bits(), 590);
+  const auto latch = [](long cycle, int stage, int lane, int bit) {
+    return Fault{cycle, FaultSite::kStageLatch, stage, lane, bit};
+  };
 
   CampaignSpec spec;
   spec.source = CampaignSpec::Source::kRandom;
@@ -127,27 +128,56 @@ TEST(Cram, CampaignSpecReproducesLegacyFactories) {
   spec.count = 10;
   spec.seed = 77;
   EXPECT_EQ(FaultCampaign::make(spec).faults(),
-            FaultCampaign::random(profile, 200, 10, 77).faults());
+            (std::vector<Fault>{
+                latch(197, 3, 13, 6), latch(23, 1, 5, 10),
+                latch(61, 3, 3, 1), latch(114, 3, 5, 18),
+                latch(97, 1, 3, 1), latch(130, 0, 1, 21),
+                latch(161, 2, 0, 2), latch(96, 1, 9, 16),
+                latch(84, 1, 0, 28), latch(173, 0, 5, 24)}));
 
   spec.source = CampaignSpec::Source::kPoisson;
   spec.rate = 1e-4;
   EXPECT_EQ(FaultCampaign::make(spec).faults(),
-            FaultCampaign::poisson(profile, 200, 1e-4, 77).faults());
+            (std::vector<Fault>{
+                latch(25, 2, 9, 13), latch(52, 3, 9, 9),
+                latch(110, 3, 1, 10), latch(34, 2, 5, 9),
+                latch(118, 1, 10, 0), latch(147, 1, 1, 27),
+                latch(156, 2, 3, 7), latch(0, 3, 3, 5),
+                latch(56, 2, 8, 1), latch(56, 2, 0, 13),
+                latch(69, 2, 4, 3), latch(12, 2, 1, 6),
+                latch(62, 0, 0, 4), latch(131, 0, 3, 0)}));
 
   spec.source = CampaignSpec::Source::kAccumulator;
   spec.rows = 8;
   spec.word_bits = 32;
-  EXPECT_EQ(
-      FaultCampaign::make(spec).faults(),
-      FaultCampaign::random_accumulator(8, 32, 200, 10, 77).faults());
+  const auto acc_word = [](long cycle, int row, int bit) {
+    return Fault{cycle, FaultSite::kAccumulator, row, 0, bit};
+  };
+  EXPECT_EQ(FaultCampaign::make(spec).faults(),
+            (std::vector<Fault>{
+                acc_word(152, 5, 7), acc_word(23, 7, 29), acc_word(97, 2, 31),
+                acc_word(97, 7, 26), acc_word(101, 1, 23), acc_word(96, 1, 4),
+                acc_word(52, 5, 30), acc_word(66, 2, 28),
+                acc_word(118, 6, 11), acc_word(51, 4, 7)}));
 
   spec.source = CampaignSpec::Source::kCram;
   spec.scrub_period_cycles = 32;
-  EXPECT_EQ(FaultCampaign::make(spec).faults(),
-            FaultCampaign::cram(profile, 200, 10, 77, 32).faults());
+  const std::vector<Fault> cram{
+      {197, FaultSite::kConfig, 3, 13, 6, 0xc0, 0x0, 224},
+      {87, FaultSite::kConfig, 2, 5, 26, 0x4000000, 0x4000000, 96},
+      {114, FaultSite::kConfig, 3, 5, 18, 0xc0000, 0x80000, 128},
+      {63, FaultSite::kConfig, 2, 0, 18, 0xc0000, 0xc0000, 64},
+      {161, FaultSite::kConfig, 2, 0, 2, 0xc, 0x4, 192},
+      {25, FaultSite::kConfig, 2, 9, 13, 0x6000, 0x2000, 32},
+      {173, FaultSite::kConfig, 0, 5, 24, 0x3000000, 0x1000000, 192},
+      {34, FaultSite::kConfig, 2, 5, 9, 0x600, 0x600, 64},
+      {166, FaultSite::kConfig, 2, 1, 7, 0x180, 0x0, 192},
+      {156, FaultSite::kConfig, 2, 3, 7, 0x80, 0x80, 160},
+  };
+  EXPECT_EQ(FaultCampaign::make(spec).faults(), cram);
 
   spec.source = CampaignSpec::Source::kList;
-  spec.faults = FaultCampaign::cram(profile, 200, 10, 77, 32).faults();
+  spec.faults = cram;
   EXPECT_EQ(FaultCampaign::make(spec).faults(), spec.faults);
 
   // Sources that sample a profile refuse to run without one.
@@ -176,7 +206,6 @@ TEST(Cram, CampaignSpecReproducesLegacyFactories) {
   acc.word_bits = 73;
   EXPECT_THROW(FaultCampaign::make(acc), std::invalid_argument);
 }
-#pragma GCC diagnostic pop
 
 TEST(Cram, EssentialBitsScaleWithFootprint) {
   const CramModel model;

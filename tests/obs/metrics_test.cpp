@@ -45,7 +45,7 @@ TEST(Counter, DeterministicUnderCampaignEngine) {
   constexpr std::size_t kTrials = 10000;
   for (const int threads : {1, 2, 8}) {
     Counter c;
-    exec::parallel_for_chunked(
+    exec::parallel_for_grid(
         kTrials, threads, [&c](int, std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) c.inc();
         });
@@ -79,7 +79,7 @@ TEST(Histogram, BucketCountsDeterministicAcrossThreadCounts) {
   std::vector<long> golden;
   for (const int threads : {1, 2, 8}) {
     Histogram h({0.25, 0.5, 0.75});
-    exec::parallel_for_chunked(
+    exec::parallel_for_grid(
         kTrials, threads, [&h](int, std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
             h.observe(static_cast<double>(i % 100) / 100.0);

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 
 #include "exec/parallel.hpp"
 #include "obs/metrics.hpp"
@@ -65,7 +66,13 @@ struct Server::Connection {
 Server::Server(ServerConfig cfg, Service& service)
     : cfg_(std::move(cfg)),
       service_(service),
-      telemetry_(cfg_.telemetry, service.registry()) {
+      telemetry_(cfg_.telemetry, service.registry()),
+      requests_(&service.registry().counter("serve.requests")),
+      bad_(&service.registry().counter("serve.requests.bad")),
+      rejected_(&service.registry().counter("serve.requests.rejected")),
+      too_long_(&service.registry().counter("serve.requests.too_long")),
+      connections_(&service.registry().counter("serve.connections")),
+      queue_depth_(&service.registry().gauge("serve.queue.depth")) {
   cfg_.workers = std::max(1, cfg_.workers);
   if (cfg_.queue_capacity == 0) cfg_.queue_capacity = 1;
 }
@@ -188,7 +195,7 @@ void Server::accept_loop() {
     }
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    service_.registry().counter("serve.connections").inc();
+    connections_->inc();
     std::lock_guard<std::mutex> lock(conns_m_);
     conns_.push_back(conn);
     reader_threads_.emplace_back(
@@ -236,6 +243,14 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
         if (is_shutdown) request_stop();
         continue;
       }
+      // A cached plan/campaign result is answered here as well, so a hit
+      // never waits in (or is rejected by) the admission queue. A miss
+      // leaves with its key and evaluation, and is not looked up again.
+      if (std::optional<std::string> hit = service_.lookup(req, rt.get());
+          hit.has_value()) {
+        complete(conn, seq, std::move(*hit), std::move(rt));
+        continue;
+      }
       Job job;
       job.conn = conn;
       job.seq = seq;
@@ -246,8 +261,8 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
         // draining). Typed rejection, never queued, never evaluated.
         // try_enqueue leaves the job intact on failure, so its trace is
         // still ours to stamp and finish.
-        service_.registry().counter("serve.requests").inc();
-        service_.registry().counter("serve.requests.rejected").inc();
+        requests_->inc();
+        rejected_->inc();
         job.rt->status = 75;
         complete(conn, seq,
                  service_.error_response(
@@ -258,9 +273,16 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
     }
     buf.erase(0, start);
     if (buf.size() > kMaxLineBytes) {
+      // A request like any other for the counters and the access log:
+      // status 2, no id, no type, and only a write phase.
+      std::shared_ptr<RequestTrace> rt = telemetry_.begin();
+      rt->status = 2;
+      requests_->inc();
+      bad_->inc();
+      too_long_->inc();
       complete(conn, conn->next_seq++,
                service_.error_response("null", 2, "request line too long"),
-               nullptr);
+               std::move(rt));
       return;
     }
   }
@@ -277,8 +299,7 @@ bool Server::try_enqueue(Job& job) {
     // trace hand-off rides queue_m_'s happens-before edge.
     if (job.rt != nullptr) job.rt->phase_begin(Phase::kQueue);
     queue_.push_back(std::move(job));
-    service_.registry().gauge("serve.queue.depth").set(
-        static_cast<double>(queue_.size()));
+    queue_depth_->set(static_cast<double>(queue_.size()));
   }
   queue_cv_.notify_one();
   return true;
@@ -295,8 +316,7 @@ void Server::worker_loop() {
       if (queue_.empty()) return;  // stopping, fully drained
       job = std::move(queue_.front());
       queue_.pop_front();
-      service_.registry().gauge("serve.queue.depth").set(
-          static_cast<double>(queue_.size()));
+      queue_depth_->set(static_cast<double>(queue_.size()));
     }
     if (job.rt != nullptr) job.rt->phase_end(Phase::kQueue);
     std::string response = service_.evaluate(job.req, job.rt.get());

@@ -15,8 +15,12 @@
 //  * one accept thread;
 //  * one reader thread per connection: splits lines, parses envelopes,
 //    answers ping/metrics/shutdown and malformed lines inline (a
-//    saturated server must still answer its health probes), and pushes
-//    everything else into the bounded queue;
+//    saturated server must still answer its health probes), looks every
+//    plan/campaign request up in the cache (Service::lookup) and answers
+//    a hit inline too, so hits never queue and are never rejected, and
+//    pushes the rest — misses, which carry their key and evaluation so
+//    no worker looks them up again, and requests whose fields fail
+//    validation — into the bounded queue;
 //  * `workers` evaluation loops on an exec::ThreadPool, started once via
 //    run_chunked(workers, ...) from a dispatcher thread — the same
 //    static-chunk pool the campaign engines use, so serve workers get
@@ -27,10 +31,14 @@
 //    been written. Clients see strict request order; the queue may
 //    complete out of order underneath.
 //
-// Metrics (obs:: registry): serve.queue.depth gauge, serve.requests.rejected
-// counter, serve.connections counter — alongside the Service's own
-// serve.requests/latency, the cache's serve.cache.* family, and the
-// telemetry hub's serve.phase.* histograms (Layer 3.4). Gauge audit:
+// Metrics (obs:: registry, resolved once in the constructor):
+// serve.queue.depth gauge, serve.requests.rejected counter (status 75),
+// serve.requests.too_long counter (a line past the 1 MiB cap: status 2,
+// also counted in serve.requests and serve.requests.bad, then the
+// connection closes), serve.connections counter — alongside the
+// Service's own serve.requests/latency, the cache's serve.cache.*
+// family, and the telemetry hub's serve.phase.* histograms (Layer 3.4).
+// Gauge audit:
 // serve.queue.depth is written only under queue_m_, always to the exact
 // queue_.size() after a push or pop — enqueue and dequeue are its only
 // writers, a rejected (status-75) or failed request never enters the
@@ -38,9 +46,11 @@
 // returns to zero after any burst (locked by a regression test).
 //
 // Request telemetry (Layer 3.4): every request line gets a RequestTrace
-// at socket read; it rides the Job through the queue and the worker pool
-// and is finished after its response's ordered write-back — see
-// serve/telemetry.hpp for the phase decomposition and sink contract.
+// at socket read (an over-long line gets one when the cap trips); a
+// queued request's trace rides the Job through the queue and the worker
+// pool, and every trace is finished after its response's ordered
+// write-back — see serve/telemetry.hpp for the phase decomposition and
+// sink contract.
 #pragma once
 
 #include <atomic>
@@ -55,6 +65,11 @@
 
 #include "serve/service.hpp"
 #include "serve/telemetry.hpp"
+
+namespace flopsim::obs {
+class Counter;
+class Gauge;
+}  // namespace flopsim::obs
 
 namespace flopsim::serve {
 
@@ -124,6 +139,13 @@ class Server {
   ServerConfig cfg_;
   Service& service_;
   Telemetry telemetry_;
+  // Resolved once here; no request path takes the registry mutex.
+  obs::Counter* requests_;
+  obs::Counter* bad_;
+  obs::Counter* rejected_;
+  obs::Counter* too_long_;
+  obs::Counter* connections_;
+  obs::Gauge* queue_depth_;
   int listen_fd_ = -1;
 
   std::atomic<bool> stopping_{false};

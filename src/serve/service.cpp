@@ -1,14 +1,14 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <initializer_list>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "analysis/pareto.hpp"
 #include "analysis/seu.hpp"
@@ -29,6 +29,8 @@ namespace flopsim::serve {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 /// Per-request latency buckets, microseconds: cache hits land in the
 /// first few, interpreted campaigns in the ms-to-seconds range.
 const std::vector<double> kLatencyBoundsUs = {
@@ -42,9 +44,10 @@ struct BadRequest {
 
 /// Strict member-name check: a typo'd field silently falling back to its
 /// default would poison the cache key, so unknown names are status 2.
-void check_members(const JsonValue& body, const std::set<std::string>& allowed) {
+void check_members(const JsonValue& body,
+                   std::initializer_list<std::string_view> allowed) {
   for (const std::string& key : body.keys()) {
-    if (allowed.find(key) == allowed.end()) {
+    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
       throw BadRequest("unknown field: " + key);
     }
   }
@@ -159,24 +162,59 @@ void area_fields(obs::JsonObject& o, const device::Resources& area) {
       .field("brams", area.brams);
 }
 
+/// A plan/campaign request resolved up to its cache lookup: the key over
+/// its validated fields, and the evaluation that renders its result body
+/// on a miss. Resolving throws BadRequest (or std::invalid_argument) on a
+/// field that fails validation.
+struct Resolved {
+  std::uint64_t key = 0;
+  std::function<std::string()> compute;
+};
+
+Resolved resolve_plan(const JsonValue& body, const ServiceConfig& sc);
+Resolved resolve_campaign(const JsonValue& body, const ServiceConfig& sc);
+
+Resolved resolve(const ParsedRequest& req, const ServiceConfig& sc) {
+  return req.type == "plan" ? resolve_plan(req.body, sc)
+                            : resolve_campaign(req.body, sc);
+}
+
 }  // namespace
 
+std::string ok_response(const std::string& id_json,
+                        const std::string& result_json) {
+  constexpr std::string_view kHead = "{\"id\": ";
+  constexpr std::string_view kStatus = ", \"status\": 0, \"result\": ";
+  std::string out;
+  // +2: the closing brace and the newline the server's write-back appends.
+  out.reserve(kHead.size() + id_json.size() + kStatus.size() +
+              result_json.size() + 2);
+  out += kHead;
+  out += id_json;
+  out += kStatus;
+  out += result_json;
+  out += '}';
+  return out;
+}
+
 Service::Service(ServiceConfig cfg, ResultCache* cache, obs::Registry& reg)
-    : cfg_(cfg), cache_(cache), reg_(reg) {
-  // Touch the request metrics once so a fresh server's /metrics endpoint
-  // names them before the first request arrives.
-  reg_.counter("serve.requests");
-  reg_.counter("serve.requests.bad");
-  reg_.counter("serve.requests.failed");
+    : cfg_(cfg),
+      cache_(cache),
+      reg_(reg),
+      requests_(&reg_.counter("serve.requests")),
+      bad_(&reg_.counter("serve.requests.bad")),
+      failed_(&reg_.counter("serve.requests.failed")),
+      latency_(&reg_.histogram("serve.request.latency_us", kLatencyBoundsUs)) {
+  // Counted by the server; named here so a fresh server's /metrics
+  // endpoint lists every request counter before the first request.
   reg_.counter("serve.requests.rejected");
-  reg_.histogram("serve.request.latency_us", kLatencyBoundsUs);
 }
 
 ParsedRequest Service::parse(const std::string& line) const {
   ParsedRequest req;
   req.id_json = "null";
   std::string parse_error;
-  const std::optional<JsonValue> parsed = parse_json(line, &parse_error);
+  std::optional<JsonValue> parsed = parse_json(line, &parse_error);
   if (!parsed.has_value()) {
     req.status = 2;
     req.error = "malformed JSON: " + parse_error;
@@ -187,7 +225,7 @@ ParsedRequest Service::parse(const std::string& line) const {
     req.error = "request must be a JSON object";
     return req;
   }
-  req.body = *parsed;
+  req.body = std::move(*parsed);
   if (const JsonValue* id = req.body.get("id"); id != nullptr) {
     if (id->is_int()) {
       req.id_json = std::to_string(id->as_int());
@@ -226,10 +264,13 @@ std::string Service::error_response(const std::string& id_json, int status,
 
 std::string Service::handle_line(const std::string& line,
                                  Telemetry* telemetry) {
-  if (telemetry == nullptr) return evaluate(parse(line));
+  if (telemetry == nullptr) {
+    ParsedRequest req = parse(line);
+    return evaluate(req);
+  }
   std::shared_ptr<RequestTrace> rt = telemetry->begin();
   rt->phase_begin(Phase::kParse);
-  const ParsedRequest req = parse(line);
+  ParsedRequest req = parse(line);
   rt->phase_end(Phase::kParse);
   if (!req.type.empty()) rt->type = req.type;
   rt->id_json = req.id_json;
@@ -238,85 +279,116 @@ std::string Service::handle_line(const std::string& line,
   return response;
 }
 
-std::string Service::evaluate(const ParsedRequest& req, RequestTrace* rt) {
-  const auto t0 = std::chrono::steady_clock::now();
-  reg_.counter("serve.requests").inc();
-  std::string response;
-  int response_status = 0;
-  if (req.status != 0) {
-    reg_.counter("serve.requests.bad").inc();
-    response_status = req.status;
-    response = error_response(req.id_json, req.status, req.error);
-  } else {
-    int status = 0;
-    bool cacheable = false;
-    std::uint64_t key = 0;
-    std::string body;
-    try {
-      // Work below runs in the request's trace scope: tracer spans
-      // recorded here (and in exec:: worker chunks, which inherit the
-      // caller's context) parent to this request's eval span.
-      obs::ScopedSpanContext scope(rt != nullptr ? rt->eval_context()
-                                                 : obs::SpanContext{});
-      if (req.type == "ping") {
-        obs::JsonObject o;
-        o.field("pong", true);
-        body = o.str();
-      } else if (req.type == "shutdown") {
-        obs::JsonObject o;
-        o.field("shutting_down", true);
-        body = o.str();
-      } else if (req.type == "metrics") {
-        body = metrics_body(req.body);
-      } else if (req.type == "plan") {
-        body = evaluate_plan(req.body, &key, &cacheable, &status, rt);
-      } else {
-        body = evaluate_campaign(req.body, &key, &cacheable, &status, rt);
-      }
-    } catch (const BadRequest& e) {
-      status = 2;
-      body = e.msg;
-    } catch (const std::invalid_argument& e) {
-      status = 2;
-      body = e.what();
-    } catch (const std::exception& e) {
-      status = 1;
-      body = e.what();
-    }
-    response_status = status;
-    if (status == 0) {
-      obs::JsonObject o;
-      o.field_raw("id", req.id_json).field("status", 0).field_raw("result",
-                                                                  body);
-      response = o.str();
-    } else {
-      reg_.counter(status == 2 ? "serve.requests.bad"
-                               : "serve.requests.failed")
-          .inc();
-      response = error_response(req.id_json, status, body);
-    }
-  }
-  const auto t1 = std::chrono::steady_clock::now();
+void Service::record(RequestTrace* rt, Clock::time_point t0, double prior_us,
+                     int status) const {
+  const Clock::time_point t1 = Clock::now();
   const double total_us =
-      std::chrono::duration<double, std::micro>(t1 - t0).count();
-  reg_.histogram("serve.request.latency_us", kLatencyBoundsUs)
-      .observe(total_us);
+      prior_us + std::chrono::duration<double, std::micro>(t1 - t0).count();
+  latency_->observe(total_us);
   if (rt != nullptr) {
-    rt->status = response_status;
-    // Eval is the decomposition's remainder: everything this call did
-    // except the cache phase (recorded by evaluate_plan/campaign).
+    rt->status = status;
+    // Eval is the decomposition's remainder: all the Service time this
+    // request took except the cache phase (lookup and fill).
     rt->phase_record(Phase::kEval, rt->us_since_start(t0),
                      total_us - rt->phase_us(Phase::kCache));
   }
+}
+
+std::optional<std::string> Service::lookup(ParsedRequest& req,
+                                           RequestTrace* rt) {
+  if (cache_ == nullptr || req.status != 0 || req.compute ||
+      (req.type != "plan" && req.type != "campaign")) {
+    return std::nullopt;
+  }
+  const Clock::time_point t0 = Clock::now();
+  Resolved r;
+  try {
+    r = resolve(req, cfg_);
+  } catch (...) {
+    // Not a lookup: evaluate() resolves the fields again and reports why
+    // they fail.
+    return std::nullopt;
+  }
+  std::optional<std::string> hit = timed_lookup(cache_, r.key, rt);
+  if (!hit.has_value()) {
+    req.key = r.key;
+    req.compute = std::move(r.compute);
+    req.lookup_us =
+        std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+    return std::nullopt;
+  }
+  requests_->inc();
+  std::string response = ok_response(req.id_json, *hit);
+  record(rt, t0, 0.0, 0);
   return response;
 }
 
+std::string Service::evaluate(ParsedRequest& req, RequestTrace* rt) {
+  if (std::optional<std::string> hit = lookup(req, rt); hit.has_value()) {
+    return std::move(*hit);
+  }
+  const Clock::time_point t0 = Clock::now();
+  requests_->inc();
+  if (req.status != 0) {
+    bad_->inc();
+    std::string response = error_response(req.id_json, req.status, req.error);
+    record(rt, t0, 0.0, req.status);
+    return response;
+  }
+  int status = 0;
+  std::string body;
+  try {
+    // Work below runs in the request's trace scope: tracer spans
+    // recorded here (and in exec:: worker chunks, which inherit the
+    // caller's context) parent to this request's eval span.
+    obs::ScopedSpanContext scope(rt != nullptr ? rt->eval_context()
+                                               : obs::SpanContext{});
+    if (req.type == "ping") {
+      obs::JsonObject o;
+      o.field("pong", true);
+      body = o.str();
+    } else if (req.type == "shutdown") {
+      obs::JsonObject o;
+      o.field("shutting_down", true);
+      body = o.str();
+    } else if (req.type == "metrics") {
+      body = metrics_body(req.body);
+    } else {
+      if (!req.compute) {
+        // No cache, or fields that fail validation (this throws again).
+        Resolved r = resolve(req, cfg_);
+        req.key = r.key;
+        req.compute = std::move(r.compute);
+      }
+      body = req.compute();
+      timed_insert(cache_, req.key, body, rt);
+    }
+  } catch (const BadRequest& e) {
+    status = 2;
+    body = e.msg;
+  } catch (const std::invalid_argument& e) {
+    status = 2;
+    body = e.what();
+  } catch (const std::exception& e) {
+    status = 1;
+    body = e.what();
+  }
+  std::string response;
+  if (status == 0) {
+    response = ok_response(req.id_json, body);
+  } else {
+    (status == 2 ? bad_ : failed_)->inc();
+    response = error_response(req.id_json, status, body);
+  }
+  record(rt, t0, req.lookup_us, status);
+  return response;
+}
+
+namespace {
+
 // --- plan -----------------------------------------------------------------
 
-std::string Service::evaluate_plan(const JsonValue& body, std::uint64_t* key,
-                                   bool* cacheable, int* status,
-                                   RequestTrace* rt) const {
-  (void)status;
+Resolved resolve_plan(const JsonValue& body, const ServiceConfig& sc) {
   const std::string op = string_field(body, "op", "");
   if (op == "cvt") {
     check_members(body, {"id", "type", "op", "src_bits", "dst_bits",
@@ -336,29 +408,25 @@ std::string Service::evaluate_plan(const JsonValue& body, std::uint64_t* key,
     h.str("serve.plan.cvt v1");
     h.str(src.name()).str(dst.name()).i64(stages);
     h.i64(static_cast<long long>(cfg.objective));
-    *key = h.value();
-    *cacheable = true;
-    if (std::optional<std::string> hit = timed_lookup(cache_, *key, rt);
-        hit.has_value()) {
-      return *hit;
-    }
-
-    const units::FormatConverter cvt(src, dst, cfg);
-    const rtl::Timing t = cvt.timing();
-    const rtl::AreaBreakdown a = cvt.area();
-    obs::JsonObject o;
-    o.field("name", cvt.name())
-        .field("op", "cvt")
-        .field("src_bits", static_cast<long>(src.total_bits()))
-        .field("dst_bits", static_cast<long>(dst.total_bits()))
-        .field("stages", cvt.stages())
-        .field("max_stages", cvt.max_stages())
-        .field("freq_mhz", t.freq_mhz)
-        .field("critical_ns", t.critical_ns);
-    area_fields(o, a.total);
-    const std::string rendered = o.str();
-    timed_insert(cache_, *key, rendered, rt);
-    return rendered;
+    Resolved resolved;
+    resolved.key = h.value();
+    resolved.compute = [src, dst, cfg] {
+      const units::FormatConverter cvt(src, dst, cfg);
+      const rtl::Timing t = cvt.timing();
+      const rtl::AreaBreakdown a = cvt.area();
+      obs::JsonObject o;
+      o.field("name", cvt.name())
+          .field("op", "cvt")
+          .field("src_bits", static_cast<long>(src.total_bits()))
+          .field("dst_bits", static_cast<long>(dst.total_bits()))
+          .field("stages", cvt.stages())
+          .field("max_stages", cvt.max_stages())
+          .field("freq_mhz", t.freq_mhz)
+          .field("critical_ns", t.critical_ns);
+      area_fields(o, a.total);
+      return o.str();
+    };
+    return resolved;
   }
 
   check_members(body, {"id", "type", "op", "bits", "stages", "objective",
@@ -389,75 +457,68 @@ std::string Service::evaluate_plan(const JsonValue& body, std::uint64_t* key,
   h.i64(static_cast<long long>(cfg.objective));
   h.i64(cfg.ieee_mode ? 1 : 0).i64(cfg.use_embedded_multipliers ? 1 : 0);
   h.i64(harden.has_value() ? static_cast<long long>(*harden) : -1);
-  *key = h.value();
-  *cacheable = true;
-  if (std::optional<std::string> hit = timed_lookup(cache_, *key, rt);
-      hit.has_value()) {
-    return *hit;
-  }
+  Resolved resolved;
+  resolved.key = h.value();
+  resolved.compute = [kind, fmt, stages, cfg, harden,
+               threads = sc.threads]() mutable {
+    std::optional<analysis::Selection> sel;
+    if (stages == 0) {
+      const analysis::SweepResult sweep =
+          analysis::sweep_unit(kind, fmt, cfg.objective, cfg.tech, threads);
+      sel = analysis::select_min_max_opt(sweep);
+      cfg.stages = sel->opt.stages;
+    } else {
+      cfg.stages = static_cast<int>(stages);
+    }
 
-  std::optional<analysis::Selection> sel;
-  if (stages == 0) {
-    const analysis::SweepResult sweep =
-        analysis::sweep_unit(kind, fmt, cfg.objective, cfg.tech,
-                             cfg_.threads);
-    sel = analysis::select_min_max_opt(sweep);
-    cfg.stages = sel->opt.stages;
-  } else {
-    cfg.stages = static_cast<int>(stages);
-  }
-
-  const units::FpUnit unit(kind, fmt, cfg);
-  const rtl::Timing t = unit.timing();
-  const rtl::AreaBreakdown a = unit.area();
-  obs::JsonObject o;
-  o.field("name", unit.name())
-      .field("op", units::to_string(kind))
-      .field("bits", static_cast<long>(fmt.total_bits()))
-      .field("stages", unit.stages())
-      .field("max_stages", unit.max_stages())
-      .field("objective", objective_name(cfg.objective))
-      .field("freq_mhz", t.freq_mhz)
-      .field("critical_ns", t.critical_ns);
-  area_fields(o, a.total);
-  o.field("pipeline_ffs", a.pipeline_ffs)
-      .field("absorbed_ffs", a.absorbed_ffs)
-      .field("freq_per_area", unit.freq_per_area())
-      .field("power_mw_100", power::unit_power(unit, 100.0).total_mw())
-      .field("latency", unit.latency());
-  if (sel.has_value()) {
-    obs::JsonObject s;
-    s.field("min_stages", sel->min.stages)
-        .field("opt_stages", sel->opt.stages)
-        .field("max_stages", sel->max.stages)
-        .field("opt_freq_mhz", sel->opt.freq_mhz)
-        .field("opt_freq_per_area", sel->opt.freq_per_area);
-    o.field_raw("selection", s.str());
-  }
-  if (harden.has_value()) {
-    const fault::HardeningCost hc = fault::hardening_cost(unit, *harden);
-    obs::JsonObject hj;
-    hj.field("scheme", fault::to_string(*harden))
-        .field("area_factor", hc.area_factor)
-        .field("freq_mhz", hc.freq_mhz)
-        .field("freq_factor", hc.freq_factor)
-        .field("power_mw_100", hc.power_mw_100)
-        .field("power_factor", hc.power_factor)
-        .field("extra_latency_cycles", hc.extra_latency_cycles);
-    area_fields(hj, hc.total);
-    o.field_raw("harden", hj.str());
-  }
-  const std::string rendered = o.str();
-  timed_insert(cache_, *key, rendered, rt);
-  return rendered;
+    const units::FpUnit unit(kind, fmt, cfg);
+    const rtl::Timing t = unit.timing();
+    const rtl::AreaBreakdown a = unit.area();
+    obs::JsonObject o;
+    o.field("name", unit.name())
+        .field("op", units::to_string(kind))
+        .field("bits", static_cast<long>(fmt.total_bits()))
+        .field("stages", unit.stages())
+        .field("max_stages", unit.max_stages())
+        .field("objective", objective_name(cfg.objective))
+        .field("freq_mhz", t.freq_mhz)
+        .field("critical_ns", t.critical_ns);
+    area_fields(o, a.total);
+    o.field("pipeline_ffs", a.pipeline_ffs)
+        .field("absorbed_ffs", a.absorbed_ffs)
+        .field("freq_per_area", unit.freq_per_area())
+        .field("power_mw_100", power::unit_power(unit, 100.0).total_mw())
+        .field("latency", unit.latency());
+    if (sel.has_value()) {
+      obs::JsonObject s;
+      s.field("min_stages", sel->min.stages)
+          .field("opt_stages", sel->opt.stages)
+          .field("max_stages", sel->max.stages)
+          .field("opt_freq_mhz", sel->opt.freq_mhz)
+          .field("opt_freq_per_area", sel->opt.freq_per_area);
+      o.field_raw("selection", s.str());
+    }
+    if (harden.has_value()) {
+      const fault::HardeningCost hc = fault::hardening_cost(unit, *harden);
+      obs::JsonObject hj;
+      hj.field("scheme", fault::to_string(*harden))
+          .field("area_factor", hc.area_factor)
+          .field("freq_mhz", hc.freq_mhz)
+          .field("freq_factor", hc.freq_factor)
+          .field("power_mw_100", hc.power_mw_100)
+          .field("power_factor", hc.power_factor)
+          .field("extra_latency_cycles", hc.extra_latency_cycles);
+      area_fields(hj, hc.total);
+      o.field_raw("harden", hj.str());
+    }
+    return o.str();
+  };
+  return resolved;
 }
 
 // --- campaign -------------------------------------------------------------
 
-std::string Service::evaluate_campaign(const JsonValue& body,
-                                       std::uint64_t* key, bool* cacheable,
-                                       int* status, RequestTrace* rt) const {
-  (void)status;
+Resolved resolve_campaign(const JsonValue& body, const ServiceConfig& sc) {
   const std::string kernel = string_field(body, "kernel", "unit");
   if (kernel == "matmul") {
     check_members(body, {"id", "type", "kernel", "n", "bits", "faults",
@@ -478,8 +539,8 @@ std::string Service::evaluate_campaign(const JsonValue& body,
     camp.scrub_period_cycles =
         static_cast<long>(int_field(body, "scrub_period_cycles", 0, 0,
                                     1LL << 40));
-    camp.threads = cfg_.threads;
-    camp.backend = cfg_.backend;
+    camp.threads = sc.threads;
+    camp.backend = sc.backend;
     kernel::PeConfig pe;
     pe.fmt = format_of_bits(int_field(body, "bits", 32, 0, 1 << 20), "bits");
     pe.adder_stages =
@@ -494,37 +555,34 @@ std::string Service::evaluate_campaign(const JsonValue& body,
     h.f64(camp.accumulator_fraction).f64(camp.config_fraction);
     h.i64(camp.scrub_period_cycles);
     h.i64(pe.adder_stages).i64(pe.mult_stages);
-    *key = h.value();
-    *cacheable = true;
-    if (std::optional<std::string> hit = timed_lookup(cache_, *key, rt);
-        hit.has_value()) {
-      return *hit;
-    }
-
-    const analysis::MatmulSeuResult r = analysis::run_matmul_campaign(pe, camp);
-    obs::JsonObject o;
-    o.field("kernel", "matmul")
-        .field("n", camp.n)
-        .field("bits", static_cast<long>(pe.fmt.total_bits()))
-        .field("faults", camp.faults)
-        .field("seed", static_cast<long>(camp.seed))
-        .field("scheme", fault::to_string(camp.scheme))
-        .field("injected", r.injected)
-        .field("masked", r.masked)
-        .field("detected", r.detected)
-        .field("corrected", r.corrected)
-        .field("silent", r.silent)
-        .field("acc_injected", r.acc_injected)
-        .field("acc_silent", r.acc_silent)
-        .field("latch_injected", r.latch_injected)
-        .field("latch_silent", r.latch_silent)
-        .field("config_injected", r.config_injected)
-        .field("config_silent", r.config_silent)
-        .field("dropped_trials", r.draws_exhausted)
-        .field("sdc_fraction", r.sdc_fraction());
-    const std::string rendered = o.str();
-    timed_insert(cache_, *key, rendered, rt);
-    return rendered;
+    Resolved resolved;
+    resolved.key = h.value();
+    resolved.compute = [pe, camp] {
+      const analysis::MatmulSeuResult r =
+          analysis::run_matmul_campaign(pe, camp);
+      obs::JsonObject o;
+      o.field("kernel", "matmul")
+          .field("n", camp.n)
+          .field("bits", static_cast<long>(pe.fmt.total_bits()))
+          .field("faults", camp.faults)
+          .field("seed", static_cast<long>(camp.seed))
+          .field("scheme", fault::to_string(camp.scheme))
+          .field("injected", r.injected)
+          .field("masked", r.masked)
+          .field("detected", r.detected)
+          .field("corrected", r.corrected)
+          .field("silent", r.silent)
+          .field("acc_injected", r.acc_injected)
+          .field("acc_silent", r.acc_silent)
+          .field("latch_injected", r.latch_injected)
+          .field("latch_silent", r.latch_silent)
+          .field("config_injected", r.config_injected)
+          .field("config_silent", r.config_silent)
+          .field("dropped_trials", r.draws_exhausted)
+          .field("sdc_fraction", r.sdc_fraction());
+      return o.str();
+    };
+    return resolved;
   }
   if (kernel != "unit") {
     throw BadRequest("kernel must be \"unit\" or \"matmul\"");
@@ -549,8 +607,8 @@ std::string Service::evaluate_campaign(const JsonValue& body,
                 std::numeric_limits<long long>::min(),
                 std::numeric_limits<long long>::max()));
   camp.scheme = scheme_field(body);
-  camp.threads = cfg_.threads;
-  camp.backend = cfg_.backend;
+  camp.threads = sc.threads;
+  camp.backend = sc.backend;
 
   fault::SpecHash h;
   h.str("serve.campaign.unit v1");
@@ -559,49 +617,46 @@ std::string Service::evaluate_campaign(const JsonValue& body,
   h.i64(cfg.ieee_mode ? 1 : 0).i64(cfg.use_embedded_multipliers ? 1 : 0);
   h.i64(static_cast<long long>(camp.scheme));
   h.i64(camp.vectors).i64(camp.faults).u64(camp.seed);
-  *key = h.value();
-  *cacheable = true;
-  if (std::optional<std::string> hit = timed_lookup(cache_, *key, rt);
-      hit.has_value()) {
-    return *hit;
-  }
-
-  if (stages == 0) {
-    const analysis::SweepResult sweep =
-        analysis::sweep_unit(kind, fmt, cfg.objective, cfg.tech,
-                             cfg_.threads);
-    cfg.stages = analysis::select_min_max_opt(sweep).opt.stages;
-  } else {
-    cfg.stages = static_cast<int>(stages);
-  }
-  const units::FpUnit probe(kind, fmt, cfg);
-  const analysis::UnitSeuResult r =
-      analysis::run_unit_campaign(kind, fmt, cfg, camp);
-  const analysis::SeuRateModel rate;
-  obs::JsonObject o;
-  o.field("kernel", "unit")
-      .field("op", units::to_string(kind))
-      .field("bits", static_cast<long>(fmt.total_bits()))
-      .field("stages", probe.stages())
-      .field("scheme", fault::to_string(camp.scheme))
-      .field("vectors", camp.vectors)
-      .field("faults", camp.faults)
-      .field("seed", static_cast<long>(camp.seed))
-      .field("injected", r.injected)
-      .field("masked", r.masked)
-      .field("detected", r.detected)
-      .field("corrected", r.corrected)
-      .field("silent", r.silent)
-      .field("corrupted", r.corrupted)
-      .field("occupied_bits", r.occupied_bits)
-      .field("pipeline_ffs", r.pipeline_ffs)
-      .field("avf", r.avf())
-      .field("sdc_fraction", r.sdc_fraction())
-      .field("sdc_fit", rate.fit(r.pipeline_ffs, r.avf()));
-  const std::string rendered = o.str();
-  timed_insert(cache_, *key, rendered, rt);
-  return rendered;
+  Resolved resolved;
+  resolved.key = h.value();
+  resolved.compute = [kind, fmt, stages, cfg, camp]() mutable {
+    if (stages == 0) {
+      const analysis::SweepResult sweep = analysis::sweep_unit(
+          kind, fmt, cfg.objective, cfg.tech, camp.threads);
+      cfg.stages = analysis::select_min_max_opt(sweep).opt.stages;
+    } else {
+      cfg.stages = static_cast<int>(stages);
+    }
+    const units::FpUnit probe(kind, fmt, cfg);
+    const analysis::UnitSeuResult r =
+        analysis::run_unit_campaign(kind, fmt, cfg, camp);
+    const analysis::SeuRateModel rate;
+    obs::JsonObject o;
+    o.field("kernel", "unit")
+        .field("op", units::to_string(kind))
+        .field("bits", static_cast<long>(fmt.total_bits()))
+        .field("stages", probe.stages())
+        .field("scheme", fault::to_string(camp.scheme))
+        .field("vectors", camp.vectors)
+        .field("faults", camp.faults)
+        .field("seed", static_cast<long>(camp.seed))
+        .field("injected", r.injected)
+        .field("masked", r.masked)
+        .field("detected", r.detected)
+        .field("corrected", r.corrected)
+        .field("silent", r.silent)
+        .field("corrupted", r.corrupted)
+        .field("occupied_bits", r.occupied_bits)
+        .field("pipeline_ffs", r.pipeline_ffs)
+        .field("avf", r.avf())
+        .field("sdc_fraction", r.sdc_fraction())
+        .field("sdc_fit", rate.fit(r.pipeline_ffs, r.avf()));
+    return o.str();
+  };
+  return resolved;
 }
+
+}  // namespace
 
 // --- metrics --------------------------------------------------------------
 

@@ -2,7 +2,9 @@
 //
 // One JSONL request line in, one JSONL response line out. The service is
 // transport-agnostic (the socket server and the `flopsim-serve eval`
-// batch mode both drive it) and owns three things:
+// batch mode both drive it; the server calls lookup() on its reader
+// thread and evaluate() on a worker for the misses) and owns three
+// things:
 //
 //  * the request schema: {"id": ..., "type": "ping" | "plan" |
 //    "campaign" | "metrics", ...params}, validated field by field;
@@ -38,15 +40,20 @@
 //                on it (the eval batch mode just acks).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 
 #include "rtl/evaluator.hpp"
 #include "serve/json.hpp"
 
 namespace flopsim::obs {
+class Counter;
+class Histogram;
 class Registry;
-}
+}  // namespace flopsim::obs
 
 namespace flopsim::serve {
 
@@ -72,7 +79,19 @@ struct ParsedRequest {
   std::string id_json;     ///< rendered id to echo ("7", "\"abc\"", "null")
   std::string type;
   JsonValue body;
+  /// Set by Service::lookup on a cache miss, so evaluate() neither
+  /// resolves nor looks the request up a second time: its cache key, the
+  /// evaluation that renders its result body, and the microseconds the
+  /// lookup took (part of the request's latency and eval phase).
+  std::uint64_t key = 0;
+  std::function<std::string()> compute;
+  double lookup_us = 0.0;
 };
+
+/// The success envelope {"id": <id_json>, "status": 0, "result":
+/// <result_json>}, byte-equal to its obs::JsonObject rendering.
+std::string ok_response(const std::string& id_json,
+                        const std::string& result_json);
 
 class Service {
  public:
@@ -85,13 +104,24 @@ class Service {
   /// reject queued work with the right id when the queue is full.
   ParsedRequest parse(const std::string& line) const;
 
-  /// Evaluate a parsed request end to end: cache lookup, evaluation on
-  /// miss, cache fill, response rendering. Also records the per-request
-  /// latency histogram and request counters. With `rt` set, records the
-  /// eval/cache phase decomposition and hit/miss into the trace, and
-  /// installs the trace's eval-span context around evaluation so
-  /// worker-side tracer spans land under the owning request.
-  std::string evaluate(const ParsedRequest& req, RequestTrace* rt = nullptr);
+  /// The first half of evaluate() for a plan/campaign request, cheap
+  /// enough for the server's reader thread: resolve its fields to the
+  /// cache key and look the key up. A hit comes back as the finished
+  /// response, counted and traced as evaluate() would have. A miss
+  /// returns nullopt with `req.key`/`req.compute` set. Other types,
+  /// fields that fail validation, and an uncached service return nullopt
+  /// and leave `req` as it was; evaluate() handles them as before.
+  std::optional<std::string> lookup(ParsedRequest& req,
+                                    RequestTrace* rt = nullptr);
+
+  /// Evaluate a parsed request end to end: cache lookup (unless lookup()
+  /// already missed), evaluation on miss, cache fill, response rendering.
+  /// Also records the per-request latency histogram and request counters.
+  /// With `rt` set, records the eval/cache phase decomposition and
+  /// hit/miss into the trace, and installs the trace's eval-span context
+  /// around evaluation so worker-side tracer spans land under the owning
+  /// request.
+  std::string evaluate(ParsedRequest& req, RequestTrace* rt = nullptr);
 
   /// parse + evaluate — the batch-mode entry point. With `telemetry`
   /// set, wraps the line in a RequestTrace (parse + eval phases; no
@@ -109,17 +139,20 @@ class Service {
   obs::Registry& registry() const { return reg_; }
 
  private:
-  std::string evaluate_plan(const JsonValue& body, std::uint64_t* key,
-                            bool* cacheable, int* status,
-                            RequestTrace* rt) const;
-  std::string evaluate_campaign(const JsonValue& body, std::uint64_t* key,
-                                bool* cacheable, int* status,
-                                RequestTrace* rt) const;
   std::string metrics_body(const JsonValue& body) const;
+  /// Latency histogram and, with `rt`, status and eval phase for a
+  /// request whose Service work began at `t0` after `prior_us` elsewhere.
+  void record(RequestTrace* rt, std::chrono::steady_clock::time_point t0,
+              double prior_us, int status) const;
 
   ServiceConfig cfg_;
   ResultCache* cache_;
   obs::Registry& reg_;
+  // Resolved once here; a request never takes the registry mutex.
+  obs::Counter* requests_;
+  obs::Counter* bad_;
+  obs::Counter* failed_;
+  obs::Histogram* latency_;
 };
 
 }  // namespace flopsim::serve

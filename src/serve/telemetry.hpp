@@ -5,17 +5,22 @@
 // pipeline phase), and a per-phase latency decomposition —
 //
 //   parse  — envelope parse/validate on the reader thread
-//   queue  — admission-FIFO wait (enqueue mark to dequeue mark)
-//   eval   — Service::evaluate minus the cache phase
-//   cache  — ResultCache lookup + write-back on the evaluating worker
+//   queue  — admission-FIFO wait (enqueue mark to dequeue mark); absent
+//            for requests answered on the reader thread: ping, metrics,
+//            shutdown, malformed lines, cache hits and rejections
+//   eval   — Service time (lookup on the reader, evaluation on the
+//            worker) minus the cache phase
+//   cache  — ResultCache lookup on the reader thread + write-back on the
+//            evaluating worker
 //   write  — socket write-back under the connection's ordered flush
 //
-// The trace rides the Job through the bounded queue, the exec:: worker
-// pool (Service installs the trace's eval-span context around
-// evaluation, so `--trace=` chunk spans land under the owning request),
-// and the per-connection write-back ledger; Telemetry::finish() fires
-// exactly once per request, after its response bytes left (or were
-// dropped on a dead connection).
+// A queued request's trace rides the Job through the bounded queue, the
+// exec:: worker pool (Service installs the trace's eval-span context
+// around evaluation, so `--trace=` chunk spans land under the owning
+// request), and the per-connection write-back ledger; Telemetry::finish()
+// fires exactly once per request, after its response bytes left (or were
+// dropped on a dead connection). An absent phase has no span and no
+// histogram sample; the access log prints it as 0.
 //
 // finish() fans out three ways:
 //  * serve.phase.*_us histograms in the obs:: registry (p50/p95/p99 via

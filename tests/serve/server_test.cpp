@@ -1,15 +1,22 @@
 // The socket front end, exercised over real Unix-domain sockets: request
 // order preserved per connection, concurrent clients at 1/2/8 evaluation
 // workers byte-identical (the serve-side determinism contract), bounded
-// admission queue rejecting with status 75 under flood, replay-twice
-// byte identity through the cache, and shutdown via request. Threaded
-// end to end, so the suite rides in the tsan sweep.
+// admission queue rejecting with status 75 under flood, cache hits
+// answered on the reader thread (even with the queue full), the counted
+// line cap, replay-twice byte identity through the cache, and shutdown
+// via request. Threaded end to end, so the suite rides in the tsan sweep.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +44,27 @@ int status_of(const std::string& response) {
   if (!v.has_value() || !v->is_object()) return -1;
   const JsonValue* s = v->get("status");
   return s != nullptr ? static_cast<int>(s->as_int(-1)) : -1;
+}
+
+/// A cache miss that keeps a worker busy for tens of milliseconds (an
+/// n=8 matmul campaign; a distinct seed per id, so every id misses).
+std::string slow_miss(int id) {
+  return "{\"id\": " + std::to_string(id) +
+         ", \"type\": \"campaign\", \"kernel\": \"matmul\", \"n\": 8, "
+         "\"bits\": 32, \"faults\": 64, \"seed\": " +
+         std::to_string(id) + "}";
+}
+
+/// Polls `done` every millisecond, for up to ten seconds.
+template <class Pred>
+bool eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 /// A running server with its own registry, cache, and service.
@@ -346,6 +374,140 @@ TEST(Server, SaturatedServerStillAnswersPing) {
   for (int i = 0; i < 8; ++i) {
     if (!flooder.recv_line(&response)) break;
   }
+}
+
+TEST(Server, CachedRequestIsAnsweredWhileTheQueueIsFull) {
+  // Hits are answered on the reader thread, so the one semantic change
+  // is this: with the single worker busy and the one queue slot taken, a
+  // cached request still gets its result (status 0), not status 75.
+  Harness h(/*workers=*/1, /*queue_capacity=*/1);
+  ASSERT_TRUE(h.ok());
+  const std::string cached_line =
+      "{\"id\": 1, \"type\": \"plan\", \"op\": \"add\", \"bits\": 32, "
+      "\"stages\": 4}";
+  Client c = h.connect();
+  const std::vector<std::string> first = h.roundtrip(c, {cached_line});
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(status_of(first[0]), 0);
+
+  Client flooder = h.connect();
+  constexpr int kFlood = 4;
+  for (int i = 0; i < kFlood; ++i) {
+    ASSERT_TRUE(flooder.send_line(slow_miss(100 + i)));
+  }
+  // A rejection means the worker is busy and the queue slot is taken.
+  const obs::Counter& rejected =
+      h.registry().counter("serve.requests.rejected");
+  ASSERT_TRUE(eventually([&] { return rejected.value() >= 1; }));
+  const std::vector<std::string> again = h.roundtrip(c, {cached_line});
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_EQ(again[0], first[0]);
+
+  long flood_rejected = 0;
+  std::string response;
+  for (int i = 0; i < kFlood; ++i) {
+    ASSERT_TRUE(flooder.recv_line(&response));
+    if (status_of(response) == 75) ++flood_rejected;
+  }
+  // Every rejection was the flood's: the hit never met the queue.
+  EXPECT_GE(flood_rejected, 1);
+  EXPECT_EQ(rejected.value(), flood_rejected);
+}
+
+TEST(Server, HitPipelinedBehindASlowMissKeepsItsPlace) {
+  // The hit is answered on the reader thread while the miss ahead of it
+  // is still evaluating; the ordered write-back holds it until the miss
+  // has been written.
+  Harness h(/*workers=*/2);
+  ASSERT_TRUE(h.ok());
+  const std::string cached_line =
+      "{\"id\": 1, \"type\": \"plan\", \"op\": \"mul\", \"bits\": 64, "
+      "\"stages\": 6}";
+  Client c = h.connect();
+  const std::vector<std::string> cached = h.roundtrip(c, {cached_line});
+  ASSERT_EQ(cached.size(), 1u);
+  const std::vector<std::string> responses =
+      h.roundtrip(c, {slow_miss(7), cached_line});
+  ASSERT_EQ(responses.size(), 2u);
+  const auto miss = parse_json(responses[0]);
+  ASSERT_TRUE(miss.has_value() && miss->get("id") != nullptr);
+  EXPECT_EQ(miss->get("id")->as_int(-1), 7);
+  EXPECT_EQ(status_of(responses[0]), 0);
+  EXPECT_EQ(responses[1], cached[0]);
+}
+
+TEST(Server, EveryWellFormedPlanOrCampaignIsLookedUpOnce) {
+  // A miss is looked up on the reader thread and carries that to the
+  // worker, which does not look it up again: hits + misses count the
+  // well-formed plan/campaign requests exactly. Fields that fail
+  // validation are not a lookup.
+  Harness h(/*workers=*/2);
+  ASSERT_TRUE(h.ok());
+  std::vector<std::string> lines = request_mix();  // 5 plan/campaign
+  lines.push_back(
+      "{\"id\": 6, \"type\": \"campaign\", \"op\": \"add\", \"bits\": 32, "
+      "\"stages\": 4, \"scheme\": \"bogus\"}");
+  Client c = h.connect();
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::vector<std::string> responses = h.roundtrip(c, lines);
+    ASSERT_EQ(responses.size(), lines.size());
+    EXPECT_EQ(status_of(responses.back()), 2);
+  }
+  EXPECT_EQ(h.registry().counter("serve.cache.miss").value(), 5);
+  EXPECT_EQ(h.registry().counter("serve.cache.hit").value(), 5);
+  EXPECT_EQ(h.registry().counter("serve.requests").value(),
+            static_cast<long>(2 * lines.size()));
+}
+
+TEST(Server, OverlongLineIsCountedLoggedAndClosed) {
+  // A line past the 1 MiB cap gets one status-2 error, then the
+  // connection closes; it is counted and logged like any bad request.
+  const std::filesystem::path access =
+      std::filesystem::path(::testing::TempDir()) / "server_too_long.jsonl";
+  std::filesystem::remove(access);
+  TelemetryConfig tc;
+  tc.access_log_path = access.string();
+  {
+    Harness h(/*workers=*/1, /*queue_capacity=*/64, tc);
+    ASSERT_TRUE(h.ok());
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, h.path().c_str(), h.path().size() + 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+              0);
+    // One byte past the cap and no newline: the server reads all of it.
+    const std::string junk((1 << 20) + 1, 'x');
+    std::size_t sent = 0;
+    while (sent < junk.size()) {
+      const ssize_t n = ::send(fd, junk.data() + sent, junk.size() - sent,
+                               MSG_NOSIGNAL);
+      ASSERT_GT(n, 0);
+      sent += static_cast<std::size_t>(n);
+    }
+    std::string received;
+    char chunk[256];
+    for (ssize_t n; (n = ::recv(fd, chunk, sizeof chunk, 0)) > 0;) {
+      received.append(chunk, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    // Everything up to the server's close: exactly the one error line.
+    EXPECT_EQ(received,
+              "{\"id\": null, \"status\": 2, "
+              "\"error\": \"request line too long\"}\n");
+    EXPECT_EQ(h.registry().counter("serve.requests").value(), 1);
+    EXPECT_EQ(h.registry().counter("serve.requests.bad").value(), 1);
+    EXPECT_EQ(h.registry().counter("serve.requests.too_long").value(), 1);
+  }
+  std::ifstream in(access);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  const auto entry = parse_json(line);
+  ASSERT_TRUE(entry.has_value()) << line;
+  EXPECT_EQ(status_of(line), 2);
+  EXPECT_EQ(entry->get("id")->kind(), JsonValue::Kind::kNull);
+  EXPECT_FALSE(std::getline(in, line)) << "one access-log line only";
 }
 
 TEST(Server, ReplayTwiceIsByteIdenticalAndServedFromCache) {

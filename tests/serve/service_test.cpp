@@ -11,6 +11,7 @@
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 #include "serve/cache.hpp"
 #include "serve/json.hpp"
 
@@ -208,6 +209,17 @@ TEST(Service, ErrorResponseRendersBackpressureRejection) {
   Rig rig;
   EXPECT_EQ(rig.service.error_response("7", 75, "queue full"),
             "{\"id\": 7, \"status\": 75, \"error\": \"queue full\"}");
+}
+
+TEST(Service, OkEnvelopeMatchesJsonObjectRendering) {
+  // Hits and misses render their envelope by concatenation; it must be
+  // the bytes obs::JsonObject renders, for every id shape parse() echoes.
+  const std::string result = "{\"stages\": 4, \"freq_mhz\": 212.5}";
+  for (const std::string id : {"7", "-3", "\"abc\"", "null"}) {
+    obs::JsonObject o;
+    o.field_raw("id", id).field("status", 0).field_raw("result", result);
+    EXPECT_EQ(ok_response(id, result), o.str()) << id;
+  }
 }
 
 TEST(Service, RequestCountersAdvance) {

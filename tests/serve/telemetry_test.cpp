@@ -271,6 +271,79 @@ TEST(Telemetry, ResponsesByteIdenticalWithTracingOnOrOff) {
   }
 }
 
+TEST(Telemetry, InlineHitRecordsNoQueuePhase) {
+  // A hit is answered on the reader thread: no queue phase in the
+  // histogram or the span tree, and queue_us printed as 0 in the access
+  // log, whose schema stays the same for every request.
+  const std::string access = temp_file("telemetry_hit_access.jsonl");
+  const std::string slow = temp_file("telemetry_hit_slow.jsonl");
+  TelemetryConfig tc;
+  tc.access_log_path = access;
+  tc.slow_log_path = slow;
+  tc.slow_ms = 0.0;
+  obs::Registry reg;
+  ResultCache cache({.capacity = 16, .dir = "", .shards = 4}, reg);
+  Service service({}, &cache, reg);
+  {
+    Server server(ServerConfig{.unix_path = socket_path(),
+                               .port = 0,
+                               .workers = 2,
+                               .queue_capacity = 8,
+                               .telemetry = tc},
+                  service);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    std::thread runner([&server] { server.run(); });
+    Client c;
+    ASSERT_TRUE(c.connect(server.config().unix_path, 0, 5.0, &error))
+        << error;
+    // Miss, then hit, one at a time so the second is sure to hit.
+    std::string response;
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(c.send_line(
+          "{\"id\": 1, \"type\": \"plan\", \"op\": \"add\", "
+          "\"bits\": 32, \"stages\": 4}"));
+      ASSERT_TRUE(c.recv_line(&response));
+    }
+    server.request_stop();
+    runner.join();
+  }
+
+  const std::vector<JsonValue> log = read_jsonl(access);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].get("cache")->as_int(-2), 0);
+  EXPECT_EQ(log[1].get("cache")->as_int(-2), 1);
+  EXPECT_EQ(num_field(log[1], "queue_us"), 0.0);
+
+  const std::vector<JsonValue> trees = read_jsonl(slow);
+  ASSERT_EQ(trees.size(), 2u);
+  const auto span_names = [](const JsonValue& tree) {
+    std::set<std::string> names;
+    for (const JsonValue& s : tree.get("spans")->items()) {
+      names.insert(s.get("name")->as_string());
+    }
+    return names;
+  };
+  EXPECT_EQ(span_names(trees[0]).count("queue"), 1u) << "the miss queued";
+  EXPECT_EQ(span_names(trees[1]),
+            (std::set<std::string>{"request", "parse", "eval", "cache",
+                                   "write"}));
+
+  // Only the queued miss observed into serve.phase.queue_us.
+  std::ostringstream os;
+  reg.write_jsonl(os);
+  std::istringstream lines(os.str());
+  long queue_count = -1;
+  for (std::string line; std::getline(lines, line);) {
+    const auto m = parse_json(line);
+    if (m.has_value() && m->get("metric") != nullptr &&
+        m->get("metric")->as_string() == "serve.phase.queue_us") {
+      queue_count = m->get("count")->as_int(-1);
+    }
+  }
+  EXPECT_EQ(queue_count, 1);
+}
+
 TEST(Telemetry, BatchModeHandleLineLogsParseAndEvalPhases) {
   const std::string access = temp_file("telemetry_batch_access.jsonl");
   obs::Registry reg;

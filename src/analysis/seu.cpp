@@ -270,7 +270,7 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   }
 
   // Backend selection: compiled and bitsliced requests replay each upset
-  // on the upset-replay engine (one per worker, below) where its
+  // on the upset-replay engine (one, shared by the workers) where its
   // guarantees hold (fast_path_covers, from the lint guard walk: each
   // piece's baseline eval and identical rerun over the workload);
   // everything else — and every kInterpreted request — runs the legacy
@@ -383,48 +383,31 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   };
 
   const fp::u64 frac_mask = fmt.frac_mask();
-  // Resolved once: the per-worker engine slots below are indexed by
-  // worker.
-  const int threads = exec::resolve_threads(camp.threads);
-  struct WorkerBatch {
-    std::optional<rtl::Evaluator> ev;
-    std::vector<rtl::LatchUpset> upsets;
-    std::vector<rtl::UpsetTrial> verdicts;
-  };
-  std::vector<WorkerBatch> batches(fast ? static_cast<std::size_t>(threads)
-                                        : 0);
+  // Compiled / bitsliced fast path: one engine, shared by every worker.
+  std::optional<rtl::Evaluator> engine;
+  if (fast) {
+    engine.emplace(probe.pieces(), probe.plan(), units::detail::kLaneResult,
+                   clean.clean);
+  }
   const exec::GridResult grid = exec::parallel_for_grid(
-      count, threads,
-      [&](int worker, std::size_t begin, std::size_t end) {
+      count, exec::resolve_threads(camp.threads),
+      [&](int, std::size_t begin, std::size_t end) {
         if (fast) {
-          // Compiled / bitsliced fast path: one engine per worker, each
-          // chunk batched through trials().
           const rtl::CleanRun& run = *clean.clean;
-          WorkerBatch& b = batches[static_cast<std::size_t>(worker)];
-          if (!b.ev) {
-            b.ev.emplace(probe.pieces(), probe.plan(),
-                         units::detail::kLaneResult, clean.clean);
-          }
-          const std::size_t nt = end - begin;
-          b.upsets.resize(nt);
-          b.verdicts.resize(nt);
           for (std::size_t i = begin; i < end; ++i) {
             const fault::Fault& f = faults[i];
-            b.upsets[i - begin] =
-                rtl::LatchUpset{f.cycle, f.index, f.lane, f.bit};
-          }
-          b.ev->trials(b.upsets.data(), b.verdicts.data(), nt);
-          for (std::size_t i = begin; i < end; ++i) {
-            const rtl::UpsetTrial& v = b.verdicts[i - begin];
-            const long vec = faults[i].cycle - faults[i].index;
+            const rtl::LatchUpset upset{f.cycle, f.index, f.lane, f.bit};
+            rtl::UpsetTrial v;
+            engine->trials(&upset, &v, 1);
             const fp::u64 clean_result =
-                v.struck ? run.state(static_cast<int>(vec), run.stages - 1)
+                v.struck ? run.state(static_cast<int>(f.cycle - f.index),
+                                     run.stages - 1)
                                .lane[units::detail::kLaneResult]
                          : 0;
             trials[i] =
                 map_fast_trial(v, camp.scheme, clean_result, frac_mask);
           }
-          progress.tick(static_cast<long>(nt));
+          progress.tick(static_cast<long>(end - begin));
           return;
         }
         fault::HardenedUnit hardened = proto->clone();

@@ -272,10 +272,12 @@ struct MatmulSeuConfig {
   /// Requested evaluation backend; kAuto resolves like the unit campaign's.
   /// kCompiled and kBitsliced take the kernel fast path
   /// (kernel::MatmulReplay): a trial steps only the struck PE, resuming
-  /// from the golden snapshot before the fault and stopping once the PE
-  /// is back in its golden state; the PE's units still step interpreted
-  /// pipelines. kInterpreted re-runs the whole array per trial, the
-  /// reference. Both give bit-identical tallies and checkpoint bytes.
+  /// from the golden snapshot before the fault and stopping once the PE's
+  /// datapath is back in its golden state — ECC-repaired trials included,
+  /// their counters reported as golden deltas; the PE's units still step
+  /// interpreted pipelines. kInterpreted re-runs the whole array per
+  /// trial, the reference. Both give bit-identical tallies and checkpoint
+  /// bytes.
   rtl::EvalBackend backend = rtl::EvalBackend::kAuto;
 };
 

@@ -11,7 +11,6 @@
 #include <unistd.h>  // fsync, fileno
 #endif
 
-#include "fault/campaign.hpp"
 #include "obs/metrics.hpp"
 
 namespace flopsim::fault {
@@ -62,40 +61,6 @@ std::string SpecHash::hex() const {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(h_));
   return buf;
-}
-
-std::uint64_t hash_campaign_spec(const CampaignSpec& spec) {
-  SpecHash h;
-  h.str("CampaignSpec");
-  h.i64(static_cast<long long>(spec.source));
-  h.u64(spec.seed);
-  h.i64(spec.horizon);
-  h.i64(spec.count);
-  h.f64(spec.rate);
-  h.i64(spec.rows);
-  h.i64(spec.word_bits);
-  h.i64(spec.scrub_period_cycles);
-  h.i64(spec.mask_bits);
-  h.i64(static_cast<long long>(spec.faults.size()));
-  for (const Fault& f : spec.faults) {
-    h.i64(f.cycle)
-        .i64(static_cast<long long>(f.site))
-        .i64(f.index)
-        .i64(f.lane)
-        .i64(f.bit)
-        .u64(f.mask)
-        .u64(f.stuck)
-        .i64(f.repair_cycle);
-  }
-  if (spec.profile != nullptr) {
-    h.i64(spec.profile->stages());
-    for (const auto& stage : spec.profile->occupied) {
-      for (const fp::u64 mask : stage) h.u64(mask);
-    }
-    h.i64(spec.profile->include_valid ? 1 : 0);
-    h.i64(spec.profile->include_flags ? 1 : 0);
-  }
-  return h.value();
 }
 
 std::string checkpoint_path(const std::string& dir,

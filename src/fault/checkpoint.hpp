@@ -40,8 +40,6 @@
 
 namespace flopsim::fault {
 
-struct CampaignSpec;
-
 /// FNV-1a 64-bit accumulator for content-addressing campaign specs. Field
 /// order matters: hash the same fields in the same order to get the same
 /// key on every platform.
@@ -59,11 +57,6 @@ class SpecHash {
  private:
   std::uint64_t h_ = 0xcbf29ce484222325ull;  // FNV offset basis
 };
-
-/// Content hash of a CampaignSpec: source, seed, horizon, counts, rates,
-/// geometry, the explicit fault list (kList), and the profile's occupied
-/// bits when present. Equal specs hash equal on every platform.
-std::uint64_t hash_campaign_spec(const CampaignSpec& spec);
 
 /// Sidecar path for a spec hash under a checkpoint directory.
 std::string checkpoint_path(const std::string& dir, std::uint64_t spec_hash);

@@ -156,15 +156,23 @@ MatmulReplay::Verdict MatmulReplay::replay(ProcessingElement& pe, int j,
   pe.restore(g.snapshots[from]);
   Verdict v;
   for (long t = start; t < cycles_; ++t) {
-    // Past the fault's last active cycle, a state equal to the golden one
-    // evolves exactly as the golden run did: the trial is masked.
-    if (t > last_active && t % kSnapshotInterval == 0 &&
-        pe.matches(g.snapshots[static_cast<std::size_t>(
-            t / kSnapshotInterval)])) {
-      v.ecc_corrections = g.ecc_corrections;
-      v.ecc_detections = g.ecc_detections;
-      v.cycles_stepped = t - start;
-      return v;
+    // Past the fault's last active cycle, a datapath equal to the golden
+    // one evolves exactly as the golden run did, so the output is the
+    // golden one. The ECC counters stay out of the comparison (step()
+    // never reads them), so a repaired trial rejoins too; from here each
+    // counter gains what the golden run gains, which puts it at the golden
+    // final plus what this trial has counted beyond the snapshot.
+    if (t > last_active && t % kSnapshotInterval == 0) {
+      const ProcessingElement::State& snap =
+          g.snapshots[static_cast<std::size_t>(t / kSnapshotInterval)];
+      if (pe.matches_datapath(snap)) {
+        v.ecc_corrections =
+            g.ecc_corrections + (pe.ecc_corrections() - snap.ecc_corrections);
+        v.ecc_detections =
+            g.ecc_detections + (pe.ecc_detections() - snap.ecc_detections);
+        v.cycles_stepped = t - start;
+        return v;
+      }
     }
     pe.step(scheduled_issue(sched_, a_, b_, j, t));
   }

@@ -100,8 +100,12 @@ class LinearArrayMatmul {
 /// it. record() runs that golden pass for one PE and snapshots its whole
 /// state every kSnapshotInterval cycles; replay() re-runs one PE under a
 /// fault from the last snapshot at or before the fault, and stops early
-/// once the fault can no longer act and the state equals the golden
-/// snapshot for that cycle.
+/// — it rejoins the golden run — once the fault can no longer act and the
+/// PE's datapath equals the golden snapshot for that cycle
+/// (ProcessingElement::matches_datapath). The two ECC counters are left
+/// out of that comparison, so a trial whose upset the corrector repaired
+/// rejoins as well; its verdict reports each counter as the golden final
+/// plus what the trial counted beyond the snapshot.
 class MatmulReplay {
  public:
   static constexpr long kSnapshotInterval = 16;

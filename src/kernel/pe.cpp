@@ -270,11 +270,10 @@ void ProcessingElement::restore(const State& s) {
   flags_ = s.flags;
 }
 
-bool ProcessingElement::matches(const State& s) const {
+bool ProcessingElement::matches_datapath(const State& s) const {
   return cycles_ == s.cycles && in_flight_ == s.in_flight &&
          flags_ == s.flags && mac_issues_ == s.mac_issues &&
-         hazards_ == s.hazards && ecc_corrections_ == s.ecc_corrections &&
-         ecc_detections_ == s.ecc_detections &&
+         hazards_ == s.hazards &&
          s.units.size() == (mac_.has_value() ? 3u : 2u) &&
          mult_.sim().matches(s.units[0]) &&
          adder_.sim().matches(s.units[1]) &&
@@ -284,6 +283,11 @@ bool ProcessingElement::matches(const State& s) const {
          std::ranges::equal(s.adder_rows, adder_rows_) &&
          is_prefix(s.acc, acc_) && is_prefix(s.acc_check, acc_check_) &&
          is_prefix(s.pending_writes, pending_writes_);
+}
+
+bool ProcessingElement::matches(const State& s) const {
+  return matches_datapath(s) && ecc_corrections_ == s.ecc_corrections &&
+         ecc_detections_ == s.ecc_detections;
 }
 
 device::Resources ProcessingElement::mac_resources() const {

@@ -132,6 +132,11 @@ class ProcessingElement {
   void restore(const State& s);
   /// Whether the PE holds exactly `s` (over s's rows).
   bool matches(const State& s) const;
+  /// matches() without the two ECC counters: everything step() reads.
+  /// step() only ever adds to ecc_corrections and ecc_detections and
+  /// never reads them, so two PEs that match here evolve alike from now
+  /// on, and their counters keep the difference they have now.
+  bool matches_datapath(const State& s) const;
 
   /// Attach (or detach with nullptr) the end-of-cycle storage observer.
   /// Not owned; survives clear().

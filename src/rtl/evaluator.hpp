@@ -4,18 +4,12 @@
 // bit at this (cycle, stage); what reaches the output register?" Every
 // trial of one campaign shares the workload and its clean run, so the
 // answer needs only the struck vector's clean state at the struck stage
-// and the stages after it:
-//
-//   * a trial copies the clean stage-boundary state B[v][s] of the vector
-//     v = cycle - stage it struck, flips the bit, and replays the chain's
-//     pieces of stages s+1 .. S-1 — chain[plan.stage_begin[st] ..
-//     stage_begin[st+1]), the ranges PipelineSim::step walks, behind the
-//     same per-stage valid gate — then compares the observables (valid,
-//     result lane, flags) with the clean output;
-//   * trials run in blocks of up to 64, op-major: each piece of a stage is
-//     fetched once and applied to every live trial of the block. Pieces
-//     stay word-level functions, so the slicing is across trials, not
-//     inside the piece arithmetic.
+// and the stages after it. A trial copies the clean stage-boundary state
+// B[v][s] of the vector v = cycle - stage it struck, flips the bit, runs
+// stages s+1 .. S-1 on that one bundle through rtl::run_stage — the stage
+// walk PipelineSim::step uses, behind the same per-stage valid gate — and
+// compares the observables (valid, result lane, flags) with the clean
+// output. Upsets replay one at a time; there are no trial blocks.
 //
 // The engine runs every piece PipelineSim runs, in its order, so its
 // verdicts equal a full re-simulation's by construction, on faulty states
@@ -24,12 +18,11 @@
 //
 // The clean run (CleanRun) is recorded once by whoever stepped the clean
 // pipeline (a unit campaign records it in its golden loop,
-// fault::record_clean_unit_run) and shared, immutable, by every worker's
-// engine. An engine is not safe for concurrent calls: each worker builds
-// its own, which costs one shared_ptr copy and no simulation.
+// fault::record_clean_unit_run) and shared, immutable, by the engine. An
+// engine holds nothing a trial writes, so trials() is const and one
+// engine serves every worker of a campaign at once.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -122,15 +115,16 @@ class Evaluator {
   Evaluator(const PieceChain& chain, const PipelinePlan& plan,
             int result_lane, std::shared_ptr<const CleanRun> run);
 
-  /// Answer `n` upsets into out[0..n), 64 at a time.
-  void trials(const LatchUpset* upsets, UpsetTrial* out, std::size_t n);
+  /// Answer `n` upsets into out[0..n), one upset at a time. Safe to call
+  /// concurrently.
+  void trials(const LatchUpset* upsets, UpsetTrial* out,
+              std::size_t n) const;
 
  private:
   const PieceChain* chain_;
   const PipelinePlan* plan_;
   int result_lane_;
   std::shared_ptr<const CleanRun> run_;
-  std::array<SignalSet, 64> slot_{};
 };
 
 }  // namespace flopsim::rtl

@@ -38,6 +38,19 @@ struct PipelinePlan {
   int stages() const { return static_cast<int>(stage_begin.size()) - 1; }
 };
 
+/// Evaluate stage `s` of `plan` on `bundle` in place: the pieces
+/// chain[plan.stage_begin[s] .. stage_begin[s+1]), in chain order. The one
+/// loop over a stage's pieces — PipelineSim::step and the upset-replay
+/// engine (evaluator.hpp) both walk their stages through it, so the two
+/// cannot drift apart. The caller applies the valid gate.
+inline void run_stage(const PieceChain& chain, const PipelinePlan& plan,
+                      int s, SignalSet& bundle) {
+  const auto st = static_cast<std::size_t>(s);
+  for (int i = plan.stage_begin[st]; i < plan.stage_begin[st + 1]; ++i) {
+    chain[static_cast<std::size_t>(i)].eval(bundle);
+  }
+}
+
 /// Maximum legal depth of a chain: one stage per cuttable boundary plus one.
 int max_stages(const PieceChain& chain);
 

@@ -15,22 +15,21 @@ PipelineSim::PipelineSim(const PieceChain* chain, PipelinePlan plan)
 
 void PipelineSim::step(const std::optional<SignalSet>& input) {
   // Evaluate stages back-to-front so each stage consumes the upstream
-  // latch's pre-edge value — i.e. true synchronous behaviour.
+  // latch's pre-edge value — i.e. true synchronous behaviour. A stage
+  // loads that value into its own latch and evaluates it there: one
+  // bundle move per stage.
   for (int s = plan_.stages() - 1; s >= 0; --s) {
-    SignalSet work;
-    if (s == 0) {
-      work = input.value_or(SignalSet{});
+    SignalSet& latch = latch_[static_cast<std::size_t>(s)];
+    if (s > 0) {
+      latch = latch_[static_cast<std::size_t>(s) - 1];
+    } else if (input.has_value()) {
+      latch = *input;
     } else {
-      work = latch_[s - 1];
+      latch = SignalSet{};
     }
-    if (work.valid) {
-      for (int i = plan_.stage_begin[s]; i < plan_.stage_begin[s + 1]; ++i) {
-        (*chain_)[i].eval(work);
-      }
-    }
-    latch_[s] = work;
-    if (observer_ != nullptr) observer_->on_latch(cycles_, s, latch_[s]);
-    if (latch_[s].valid) ++valid_cycles_[static_cast<std::size_t>(s)];
+    if (latch.valid) run_stage(*chain_, plan_, s, latch);
+    if (observer_ != nullptr) observer_->on_latch(cycles_, s, latch);
+    if (latch.valid) ++valid_cycles_[static_cast<std::size_t>(s)];
   }
   ++cycles_;
 }

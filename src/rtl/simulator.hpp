@@ -1,10 +1,12 @@
 // Cycle-accurate simulation of a pipelined piece chain.
 //
 // Each call to step() advances one clock: every stage evaluates its pieces
-// on the contents of the upstream latch, and the result is captured in its
-// own latch. Data emerges after exactly plan.stages() cycles with the DONE
-// (valid) bit set — latency is the pipeline depth, throughput one operation
-// per cycle, exactly like the paper's cores.
+// (rtl::run_stage) on the contents of the upstream latch, and the result
+// is captured in its own latch. Stages run back to front, each loading the
+// upstream latch into its own and evaluating it there, so a clock costs
+// one bundle move per stage. Data emerges after exactly plan.stages()
+// cycles with the DONE (valid) bit set — latency is the pipeline depth,
+// throughput one operation per cycle, exactly like the paper's cores.
 #pragma once
 
 #include <optional>

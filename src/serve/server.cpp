@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -92,10 +93,19 @@ Server::~Server() {
     if (t.joinable()) t.join();
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  for (const int fd : wake_) {
+    if (fd >= 0) ::close(fd);
+  }
   if (!cfg_.unix_path.empty()) ::unlink(cfg_.unix_path.c_str());
 }
 
 bool Server::start(std::string* error) {
+  // The accept loop sleeps in poll() on the listening socket and this
+  // pipe's read end; request_stop() writes one byte to wake it.
+  if (::pipe2(wake_, O_CLOEXEC | O_NONBLOCK) != 0) {
+    if (error != nullptr) *error = std::string("pipe: ") + std::strerror(errno);
+    return false;
+  }
   if (!cfg_.unix_path.empty()) {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
@@ -178,16 +188,25 @@ void Server::request_stop() {
     stopping_.store(true, std::memory_order_relaxed);
   }
   queue_cv_.notify_all();
+  if (wake_[1] >= 0) {
+    // Never drained: once written, every later poll returns at once. A
+    // full pipe already holds a wake-up, so a failed write loses nothing.
+    const char byte = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wake_[1], &byte, 1);
+  }
 }
 
 void Server::accept_loop() {
   while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int rc = ::poll(&pfd, 1, 200);
+    pollfd pfd[2]{};
+    pfd[0].fd = listen_fd_;
+    pfd[0].events = POLLIN;
+    pfd[1].fd = wake_[0];
+    pfd[1].events = POLLIN;
+    const int rc = ::poll(pfd, 2, -1);
     if (rc < 0 && errno != EINTR) break;
-    if (rc <= 0 || (pfd.revents & POLLIN) == 0) continue;
+    if (pfd[1].revents != 0) break;  // request_stop()
+    if (rc <= 0 || (pfd[0].revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;

@@ -105,7 +105,8 @@ class Server {
   /// Drains queued work before returning.
   void run();
 
-  /// Signal-handler/other-thread safe stop request.
+  /// Thread-safe stop request. Wakes the accept loop at once; run() then
+  /// drains the queue and returns.
   void request_stop();
 
   const ServerConfig& config() const { return cfg_; }
@@ -147,6 +148,8 @@ class Server {
   obs::Counter* connections_;
   obs::Gauge* queue_depth_;
   int listen_fd_ = -1;
+  /// Self-pipe (read end, write end) that wakes the accept loop's poll.
+  int wake_[2] = {-1, -1};
 
   std::atomic<bool> stopping_{false};
 

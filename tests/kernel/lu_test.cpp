@@ -37,7 +37,9 @@ Matrix dd_matrix(int n, fp::FpFormat fmt, std::uint64_t seed) {
 struct LuCase {
   int n;
   int p;
-  const char* name;
+  // Held inline, not as a pointer: gtest prints the case's raw bytes into
+  // each test name, and a pointer would make the names differ per process.
+  char name[8];
 };
 
 class LuTest : public ::testing::TestWithParam<LuCase> {};

@@ -97,6 +97,21 @@ class ReplayBench {
   long cycles() const { return clean_.cycles; }
   const ProcessingElement& pe(int j) const { return array_.pe(j); }
 
+  /// The first cycle after `after` on which PE p reads accumulator `row`
+  /// (multiplier + adder PEs): the read pairs with the product of a MAC
+  /// issued to the row as it leaves the multiplier.
+  long next_read(int p, int row, long after) const {
+    const Schedule sched = array_.schedule();
+    const long lag = array_.pe(p).mult_latency() - 1;
+    for (long t = 0; t < cycles(); ++t) {
+      const auto issue = scheduled_issue(sched, a_, b_, p, t);
+      if (issue.has_value() && issue->row == row && t + lag > after) {
+        return t + lag;
+      }
+    }
+    return -1;
+  }
+
   /// Replay fault `f` on PE p, expect the full run's verdict, and return
   /// the replay's.
   MatmulReplay::Verdict check(int p, Target target, const Fault& f) {
@@ -228,14 +243,37 @@ TEST(MatmulReplay, ConfigFaultsPersistentAndRepairedOnABoundary) {
   }
 }
 
-TEST(MatmulReplay, EccCheckBitStrikeEndsCorrectedNotMasked) {
+// A single-bit upset in a stored accumulator word that PE 1's next read of
+// the row repairs: from that read on the datapath is the golden one and
+// only the correction counter is ahead. The replay rejoins at the first
+// snapshot boundary after the read (16 cycles after it resumed, here)
+// instead of stepping to the end, and still reports the full run's
+// verdict and counters.
+void expect_repair_exits_at_the_rejoin(int bit) {
   ReplayBench bench(8, pe_config(/*ecc=*/true));
-  const Fault check_bit = accumulator_fault(2, fault::kSecdedDataBits + 3, 20);
-  const MatmulReplay::Verdict v = bench.check(1, Target::kStorage, check_bit);
+  constexpr int kPe = 1;
+  constexpr int kRow = 2;
+  constexpr long kStrike = 20;
+  const long read = bench.next_read(kPe, kRow, kStrike);
+  EXPECT_GT(read, kStrike);
+  const MatmulReplay::Verdict v = bench.check(
+      kPe, Target::kStorage, accumulator_fault(kRow, bit, kStrike));
   EXPECT_FALSE(v.corrupted);
   EXPECT_EQ(v.ecc_corrections, 1);
-  EXPECT_EQ(v.cycles_stepped, bench.cycles() - kInterval)
-      << "the repaired word matches the golden one, the counter does not";
+  EXPECT_EQ(v.ecc_detections, 0);
+  const long resume = kStrike / kInterval * kInterval;
+  const long rejoin = (read / kInterval + 1) * kInterval;
+  EXPECT_EQ(v.cycles_stepped, rejoin - resume)
+      << "the repaired datapath matches the golden one from read " << read;
+  EXPECT_LT(v.cycles_stepped, bench.cycles() - resume);
+}
+
+TEST(MatmulReplay, EccCorrectedTrialExitsAtTheRejoin) {
+  expect_repair_exits_at_the_rejoin(fault::kSecdedDataBits + 3);
+}
+
+TEST(MatmulReplay, EccCorrectedDataBitTrialExitsAtTheRejoin) {
+  expect_repair_exits_at_the_rejoin(30);
 }
 
 TEST(MatmulReplay, FusedMacPeResumesMidRun) {

@@ -92,6 +92,52 @@ TEST(PeEcc, ClearResetsCountersAndChecks) {
   EXPECT_EQ(pe.ecc_corrections(), 0) << "the cleared word decodes clean";
 }
 
+// Two PEs that step the same MAC, one through an upset its read repairs,
+// differ only in the correction counter: matches_datapath ignores it (and
+// the detection counter), matches does not. A third PE whose unread row
+// holds one flipped bit fails both.
+TEST(Pe, MatchesDatapathIgnoresOnlyEccCounters) {
+  ProcessingElement clean(ecc_config());
+  ProcessingElement repaired(ecc_config());
+  ProcessingElement struck(ecc_config());
+  BitFlipper into_read_row;
+  into_read_row.row = 2;
+  into_read_row.bits = {17};
+  BitFlipper into_unread_row;
+  into_unread_row.row = 5;
+  into_unread_row.bits = {3};
+  repaired.set_storage_observer(&into_read_row);
+  struck.set_storage_observer(&into_unread_row);
+  for (ProcessingElement* pe : {&clean, &repaired, &struck}) {
+    pe->set_acc(2, 0x3F800000u);  // 1.0
+    for (int t = 0; t < 8; ++t) {
+      // The MAC issued on cycle 1 reads row 2 once its product leaves the
+      // multiplier, after the cycle-0 strike.
+      pe->step(t == 1 ? std::optional(ProcessingElement::MacIssue{
+                            0x40000000u, 0x40400000u, 2})  // 2.0 * 3.0
+                      : std::nullopt);
+    }
+    ASSERT_TRUE(pe->drained());
+  }
+  ASSERT_EQ(repaired.ecc_corrections(), 1);
+  ASSERT_EQ(clean.ecc_corrections(), 0);
+  ASSERT_EQ(struck.ecc_corrections(), 0);
+
+  const int rows = ecc_config().storage_rows;
+  const ProcessingElement::State golden = clean.save(rows);
+  ASSERT_TRUE(clean.matches(golden));
+  EXPECT_TRUE(repaired.matches_datapath(golden));
+  EXPECT_FALSE(repaired.matches(golden));
+
+  ProcessingElement::State detected = golden;
+  detected.ecc_detections = 1;
+  EXPECT_TRUE(clean.matches_datapath(detected));
+  EXPECT_FALSE(clean.matches(detected));
+
+  EXPECT_FALSE(struck.matches_datapath(golden));
+  EXPECT_FALSE(struck.matches(golden));
+}
+
 TEST(PeEcc, EccChargesStorageAreaButNoExtraBram) {
   PeConfig plain = ecc_config();
   plain.ecc_accumulators = false;

@@ -4,7 +4,8 @@
 // admission queue rejecting with status 75 under flood, cache hits
 // answered on the reader thread (even with the queue full), the counted
 // line cap, replay-twice byte identity through the cache, and shutdown
-// via request. Threaded end to end, so the suite rides in the tsan sweep.
+// via request or request_stop(), which wakes the accept loop at once.
+// Threaded end to end, so the suite rides in the tsan sweep.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -544,6 +545,24 @@ TEST(Server, ShutdownRequestStopsTheServer) {
   ASSERT_TRUE(c.recv_line(&response));
   EXPECT_EQ(status_of(response), 0);
   runner.join();  // run() must return on its own — no request_stop() here
+}
+
+// request_stop() wakes the accept loop at once, so a server stops as soon
+// as its queue drains: twenty start / ping / stop / join cycles fit in a
+// second (a loop that polled for the stop would wait out its timeout on
+// every one).
+TEST(Server, StopWakesTheAcceptLoop) {
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) {
+    Harness h(/*workers=*/1);
+    ASSERT_TRUE(h.ok());
+    Client c = h.connect();
+    ASSERT_TRUE(c.send_line("{\"id\": 1, \"type\": \"ping\"}"));
+    std::string response;
+    ASSERT_TRUE(c.recv_line(&response));
+    EXPECT_EQ(status_of(response), 0);
+  }  // ~Harness: request_stop(), then join run()
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
 TEST(Server, TcpLoopbackWorksToo) {

@@ -2,6 +2,7 @@
 // never reorder, drop, or corrupt results in any unit at any depth.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 
 #include "fp/ops.hpp"
@@ -13,8 +14,11 @@ namespace {
 
 struct StressCase {
   UnitKind kind;
-  int stages;
-  const char* name;
+  std::int16_t stages;
+  // Held inline, not as a pointer: gtest prints the case's raw bytes into
+  // each test name, and a pointer would make the names differ per process.
+  // With 16-bit stages the longest name fits in the case's 16 bytes.
+  char name[10];
 };
 
 class BubbleStressTest : public ::testing::TestWithParam<StressCase> {};

@@ -393,7 +393,12 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
       count, exec::resolve_threads(camp.threads),
       [&](int, std::size_t begin, std::size_t end) {
         if (fast) {
+          // Verdicts gather in a chunk-local buffer and land in one copy:
+          // neighbouring chunks belong to other workers (the grid deals
+          // them round-robin), and a chunk's 3-byte slots share cache
+          // lines with theirs.
           const rtl::CleanRun& run = *clean.clean;
+          std::vector<UnitTrial> local(end - begin);
           for (std::size_t i = begin; i < end; ++i) {
             const fault::Fault& f = faults[i];
             const rtl::LatchUpset upset{f.cycle, f.index, f.lane, f.bit};
@@ -404,9 +409,11 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
                                      run.stages - 1)
                                .lane[units::detail::kLaneResult]
                          : 0;
-            trials[i] =
+            local[i - begin] =
                 map_fast_trial(v, camp.scheme, clean_result, frac_mask);
           }
+          std::copy(local.begin(), local.end(),
+                    trials.begin() + static_cast<std::ptrdiff_t>(begin));
           progress.tick(static_cast<long>(end - begin));
           return;
         }
@@ -851,15 +858,12 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
 
   auto draw_span = tracer.span("draw", "campaign");
 
-  // Latch-fault sample spaces for the PE's two units.
-  const units::FpUnit mult_probe(units::UnitKind::kMultiplier, cfg.fmt,
-                                 cfg.mult_config());
-  const units::FpUnit add_probe(units::UnitKind::kAdder, cfg.fmt,
-                                cfg.adder_config());
-  const fault::LatchProfile mult_profile =
-      fault::profile_unit_latches(mult_probe, 24, camp.seed + 2);
+  // Latch-fault sample spaces for the PE's two units (profiled on clones
+  // of the golden PE's units: the array's PEs share cfg's unit configs).
+  const fault::LatchProfile mult_profile = fault::profile_unit_latches(
+      array.pe(0).multiplier(), 24, camp.seed + 2);
   const fault::LatchProfile add_profile =
-      fault::profile_unit_latches(add_probe, 24, camp.seed + 3);
+      fault::profile_unit_latches(array.pe(0).adder(), 24, camp.seed + 3);
 
   // Pre-draw the complete fault list before any trial runs (the
   // determinism anchor for the parallel trial loop below).
@@ -995,12 +999,14 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   exec::CancelToken* cancel =
       control.cancel != nullptr ? control.cancel : &local_token;
 
-  // Trial loop. The fast path replays the struck PE on the worker's own
-  // PE; the reference re-runs the whole kernel on the worker's own array
-  // replica (run() clears every PE first, so a replica's trial is
-  // bit-identical to the legacy reuse of one array). Either is built on
-  // the worker's first chunk and kept for the campaign; worker 0's
-  // replica is the golden array. Verdicts land in per-fault slots.
+  // Trial loop. The fast path answers an accumulator upset from the
+  // golden op log (MatmulReplay::accumulator_upset) and replays every
+  // other upset on the worker's own PE; the reference re-runs the whole
+  // kernel on the worker's own array replica (run() clears every PE
+  // first, so a replica's trial is bit-identical to the legacy reuse of
+  // one array). Either structure is cloned on the worker's first chunk
+  // that needs it and kept for the campaign; worker 0's replica is the
+  // golden array. Verdicts land in per-fault slots.
   obs::ProgressReporter progress("matmul campaign",
                                  static_cast<long>(count));
   for (long i = 0; i < done_trials; ++i) progress.tick();
@@ -1046,22 +1052,29 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
         const std::size_t slot = static_cast<std::size_t>(worker);
         for (std::size_t i = begin; i < end; ++i) {
           const PeFault& pf = faults[i];
-          fault::FaultInjector injector({pf.fault});
           KernelTrial& trial = trials[i];
           if (replay) {
-            if (!worker_pes[slot]) {
-              worker_pes[slot].emplace(array.pe(0).config());
+            std::optional<kernel::MatmulReplay::Verdict> v;
+            if (pf.target == PeFault::kAccumulator) {
+              v = replay->accumulator_upset(pf.pe, pf.fault.cycle,
+                                            pf.fault.index, pf.fault.bit);
             }
-            kernel::ProcessingElement& pe = *worker_pes[slot];
-            attach_fault(pe, pf.target, &injector);
-            const kernel::MatmulReplay::Verdict v =
-                replay->replay(pe, pf.pe, pf.fault.cycle,
-                               fault::last_active_cycle(pf.fault));
-            attach_fault(pe, pf.target, nullptr);
-            trial.corrupted = v.corrupted;
-            trial.ecc_detected = v.ecc_detections > 0;
-            trial.ecc_corrected = v.ecc_corrections > 0;
+            if (!v) {
+              if (!worker_pes[slot]) {
+                worker_pes[slot].emplace(array.pe(0).clone());
+              }
+              kernel::ProcessingElement& pe = *worker_pes[slot];
+              fault::FaultInjector injector({pf.fault});
+              attach_fault(pe, pf.target, &injector);
+              v = replay->replay(pe, pf.pe, pf.fault.cycle,
+                                 fault::last_active_cycle(pf.fault));
+              attach_fault(pe, pf.target, nullptr);
+            }
+            trial.corrupted = v->corrupted;
+            trial.ecc_detected = v->ecc_detections > 0;
+            trial.ecc_corrected = v->ecc_corrections > 0;
           } else {
+            fault::FaultInjector injector({pf.fault});
             if (worker != 0 && !replicas[slot]) {
               replicas[slot].emplace(array.clone());
             }

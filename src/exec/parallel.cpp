@@ -258,12 +258,17 @@ GridResult parallel_for_grid(std::size_t count, int threads,
   std::size_t completed = 0;
   std::size_t skipped = 0;
 
-  // Each worker owns a contiguous span of grid chunks (static assignment,
-  // same discipline as run_chunked) and walks it chunk by chunk, checking
-  // the skip set and the cancellation token between chunks.
-  const ThreadPool::ChunkFn span_fn = [&](int worker, std::size_t cb,
-                                          std::size_t ce) {
-    for (std::size_t c = cb; c < ce; ++c) {
+  // Worker w of t runs grid chunks w, w + t, w + 2t, ... (a static
+  // round-robin deal: never stolen, never rebalanced), checking the skip
+  // set and the cancellation token between chunks. Dealing, not cutting
+  // contiguous spans, spreads a list whose cost varies along it (a
+  // campaign draws its cheap trials first) over every worker.
+  const int t = grid_threads(nchunks, threads);
+  const auto stride = static_cast<std::size_t>(t);
+  const ThreadPool::ChunkFn deal_fn = [&](int worker, std::size_t,
+                                          std::size_t) {
+    for (std::size_t c = static_cast<std::size_t>(worker); c < nchunks;
+         c += stride) {
       if (opts.skip != nullptr && (*opts.skip)[c] != 0) {
         std::lock_guard<std::mutex> lk(done_mutex);
         result.done[c] = 1;
@@ -281,11 +286,12 @@ GridResult parallel_for_grid(std::size_t count, int threads,
     }
   };
 
-  const int t = grid_threads(nchunks, threads);
   if (t <= 1) {
-    run_chunk_traced(span_fn, 0, 0, nchunks);
+    run_chunk_traced(deal_fn, 0, 0, nchunks);
   } else {
-    run_on_parked_pool(t, nchunks, span_fn);
+    // One pool chunk per worker: worker w is handed [w, w + 1) and deals
+    // itself its grid chunks.
+    run_on_parked_pool(t, stride, deal_fn);
   }
   result.completed = completed;
   result.skipped = skipped;

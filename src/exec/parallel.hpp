@@ -10,8 +10,9 @@
 //
 //  * Work is split into contiguous chunks of [0, count) whose boundaries
 //    are a pure function of (count, chunk size), or of (count, threads)
-//    when no chunk size is given; each worker owns a contiguous span of
-//    chunks by index (never stolen, never rebalanced).
+//    when no chunk size is given; worker w of T runs chunks w, w + T,
+//    w + 2T, ... (dealt round-robin by index, never stolen, never
+//    rebalanced).
 //  * Workers only write per-index slots the caller pre-sized; the caller
 //    reduces those slots in index (fault-list) order afterwards, never in
 //    arrival order.
@@ -99,11 +100,11 @@ class ThreadPool {
 //
 // A checkpointed campaign resumed at a different --threads= must re-run
 // the *same* remaining chunks, so the grid fixes the chunk boundaries by
-// an explicit chunk size — a pure function of (count, chunk) — and
-// distributes contiguous spans of grid chunks across the pool's static
-// workers. Per-trial slot writes and the caller's ordered reduction keep
-// results bit-identical at any thread count, for any chunk size, and
-// across any interrupt/resume split.
+// an explicit chunk size — a pure function of (count, chunk) — and deals
+// the grid chunks round-robin across the pool's static workers (chunk c
+// runs on worker c mod T). Per-trial slot writes and the caller's ordered
+// reduction keep results bit-identical at any thread count, for any chunk
+// size, and across any interrupt/resume split.
 
 struct GridOptions {
   /// Trials per grid chunk. 0 = one chunk per effective worker, never
@@ -143,7 +144,7 @@ std::size_t grid_chunk_count(std::size_t count, int threads,
                              std::size_t chunk);
 
 /// Run fn over the static chunk grid: fn(worker, begin, end) once per
-/// grid chunk, contiguous chunk spans assigned per worker, chunk
+/// grid chunk, chunk c on worker c mod T (T effective workers), chunk
 /// boundaries independent of the thread count when opts.chunk > 0.
 /// Runs on a parked pool; serial (inline, no pool) with one effective
 /// worker.

@@ -133,7 +133,9 @@ CheckpointLoad load_checkpoint(const std::string& path) {
 CheckpointWriter::CheckpointWriter(std::string path, std::uint64_t spec_hash,
                                    std::size_t count, std::size_t chunk,
                                    long fsync_interval, bool fresh)
-    : path_(std::move(path)), fsync_interval_(fsync_interval) {
+    : path_(std::move(path)),
+      fsync_interval_(fsync_interval),
+      written_(chunk == 0 ? 0 : (count + chunk - 1) / chunk, 0) {
   std::error_code ec;  // best-effort; open failure is reported below
   const std::filesystem::path parent =
       std::filesystem::path(path_).parent_path();
@@ -155,7 +157,7 @@ CheckpointWriter::CheckpointWriter(std::string path, std::uint64_t spec_hash,
       return;
     }
     dirty_ = true;
-    flush();  // a resumable file exists before any trial runs
+    sync();  // a resumable file exists before any trial runs
   }
 }
 
@@ -176,6 +178,27 @@ void CheckpointWriter::fail(const char* what) {
 void CheckpointWriter::append(std::size_t chunk_index,
                               const std::vector<std::uint8_t>& data) {
   if (file_ == nullptr) return;
+  if (chunk_index != next_) {
+    held_[chunk_index] = data;
+    return;
+  }
+  write(chunk_index, data);
+  // Write the held successors this chunk was waiting for.
+  while (next_ < written_.size()) {
+    if (written_[next_] != 0) {
+      ++next_;
+      continue;
+    }
+    const auto it = held_.find(next_);
+    if (it == held_.end()) break;
+    write(it->first, it->second);
+    held_.erase(it);
+  }
+}
+
+void CheckpointWriter::write(std::size_t chunk_index,
+                             const std::vector<std::uint8_t>& data) {
+  if (file_ == nullptr) return;
   const auto t0 = std::chrono::steady_clock::now();
   std::string record = "c " + std::to_string(chunk_index) + " ";
   record.reserve(record.size() + 2 * data.size() + 1);
@@ -189,10 +212,12 @@ void CheckpointWriter::append(std::size_t chunk_index,
     fail("append");
     return;
   }
+  if (chunk_index < written_.size()) written_[chunk_index] = 1;
+  if (chunk_index == next_) ++next_;
   dirty_ = true;
   ++appends_since_sync_;
   if (fsync_interval_ > 0 && appends_since_sync_ >= fsync_interval_) {
-    flush();
+    sync();
   }
   obs::Registry& reg = obs::Registry::global();
   reg.counter("checkpoint.appends").inc();
@@ -204,6 +229,14 @@ void CheckpointWriter::append(std::size_t chunk_index,
 }
 
 void CheckpointWriter::flush() {
+  // A cancelled or finished grid: what is still held goes out in index
+  // order, gaps and all (the gaps are the chunks a resume re-runs).
+  for (const auto& [index, data] : held_) write(index, data);
+  held_.clear();
+  sync();
+}
+
+void CheckpointWriter::sync() {
   if (file_ == nullptr || !dirty_) return;
   if (std::fflush(file_) != 0) {
     fail("flush");

@@ -24,10 +24,15 @@
 //   ...
 //
 // A crash can only tear the final line; the loader stops at the first
-// malformed line and keeps everything before it. Appends are fsync'd
-// every `fsync_interval` chunks (and at close), trading durability
-// window against write latency — the obs registry records both the
-// append latency histogram and the fsync count.
+// malformed line and keeps everything before it. Chunk lines go out in
+// grid order whatever order the workers finish in: the writer holds a
+// finished chunk until every lower chunk has been written (or restored),
+// and writes whatever it still holds, in index order, at flush and close.
+// So a sidecar's bytes do not depend on the thread count. Written lines
+// are fsync'd every `fsync_interval` chunks (and at close), trading
+// durability window against write latency — the obs registry records
+// both the append latency histogram and the fsync count. A held chunk is
+// not on disk yet: a run killed with chunks held redoes them on resume.
 #pragma once
 
 #include <cstdint>
@@ -75,10 +80,11 @@ struct CheckpointLoad {
 /// kept. Chunk indices at or beyond the grid are dropped.
 CheckpointLoad load_checkpoint(const std::string& path);
 
-/// Append-only sidecar writer. Thread-compatible, not thread-safe: the
-/// grid engine serializes on_chunk_done callbacks, which is where appends
-/// happen. I/O errors warn once on stderr and latch ok()==false; the
-/// campaign keeps running (losing the checkpoint must never lose the run).
+/// Append-only sidecar writer, in grid order. Thread-compatible, not
+/// thread-safe: the grid engine serializes on_chunk_done callbacks, which
+/// is where appends happen. I/O errors warn once on stderr and latch
+/// ok()==false; the campaign keeps running (losing the checkpoint must
+/// never lose the run).
 class CheckpointWriter {
  public:
   /// Open `path` for appending. When `fresh`, truncate and write a new
@@ -93,13 +99,18 @@ class CheckpointWriter {
 
   bool ok() const { return file_ != nullptr; }
 
-  /// Append one finished chunk's encoded verdicts and maybe fsync.
+  /// Hand over one finished chunk's encoded verdicts. It is written (and
+  /// maybe fsync'd) once every lower chunk has been written; until then
+  /// it is held.
   void append(std::size_t chunk_index, const std::vector<std::uint8_t>& data);
 
-  /// fflush + fsync now (also called by the destructor).
+  /// Write every held chunk in index order, then fflush + fsync (also
+  /// called by the destructor).
   void flush();
 
  private:
+  void write(std::size_t chunk_index, const std::vector<std::uint8_t>& data);
+  void sync();
   void fail(const char* what);
 
   std::string path_;
@@ -107,6 +118,9 @@ class CheckpointWriter {
   long fsync_interval_;
   long appends_since_sync_ = 0;
   bool dirty_ = false;
+  std::size_t next_ = 0;            ///< lowest chunk not yet written
+  std::vector<char> written_;       ///< per grid chunk
+  std::map<std::size_t, std::vector<std::uint8_t>> held_;
 };
 
 /// Atomically (re)write the sidecar at `path`: a fresh header plus

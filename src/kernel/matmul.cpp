@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "fault/secded.hpp"
 #include "fp/ops.hpp"
 
 namespace flopsim::kernel {
@@ -28,16 +29,33 @@ Matrix matrix_from_doubles(const std::vector<double>& vals, int n,
   return m;
 }
 
-LinearArrayMatmul::LinearArrayMatmul(int n, const PeConfig& cfg)
-    : n_(n), cfg_(cfg) {
+namespace {
+
+/// The array's first PE: built at cfg, its storage widened to cover the
+/// padded row range. Every PE of an array is a clone of it.
+ProcessingElement first_pe(int n, const PeConfig& cfg) {
   if (n <= 0) throw std::invalid_argument("LinearArrayMatmul: n must be > 0");
-  PeConfig pe_cfg = cfg;
-  // Storage must cover the padded row range.
-  const ProcessingElement probe(pe_cfg);
-  pe_cfg.storage_rows =
-      std::max(cfg.storage_rows, n + probe.total_latency() + 8);
+  const ProcessingElement probe(cfg);
+  return probe.clone(
+      std::max(cfg.storage_rows, n + probe.total_latency() + 8));
+}
+
+}  // namespace
+
+LinearArrayMatmul::LinearArrayMatmul(int n, const PeConfig& cfg)
+    : LinearArrayMatmul(n, cfg, first_pe(n, cfg)) {}
+
+LinearArrayMatmul::LinearArrayMatmul(int n, const PeConfig& cfg,
+                                     const ProcessingElement& proto)
+    : n_(n), cfg_(cfg) {
   pes_.reserve(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) pes_.emplace_back(pe_cfg);
+  for (int j = 0; j < n; ++j) pes_.push_back(proto.clone());
+}
+
+LinearArrayMatmul LinearArrayMatmul::clone() const {
+  LinearArrayMatmul copy(n_, cfg_, pes_[0]);
+  copy.pad_override_ = pad_override_;
+  return copy;
 }
 
 std::optional<ProcessingElement::MacIssue> scheduled_issue(
@@ -127,6 +145,14 @@ void MatmulReplay::record(int j) {
   Golden& g = golden_.at(static_cast<std::size_t>(j));
   pe.clear();
   g.snapshots.clear();
+  g.flags_after.assign(static_cast<std::size_t>(cycles_), 0);
+  AccumulateLog log;
+  log.ops.reserve(static_cast<std::size_t>(sched_.issues_per_pe()));
+  struct Detach {
+    ProcessingElement& pe;
+    ~Detach() { pe.set_accumulate_log(nullptr); }
+  } detach{pe};
+  pe.set_accumulate_log(&log);
   // Snapshots keep only the rows the schedule issues to: the ones a run
   // reads. Anything a fault flips elsewhere is never read back.
   for (long t = 0; t < cycles_; ++t) {
@@ -134,7 +160,9 @@ void MatmulReplay::record(int j) {
       g.snapshots.push_back(pe.save(sched_.n_eff));
     }
     pe.step(scheduled_issue(sched_, a_, b_, j, t));
+    g.flags_after[static_cast<std::size_t>(t)] = pe.flags();
   }
+  g.ops = std::move(log.ops);
   g.column.resize(static_cast<std::size_t>(sched_.n));
   for (int i = 0; i < sched_.n; ++i) {
     g.column[static_cast<std::size_t>(i)] = pe.acc(i);
@@ -161,7 +189,9 @@ MatmulReplay::Verdict MatmulReplay::replay(ProcessingElement& pe, int j,
     // golden one. The ECC counters stay out of the comparison (step()
     // never reads them), so a repaired trial rejoins too; from here each
     // counter gains what the golden run gains, which puts it at the golden
-    // final plus what this trial has counted beyond the snapshot.
+    // final plus what this trial has counted beyond the snapshot. A PE
+    // whose pipelines alone equal the golden ones goes to the finisher
+    // with the rows that still differ.
     if (t > last_active && t % kSnapshotInterval == 0) {
       const ProcessingElement::State& snap =
           g.snapshots[static_cast<std::size_t>(t / kSnapshotInterval)];
@@ -172,6 +202,22 @@ MatmulReplay::Verdict MatmulReplay::replay(ProcessingElement& pe, int j,
             g.ecc_detections + (pe.ecc_detections() - snap.ecc_detections);
         v.cycles_stepped = t - start;
         return v;
+      }
+      if (pe.matches_pipelines(snap)) {
+        std::vector<RowWord> rows;
+        for (std::size_t r = 0; r < snap.acc.size(); ++r) {
+          const int row = static_cast<int>(r);
+          const RowWord w{row, pe.stored_word(row), pe.stored_check(row)};
+          if (w.data != snap.acc[r] ||
+              (!snap.acc_check.empty() && w.check != snap.acc_check[r])) {
+            rows.push_back(w);
+          }
+        }
+        if (auto done = finish(j, t, std::move(rows), pe.flags(),
+                               pe.ecc_corrections(), pe.ecc_detections())) {
+          done->cycles_stepped = t - start;
+          return *done;
+        }
       }
     }
     pe.step(scheduled_issue(sched_, a_, b_, j, t));
@@ -186,19 +232,148 @@ MatmulReplay::Verdict MatmulReplay::replay(ProcessingElement& pe, int j,
     throw std::runtime_error(
         "LinearArrayMatmul: RAW hazard despite default padding");
   }
-  std::uint8_t flags = pe.flags();
-  std::uint8_t clean_flags = 0;
-  for (std::size_t k = 0; k < golden_.size(); ++k) {
-    clean_flags |= golden_[k].flags;
-    if (k != static_cast<std::size_t>(j)) flags |= golden_[k].flags;
-  }
-  v.corrupted = flags != clean_flags;
+  v.corrupted = flags_differ(j, pe.flags());
   for (int i = 0; i < sched_.n; ++i) {
     // Read every row: each read runs the ECC corrector, as in result().
     v.corrupted |= pe.acc(i) != g.column[static_cast<std::size_t>(i)];
   }
   v.ecc_corrections = pe.ecc_corrections();
   v.ecc_detections = pe.ecc_detections();
+  return v;
+}
+
+bool MatmulReplay::flags_differ(int j, std::uint8_t flags) const {
+  std::uint8_t clean = 0;
+  for (std::size_t k = 0; k < golden_.size(); ++k) {
+    clean |= golden_[k].flags;
+    if (k != static_cast<std::size_t>(j)) flags |= golden_[k].flags;
+  }
+  return flags != clean;
+}
+
+std::optional<MatmulReplay::Verdict> MatmulReplay::accumulator_upset(
+    int j, long cycle, int row, int bit) const {
+  const Golden& g = golden_.at(static_cast<std::size_t>(j));
+  const PeConfig& cfg = array_.pe(j).config();
+  // The strike lands where a StorageObserver would apply it: on a clock
+  // the run steps, in a row of the bank, on a check bit only when the
+  // bank has check bytes. Otherwise the run is the golden one.
+  const bool check_bit = bit >= fault::kSecdedDataBits;
+  if (cycle < 0 || cycle >= cycles_ || row < 0 || row >= cfg.storage_rows ||
+      bit < 0 || bit >= fault::kSecdedWordBits ||
+      (check_bit && !cfg.ecc_accumulators)) {
+    Verdict v;
+    v.ecc_corrections = g.ecc_corrections;
+    v.ecc_detections = g.ecc_detections;
+    return v;
+  }
+  // The row's golden word after clock `cycle`: the last write-back at or
+  // before it, or the cleared bank's 0.
+  const auto written = std::partition_point(
+      g.ops.begin(), g.ops.end(),
+      [cycle](const AccumulateOp& op) { return op.writeback_cycle <= cycle; });
+  RowWord w{row, 0, 0};
+  for (auto it = written; it != g.ops.begin();) {
+    if ((--it)->row == row) {
+      w.data = it->result;
+      break;
+    }
+  }
+  if (cfg.ecc_accumulators) w.check = fault::secded_encode(w.data);
+  if (check_bit) {
+    w.check ^= static_cast<std::uint8_t>(1u << (bit - fault::kSecdedDataBits));
+  } else {
+    w.data ^= fp::u64{1} << bit;
+  }
+  // The golden pass runs unobserved, so its corrector never fires: the
+  // counters at the strike are 0, like every golden read's contribution.
+  auto v = finish(j, cycle + 1, {w},
+                  g.flags_after[static_cast<std::size_t>(cycle)], 0, 0);
+  if (v) v->cycles_stepped = 0;
+  return v;
+}
+
+std::optional<MatmulReplay::Verdict> MatmulReplay::finish(
+    int j, long t, std::vector<RowWord> rows, std::uint8_t flags,
+    long corrections, long detections) const {
+  const Golden& g = golden_.at(static_cast<std::size_t>(j));
+  const ProcessingElement& golden_pe = array_.pe(j);
+  const bool ecc = golden_pe.config().ecc_accumulators;
+  const bool fused = golden_pe.config().use_fused_mac;
+  const units::FpUnit& unit = golden_pe.accumulator_unit();
+
+  // Per differing row: its word now, and the write-backs whose value is
+  // known but whose clock is still ahead, in write-back order.
+  struct Pending {
+    long cycle;
+    fp::u64 result;
+  };
+  struct Row {
+    RowWord word;
+    std::vector<Pending> pending;
+  };
+  std::vector<Row> state;
+  state.reserve(rows.size());
+  for (const RowWord& w : rows) state.push_back({w, {}});
+  // Land every pending write-back of `r` before clock `before`: a read at
+  // clock c sees the write-backs of earlier clocks only (step() reads
+  // before it writes back).
+  const auto land = [ecc](Row& r, long before) {
+    std::size_t k = 0;
+    for (; k < r.pending.size() && r.pending[k].cycle < before; ++k) {
+      r.word.data = r.pending[k].result;
+      if (ecc) r.word.check = fault::secded_encode(r.word.data);
+    }
+    r.pending.erase(r.pending.begin(),
+                    r.pending.begin() + static_cast<std::ptrdiff_t>(k));
+  };
+
+  // Every accumulate not yet written back at t, in issue order. Those
+  // that read before t are in flight in pipelines equal to the golden
+  // ones, so they write back the golden sum; so does every accumulate of
+  // a row that does not differ. Products never depend on the bank.
+  const auto first = std::partition_point(
+      g.ops.begin(), g.ops.end(),
+      [t](const AccumulateOp& op) { return op.writeback_cycle < t; });
+  for (auto op = first; op != g.ops.end(); ++op) {
+    if (op->read_cycle >= t) flags |= op->product_flags;
+    const auto r = std::find_if(state.begin(), state.end(), [&](const Row& x) {
+      return x.word.row == op->row;
+    });
+    if (r == state.end() || op->read_cycle < t) {
+      flags |= op->result_flags;
+      if (r != state.end()) {
+        r->pending.push_back({op->writeback_cycle, op->result});
+      }
+      continue;
+    }
+    land(*r, op->read_cycle);
+    const fp::u64 read =
+        ecc ? ecc_read(r->word.data, r->word.check, corrections, detections)
+            : r->word.data;
+    units::UnitInput in = op->input;
+    (fused ? in.c : in.b) = read;
+    const std::optional<units::UnitOutput> out =
+        run_accumulate(unit.pieces(), unit.plan(), in);
+    if (!out) return std::nullopt;  // no write-back: the golden log ends
+    flags |= out->flags;
+    r->pending.push_back({op->writeback_cycle, out->result});
+  }
+
+  // The readout, as in result(): the differing rows below n through the
+  // corrector; every other row holds its golden word.
+  Verdict v;
+  v.corrupted = flags_differ(j, flags);
+  for (Row& r : state) {
+    land(r, cycles_);
+    if (r.word.row >= sched_.n) continue;
+    const fp::u64 word =
+        ecc ? ecc_read(r.word.data, r.word.check, corrections, detections)
+            : r.word.data;
+    v.corrupted |= word != g.column[static_cast<std::size_t>(r.word.row)];
+  }
+  v.ecc_corrections = corrections;
+  v.ecc_detections = detections;
   return v;
 }
 

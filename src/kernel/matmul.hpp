@@ -45,7 +45,8 @@ std::optional<ProcessingElement::MacIssue> scheduled_issue(
 
 class LinearArrayMatmul {
  public:
-  /// Array of p = n PEs (one C column each).
+  /// Array of p = n PEs (one C column each). One PE is built; the others
+  /// are its clones, sharing its units' chains.
   LinearArrayMatmul(int n, const PeConfig& cfg);
 
   /// Compute C = C0 + A*B cycle-by-cycle on the array. C0 defaults to zero;
@@ -73,12 +74,9 @@ class LinearArrayMatmul {
   MatmulRun result() const;
 
   /// A fresh array with the same geometry and PE configuration (pad
-  /// override included) — one replica per campaign worker.
-  LinearArrayMatmul clone() const {
-    LinearArrayMatmul copy(n_, cfg_);
-    copy.pad_override_ = pad_override_;
-    return copy;
-  }
+  /// override included) — one replica per campaign worker. Its PEs are
+  /// clones (ProcessingElement::clone), so no unit chain is rebuilt.
+  LinearArrayMatmul clone() const;
 
   int n() const { return n_; }
   const ProcessingElement& pe(int j) const {
@@ -88,6 +86,9 @@ class LinearArrayMatmul {
   ProcessingElement& pe(int j) { return pes_[static_cast<std::size_t>(j)]; }
 
  private:
+  /// n clones of `proto`.
+  LinearArrayMatmul(int n, const PeConfig& cfg, const ProcessingElement& proto);
+
   int n_;
   PeConfig cfg_;
   std::vector<ProcessingElement> pes_;
@@ -97,15 +98,31 @@ class LinearArrayMatmul {
 /// Single-PE replay of the array's product, the kernel SEU fast path. PE j
 /// reads only a(i, k), b(k, j) and its own state, so stepping PE j alone
 /// over its skewed schedule does exactly what a full array run does to
-/// it. record() runs that golden pass for one PE and snapshots its whole
-/// state every kSnapshotInterval cycles; replay() re-runs one PE under a
-/// fault from the last snapshot at or before the fault, and stops early
-/// — it rejoins the golden run — once the fault can no longer act and the
-/// PE's datapath equals the golden snapshot for that cycle
-/// (ProcessingElement::matches_datapath). The two ECC counters are left
-/// out of that comparison, so a trial whose upset the corrector repaired
-/// rejoins as well; its verdict reports each counter as the golden final
-/// plus what the trial counted beyond the snapshot.
+/// it. record() runs that golden pass for one PE, snapshots its whole
+/// state every kSnapshotInterval cycles and logs every accumulate it
+/// performs (AccumulateLog).
+///
+/// A trial ends one of three ways:
+///  * rejoin — replay() re-runs one PE under a fault from the last
+///    snapshot at or before it, and stops once the fault can no longer
+///    act and the PE's datapath equals the golden snapshot for that cycle
+///    (ProcessingElement::matches_datapath). The two ECC counters are left
+///    out of that comparison, so a trial whose upset the corrector
+///    repaired rejoins as well; its verdict reports each counter as the
+///    golden final plus what the trial counted beyond the snapshot.
+///  * finish — where the PE equals the golden one except in some
+///    accumulator rows (data or check bytes), the flags and the ECC
+///    counters (ProcessingElement::matches_pipelines), the PE will perform
+///    exactly the golden accumulates from then on; only the ones that read
+///    a differing row can compute something else. The finisher re-runs
+///    just those, through the consuming unit's stages (run_accumulate) and
+///    the PE's corrector (ecc_read), in each row's read and write-back
+///    order, and takes everything else from the log. replay() hands over
+///    to it at a snapshot boundary past the fault's last active cycle;
+///    accumulator_upset() enters it at the strike, stepping nothing.
+///  * the end — a fault that never stops acting (an unrepaired
+///    configuration upset) steps to the last cycle.
+/// All three give a full array run's verdict by construction.
 class MatmulReplay {
  public:
   static constexpr long kSnapshotInterval = 16;
@@ -124,8 +141,8 @@ class MatmulReplay {
     bool corrupted = false;  ///< C or the array's flags differ from golden
     long ecc_corrections = 0;  ///< PE j's counters after the readout
     long ecc_detections = 0;
-    long cycles_stepped = 0;  ///< from the resume snapshot; an early exit
-                              ///< stops short of the last cycle
+    long cycles_stepped = 0;  ///< from the resume snapshot; a rejoin or a
+                              ///< finish stops short of the last cycle
   };
   /// Re-run PE j's share of the product on `pe`, a PE configured like the
   /// array's, with the fault observers the caller attached to it. The
@@ -134,9 +151,37 @@ class MatmulReplay {
   Verdict replay(ProcessingElement& pe, int j, long first_active,
                  long last_active) const;
 
+  /// An accumulator upset on PE j: bit `bit` of row `row` flips at the end
+  /// of clock `cycle`, where a StorageObserver flips it (bits 64..71
+  /// strike the SECDED check byte, which only an ECC bank has). The
+  /// finisher answers it from the log, stepping no PE (cycles_stepped is
+  /// 0). nullopt when it cannot — a recomputed accumulate left its unit
+  /// invalid; replay() the upset instead. Thread-safe once every PE is
+  /// recorded.
+  std::optional<Verdict> accumulator_upset(int j, long cycle, int row,
+                                           int bit) const;
+
  private:
+  /// A row whose stored word or check byte may differ from the golden
+  /// run's.
+  struct RowWord {
+    int row = 0;
+    fp::u64 data = 0;
+    std::uint8_t check = 0;
+  };
+  /// The finisher: PE j from clock t on, given that it equals the golden
+  /// PE at t except in `rows`, the flags and the ECC counters.
+  std::optional<Verdict> finish(int j, long t, std::vector<RowWord> rows,
+                                std::uint8_t flags, long corrections,
+                                long detections) const;
+  /// Whether PE j ending with `flags`, the other PEs with their golden
+  /// flags, leaves the array's flags other than the clean run's.
+  bool flags_differ(int j, std::uint8_t flags) const;
+
   struct Golden {
     std::vector<ProcessingElement::State> snapshots;  // every interval
+    std::vector<AccumulateOp> ops;  // every accumulate, in issue order
+    std::vector<std::uint8_t> flags_after;  // PE flags after each clock
     std::vector<fp::u64> column;  // C(:, j) as read out
     std::uint8_t flags = 0;
     long ecc_corrections = 0;

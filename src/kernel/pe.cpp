@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "fault/secded.hpp"
 
@@ -46,9 +47,24 @@ units::UnitConfig PeConfig::mac_config() const {
 }
 
 ProcessingElement::ProcessingElement(const PeConfig& cfg)
+    : ProcessingElement(
+          cfg,
+          units::FpUnit(units::UnitKind::kMultiplier, cfg.fmt,
+                        cfg.mult_config()),
+          units::FpUnit(units::UnitKind::kAdder, cfg.fmt, cfg.adder_config()),
+          cfg.use_fused_mac ? std::optional<units::FpUnit>(std::in_place,
+                                                           units::UnitKind::kMac,
+                                                           cfg.fmt,
+                                                           cfg.mac_config())
+                            : std::nullopt) {}
+
+ProcessingElement::ProcessingElement(const PeConfig& cfg, units::FpUnit mult,
+                                     units::FpUnit adder,
+                                     std::optional<units::FpUnit> mac)
     : cfg_(cfg),
-      mult_(units::UnitKind::kMultiplier, cfg.fmt, cfg.mult_config()),
-      adder_(units::UnitKind::kAdder, cfg.fmt, cfg.adder_config()),
+      mult_(std::move(mult)),
+      adder_(std::move(adder)),
+      mac_(std::move(mac)),
       acc_(static_cast<std::size_t>(cfg.storage_rows), 0),
       acc_check_(cfg.ecc_accumulators
                      ? static_cast<std::size_t>(cfg.storage_rows)
@@ -58,29 +74,51 @@ ProcessingElement::ProcessingElement(const PeConfig& cfg)
   if (cfg.storage_rows <= 0) {
     throw std::invalid_argument("PeConfig: storage_rows must be positive");
   }
-  if (cfg.use_fused_mac) {
-    mac_.emplace(units::UnitKind::kMac, cfg.fmt, cfg.mac_config());
-  }
 }
 
-fp::u64 ProcessingElement::read_acc(int row) {
-  const std::size_t r = static_cast<std::size_t>(row);
-  if (!cfg_.ecc_accumulators) return acc_[r];
-  const fault::SecdedDecode d = fault::secded_decode(acc_[r], acc_check_[r]);
+ProcessingElement ProcessingElement::clone(int storage_rows) const {
+  PeConfig cfg = cfg_;
+  if (storage_rows > 0) cfg.storage_rows = storage_rows;
+  return ProcessingElement(
+      cfg, mult_.clone(), adder_.clone(),
+      mac_.has_value() ? std::optional<units::FpUnit>(mac_->clone())
+                       : std::nullopt);
+}
+
+fp::u64 ecc_read(fp::u64& data, std::uint8_t& check, long& corrections,
+                 long& detections) {
+  const fault::SecdedDecode d = fault::secded_decode(data, check);
   switch (d.status) {
     case fault::SecdedStatus::kClean:
       break;
     case fault::SecdedStatus::kCorrectedData:
     case fault::SecdedStatus::kCorrectedCheck:
-      ++ecc_corrections_;
-      acc_[r] = d.data;
-      acc_check_[r] = d.check;
+      ++corrections;
+      data = d.data;
+      check = d.check;
       break;
     case fault::SecdedStatus::kDoubleError:
-      ++ecc_detections_;
+      ++detections;
       break;
   }
   return d.data;
+}
+
+std::optional<units::UnitOutput> run_accumulate(const rtl::PieceChain& chain,
+                                                const rtl::PipelinePlan& plan,
+                                                const units::UnitInput& in) {
+  rtl::SignalSet s = units::FpUnit::pack(in);
+  for (int st = 0; st < plan.stages() && s.valid; ++st) {
+    rtl::run_stage(chain, plan, st, s);
+  }
+  if (!s.valid) return std::nullopt;
+  return units::UnitOutput{s[units::detail::kLaneResult], s.flags};
+}
+
+fp::u64 ProcessingElement::read_acc(int row) {
+  const std::size_t r = static_cast<std::size_t>(row);
+  if (!cfg_.ecc_accumulators) return acc_[r];
+  return ecc_read(acc_[r], acc_check_[r], ecc_corrections_, ecc_detections_);
 }
 
 void ProcessingElement::write_acc(int row, fp::u64 v) {
@@ -92,20 +130,19 @@ void ProcessingElement::write_acc(int row, fp::u64 v) {
 fp::u64 ProcessingElement::acc(int row) const {
   const std::size_t r = static_cast<std::size_t>(row);
   if (!cfg_.ecc_accumulators) return acc_.at(r);
-  const fault::SecdedDecode d =
-      fault::secded_decode(acc_.at(r), acc_check_.at(r));
-  switch (d.status) {
-    case fault::SecdedStatus::kClean:
-      break;
-    case fault::SecdedStatus::kCorrectedData:
-    case fault::SecdedStatus::kCorrectedCheck:
-      ++ecc_corrections_;
-      break;
-    case fault::SecdedStatus::kDoubleError:
-      ++ecc_detections_;
-      break;
-  }
-  return d.data;
+  // Decoded from copies: the architectural read repairs nothing.
+  fp::u64 data = acc_.at(r);
+  std::uint8_t check = acc_check_.at(r);
+  return ecc_read(data, check, ecc_corrections_, ecc_detections_);
+}
+
+fp::u64 ProcessingElement::stored_word(int row) const {
+  return acc_.at(static_cast<std::size_t>(row));
+}
+
+std::uint8_t ProcessingElement::stored_check(int row) const {
+  return cfg_.ecc_accumulators ? acc_check_.at(static_cast<std::size_t>(row))
+                               : 0;
 }
 
 void ProcessingElement::set_acc(int row, fp::u64 v) {
@@ -130,8 +167,10 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
       }
       const std::size_t row = static_cast<std::size_t>(issue->row);
       if (pending_writes_[row] > 0) ++hazards_;
-      mac_->step(
-          units::UnitInput{issue->a, issue->b, false, read_acc(issue->row)});
+      const units::UnitInput in{issue->a, issue->b, false,
+                                read_acc(issue->row)};
+      mac_->step(in);
+      if (log_ != nullptr) log_->ops.push_back({issue->row, cycles_, -1, in});
       adder_rows_.push_back(issue->row);
       ++pending_writes_[row];
       ++mac_issues_;
@@ -144,6 +183,7 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
       adder_rows_.pop_front();
       write_acc(row, out->result);
       flags_ |= out->flags;
+      if (log_ != nullptr) log_->complete(cycles_, *out);
       --pending_writes_[static_cast<std::size_t>(row)];
       --in_flight_;
     }
@@ -181,6 +221,9 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
     if (pending_writes_[static_cast<std::size_t>(row)] > 0) ++hazards_;
     add_stage_reg_ = units::UnitInput{prod->result, read_acc(row), false};
     flags_ |= prod->flags;
+    if (log_ != nullptr) {
+      log_->ops.push_back({row, cycles_, -1, *add_stage_reg_, prod->flags});
+    }
     adder_rows_.push_back(row);
     ++pending_writes_[static_cast<std::size_t>(row)];
   }
@@ -191,6 +234,7 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
     adder_rows_.pop_front();
     write_acc(row, sum->result);
     flags_ |= sum->flags;
+    if (log_ != nullptr) log_->complete(cycles_, *sum);
     --pending_writes_[static_cast<std::size_t>(row)];
     --in_flight_;
   }
@@ -270,10 +314,9 @@ void ProcessingElement::restore(const State& s) {
   flags_ = s.flags;
 }
 
-bool ProcessingElement::matches_datapath(const State& s) const {
+bool ProcessingElement::matches_pipelines(const State& s) const {
   return cycles_ == s.cycles && in_flight_ == s.in_flight &&
-         flags_ == s.flags && mac_issues_ == s.mac_issues &&
-         hazards_ == s.hazards &&
+         mac_issues_ == s.mac_issues && hazards_ == s.hazards &&
          s.units.size() == (mac_.has_value() ? 3u : 2u) &&
          mult_.sim().matches(s.units[0]) &&
          adder_.sim().matches(s.units[1]) &&
@@ -281,8 +324,12 @@ bool ProcessingElement::matches_datapath(const State& s) const {
          add_stage_reg_ == s.add_stage_reg &&
          std::ranges::equal(s.mult_rows, mult_rows_) &&
          std::ranges::equal(s.adder_rows, adder_rows_) &&
-         is_prefix(s.acc, acc_) && is_prefix(s.acc_check, acc_check_) &&
          is_prefix(s.pending_writes, pending_writes_);
+}
+
+bool ProcessingElement::matches_datapath(const State& s) const {
+  return flags_ == s.flags && is_prefix(s.acc, acc_) &&
+         is_prefix(s.acc_check, acc_check_) && matches_pipelines(s);
 }
 
 bool ProcessingElement::matches(const State& s) const {

@@ -10,6 +10,14 @@
 // structural pipelined units, so a MAC issued at cycle t writes back at
 // t + Lmul + Ladd, and accumulator reuse inside that window is a real
 // read-after-write hazard the PE detects and counts.
+//
+// Every accumulate is one read of an accumulator row, one pass of the
+// consuming unit (the adder, or the fused MAC) and one write-back. With an
+// AccumulateLog attached the PE records each one (row, read and
+// write-back cycles, the unit's input, the flags raised); a kernel replay
+// records its golden pass this way and later recomputes only the
+// accumulates an upset reaches, through run_accumulate and ecc_read, the
+// same stage walk and corrector step() runs.
 #pragma once
 
 #include <deque>
@@ -39,6 +47,51 @@ class StorageObserver {
   }
 };
 
+/// One accumulate as the golden pass saw it. The consuming unit's input
+/// holds the accumulator word the read returned in `b` (multiplier +
+/// adder: a = the product) or `c` (fused MAC: a, b = the operands).
+struct AccumulateOp {
+  int row = 0;
+  long read_cycle = 0;
+  long writeback_cycle = 0;
+  units::UnitInput input;
+  std::uint8_t product_flags = 0;  ///< raised at the read (split PE only)
+  fp::u64 result = 0;
+  std::uint8_t result_flags = 0;   ///< raised at the write-back
+};
+
+/// The accumulates one PE performed, in issue order — which is also read
+/// order and write-back order, since both pipelines are FIFOs. An op is
+/// appended at its read and completed at its write-back.
+struct AccumulateLog {
+  std::vector<AccumulateOp> ops;
+  std::size_t completed = 0;
+
+  /// Complete the oldest open op with its write-back.
+  void complete(long cycle, const units::UnitOutput& out) {
+    AccumulateOp& op = ops[completed++];
+    op.writeback_cycle = cycle;
+    op.result = out.result;
+    op.result_flags = out.flags;
+  }
+};
+
+/// The PE's SECDED read of one stored word: a single-bit upset is repaired
+/// in place (the read-modify-write of a BRAM ECC controller) and counted
+/// in `corrections`; a double-bit one is counted in `detections` and the
+/// word returned raw.
+fp::u64 ecc_read(fp::u64& data, std::uint8_t& check, long& corrections,
+                 long& detections);
+
+/// One accumulate input through the consuming unit's stages as
+/// PipelineSim::step carries a bundle: packed (units::FpUnit::pack), then
+/// stage by stage through rtl::run_stage behind the valid gate. nullopt
+/// when it leaves the last stage invalid, where the PE writes nothing
+/// back.
+std::optional<units::UnitOutput> run_accumulate(const rtl::PieceChain& chain,
+                                                const rtl::PipelinePlan& plan,
+                                                const units::UnitInput& in);
+
 struct PeConfig {
   fp::FpFormat fmt = fp::FpFormat::binary32();
   int adder_stages = 8;
@@ -66,6 +119,13 @@ class ProcessingElement {
  public:
   explicit ProcessingElement(const PeConfig& cfg);
 
+  /// A fresh (cleared) PE with this one's configuration whose units are
+  /// clones of this one's (units::FpUnit::clone: the built chains are
+  /// shared, nothing is rebuilt). `storage_rows` > 0 sizes the clone's
+  /// accumulator bank instead of config().storage_rows. Observers and the
+  /// accumulate log are not carried over.
+  ProcessingElement clone(int storage_rows = 0) const;
+
   /// A multiply-accumulate: acc[row] += a * b (operand encodings).
   struct MacIssue {
     fp::u64 a = 0;
@@ -85,6 +145,10 @@ class ProcessingElement {
   /// passes through the SECDED corrector (single-bit upsets are repaired,
   /// double-bit ones counted as detected and returned raw).
   fp::u64 acc(int row) const;
+  /// The stored word and check byte of `row` as they sit in the bank, no
+  /// corrector (the check byte is 0 without ECC).
+  fp::u64 stored_word(int row) const;
+  std::uint8_t stored_check(int row) const;
   void set_acc(int row, fp::u64 v);
   void clear();
 
@@ -137,12 +201,22 @@ class ProcessingElement {
   /// never reads them, so two PEs that match here evolve alike from now
   /// on, and their counters keep the difference they have now.
   bool matches_datapath(const State& s) const;
+  /// matches_datapath() without the accumulator rows, their check bytes
+  /// and the flags: the unit pipelines, the add-stage register, the row
+  /// tags, the pending writes and the issue, hazard and in-flight counts.
+  /// Two PEs that match here perform the same accumulates from now on;
+  /// only the values a differing row feeds them can differ.
+  bool matches_pipelines(const State& s) const;
 
   /// Attach (or detach with nullptr) the end-of-cycle storage observer.
   /// Not owned; survives clear().
   void set_storage_observer(StorageObserver* observer) {
     storage_observer_ = observer;
   }
+  /// Attach (or detach with nullptr) the log step() appends each
+  /// accumulate to. Not owned; survives clear(). Detached, it costs step()
+  /// one branch per accumulator read and per write-back.
+  void set_accumulate_log(AccumulateLog* log) { log_ = log; }
 
   /// Per-PE FPGA resources: units + storage + control. Control includes the
   /// latency-proportional control shift registers the paper describes.
@@ -156,11 +230,21 @@ class ProcessingElement {
 
   const units::FpUnit& adder() const { return adder_; }
   const units::FpUnit& multiplier() const { return mult_; }
+  /// The unit an accumulator read feeds: the fused MAC when engaged, else
+  /// the adder.
+  const units::FpUnit& accumulator_unit() const {
+    return mac_.has_value() ? *mac_ : adder_;
+  }
   /// Mutable access for fault-hook attachment (FpUnit::set_latch_observer).
   units::FpUnit& adder() { return adder_; }
   units::FpUnit& multiplier() { return mult_; }
 
  private:
+  /// A PE of `cfg` around already-built units (the constructor and
+  /// clone() both land here).
+  ProcessingElement(const PeConfig& cfg, units::FpUnit mult,
+                    units::FpUnit adder, std::optional<units::FpUnit> mac);
+
   /// Read acc_[row] through the SECDED corrector, repairing the stored
   /// word in place (read-modify-write, as a BRAM ECC controller does).
   fp::u64 read_acc(int row);
@@ -188,6 +272,7 @@ class ProcessingElement {
   long cycles_ = 0;
   std::uint8_t flags_ = 0;
   StorageObserver* storage_observer_ = nullptr;  // not owned
+  AccumulateLog* log_ = nullptr;                 // not owned
 };
 
 }  // namespace flopsim::kernel

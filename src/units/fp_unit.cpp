@@ -46,8 +46,17 @@ FpUnit::FpUnit(UnitKind kind, fp::FpFormat fmt, const UnitConfig& cfg)
     : kind_(kind),
       fmt_(fmt),
       cfg_(cfg),
-      chain_(std::make_unique<rtl::PieceChain>(build_chain(kind, fmt, cfg))),
+      chain_(std::make_shared<const rtl::PieceChain>(
+          build_chain(kind, fmt, cfg))),
       plan_(rtl::plan_pipeline(*chain_, cfg.stages)),
+      sim_(chain_.get(), plan_) {}
+
+FpUnit::FpUnit(const FpUnit& other)
+    : kind_(other.kind_),
+      fmt_(other.fmt_),
+      cfg_(other.cfg_),
+      chain_(other.chain_),
+      plan_(other.plan_),
       sim_(chain_.get(), plan_) {}
 
 std::string FpUnit::name() const {

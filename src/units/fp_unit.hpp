@@ -41,7 +41,6 @@ class FpUnit {
  public:
   FpUnit(UnitKind kind, fp::FpFormat fmt, const UnitConfig& cfg);
 
-  FpUnit(const FpUnit&) = delete;
   FpUnit& operator=(const FpUnit&) = delete;
   FpUnit(FpUnit&&) = default;
   FpUnit& operator=(FpUnit&&) = default;
@@ -53,8 +52,11 @@ class FpUnit {
 
   /// A fresh (reset) unit with this unit's exact configuration. The
   /// const-correct way to replicate a configured core — campaign workers
-  /// clone the probe instead of sharing one mutable pipeline.
-  FpUnit clone() const { return FpUnit(kind_, fmt_, cfg_); }
+  /// clone the probe instead of sharing one mutable pipeline. The clone
+  /// shares this unit's built chain (pieces() is the same object; pieces
+  /// are immutable and safe to evaluate from several threads at once), so
+  /// it costs a plan copy and a fresh PipelineSim, not a chain build.
+  FpUnit clone() const { return FpUnit(*this); }
 
   /// Pipeline depth actually realized (requested depth clamped).
   int stages() const { return plan_.stages(); }
@@ -104,10 +106,14 @@ class FpUnit {
   }
 
  private:
+  /// clone(): shares `other`'s chain, copies its plan, starts a fresh sim.
+  FpUnit(const FpUnit& other);
+
   UnitKind kind_;
   fp::FpFormat fmt_;
   UnitConfig cfg_;
-  std::unique_ptr<rtl::PieceChain> chain_;  // stable address for the sim
+  // Shared by clones; a stable address for the sim.
+  std::shared_ptr<const rtl::PieceChain> chain_;
   rtl::PipelinePlan plan_;
   rtl::PipelineSim sim_;
 };

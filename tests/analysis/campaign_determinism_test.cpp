@@ -5,6 +5,11 @@
 // stealing, arrival-order reduction, shared-RNG draws) breaks these.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "analysis/seu.hpp"
@@ -153,6 +158,69 @@ TEST(CampaignDeterminism, AutoThreadCountAgreesWithSerial) {
   EXPECT_EQ(a.corrected, b.corrected);
   EXPECT_EQ(a.silent, b.silent);
   EXPECT_EQ(a.corrupted, b.corrupted);
+}
+
+// Checkpoint sidecars are part of the contract too: the writer puts chunk
+// lines in grid order whatever order the workers finish them in, so one
+// campaign writes the same bytes at every thread count.
+std::map<std::string, std::string> sidecars_of(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(e.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    files[e.path().filename().string()] = bytes.str();
+  }
+  return files;
+}
+
+TEST(CampaignDeterminism, CheckpointSidecarsAreByteIdenticalAcrossThreads) {
+  std::map<std::string, std::string> reference;
+  for (const int threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string dir =
+        (std::filesystem::path(::testing::TempDir()) /
+         ("sidecar_order_" + std::to_string(threads)))
+            .string();
+    std::filesystem::remove_all(dir);
+    CampaignRunControl ctl;
+    ctl.checkpoint_dir = dir;
+    ctl.chunk_trials = 4;
+
+    units::UnitConfig ucfg;
+    ucfg.stages = 5;
+    SeuCampaignConfig unit;
+    unit.faults = 96;
+    unit.threads = threads;
+    unit.backend = rtl::EvalBackend::kBitsliced;
+    run_unit_campaign(units::UnitKind::kAdder, fp::FpFormat::binary32(), ucfg,
+                      unit, ctl);
+
+    kernel::PeConfig pe;
+    pe.adder_stages = 4;
+    pe.mult_stages = 3;
+    MatmulSeuConfig matmul;
+    matmul.n = 6;
+    matmul.faults = 48;
+    matmul.config_fraction = 0.25;
+    matmul.threads = threads;
+    matmul.backend = rtl::EvalBackend::kBitsliced;
+    run_matmul_campaign(pe, matmul, ctl);
+
+    SeuCampaignConfig sweep;
+    sweep.faults = 8;
+    sweep.threads = threads;
+    seu_depth_sweep(units::UnitKind::kAdder, fp::FpFormat::binary32(),
+                    {1, 2, 3, 4, 5, 6, 7, 8}, sweep, SeuRateModel{}, ctl);
+
+    const std::map<std::string, std::string> files = sidecars_of(dir);
+    ASSERT_EQ(files.size(), 3u);
+    if (reference.empty()) {
+      reference = files;
+    } else {
+      EXPECT_EQ(files, reference);
+    }
+  }
 }
 
 }  // namespace

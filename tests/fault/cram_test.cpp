@@ -3,6 +3,7 @@
 // the essential-bit / scrub-window arithmetic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "fault/campaign.hpp"
@@ -179,6 +180,62 @@ TEST(Cram, CampaignSpecReproducesLegacyFactories) {
   spec.source = CampaignSpec::Source::kList;
   spec.faults = cram;
   EXPECT_EQ(FaultCampaign::make(spec).faults(), spec.faults);
+
+  // With the valid and flag pseudo-sites in the sample space: each
+  // stage's data bits come first, then its valid bit, then its eight
+  // flag bits (lanes -1 and -2). Config upsets still draw data bits only.
+  LatchProfile pseudo = adder_profile(9);
+  pseudo.include_valid = true;
+  pseudo.include_flags = true;
+  ASSERT_EQ(pseudo.total_bits(), 626);
+  CampaignSpec with_pseudo;
+  with_pseudo.source = CampaignSpec::Source::kRandom;
+  with_pseudo.profile = &pseudo;
+  with_pseudo.horizon = 200;
+  with_pseudo.count = 24;
+  with_pseudo.seed = 5;
+  EXPECT_EQ(FaultCampaign::make(with_pseudo).faults(),
+            (std::vector<Fault>{
+                latch(128, 2, 0, 5), latch(98, 2, 1, 15),
+                latch(57, 3, 4, 7), latch(89, 0, 1, 23),
+                latch(44, 3, 0, 8), latch(143, 3, 0, 10),
+                latch(102, 1, 1, 1), latch(153, 0, kValidLane, 0),
+                latch(29, 0, 1, 7), latch(192, 3, 13, 14),
+                latch(172, 2, 1, 1), latch(70, 2, 0, 29),
+                latch(163, 3, 13, 19), latch(74, 3, 5, 10),
+                latch(86, 3, 13, 23), latch(193, 2, 4, 5),
+                latch(27, 0, 7, 5), latch(95, 3, kFlagsLane, 4),
+                latch(176, 0, 0, 2), latch(29, 2, 1, 2),
+                latch(123, 2, 5, 24), latch(88, 3, 13, 7),
+                latch(176, 2, 5, 20), latch(47, 3, 9, 17)}));
+  with_pseudo.source = CampaignSpec::Source::kCram;
+  with_pseudo.count = 6;
+  with_pseudo.scrub_period_cycles = 32;
+  EXPECT_EQ(FaultCampaign::make(with_pseudo).faults(),
+            (std::vector<Fault>{
+                {128, FaultSite::kConfig, 1, 1, 3, 0x18, 0x8, 160},
+                {44, FaultSite::kConfig, 3, 9, 3, 0x18, 0x10, 64},
+                {89, FaultSite::kConfig, 2, 0, 22, 0xc00000, 0x800000, 96},
+                {186, FaultSite::kConfig, 2, 5, 17, 0x60000, 0x0, 192},
+                {102, FaultSite::kConfig, 1, 5, 24, 0x3000000, 0x3000000,
+                 128},
+                {61, FaultSite::kConfig, 3, 5, 24, 0x3000000, 0x3000000,
+                 64}}));
+
+  // A draw of many faults reads its sites from a list built once; a draw
+  // of a few finds each from the profile's running counts. Same seed, same
+  // faults: the long draw begins with the short one, for both sources.
+  for (const auto source :
+       {CampaignSpec::Source::kRandom, CampaignSpec::Source::kCram}) {
+    with_pseudo.source = source;
+    with_pseudo.count = 2000;  // 8 draws per site and more: listed
+    const FaultCampaign many = FaultCampaign::make(with_pseudo);
+    with_pseudo.count = 50;  // below 1 draw per 8 sites: walked
+    const FaultCampaign few = FaultCampaign::make(with_pseudo);
+    ASSERT_EQ(few.size(), 50u);
+    EXPECT_TRUE(std::equal(few.faults().begin(), few.faults().end(),
+                           many.faults().begin()));
+  }
 
   // Sources that sample a profile refuse to run without one.
   CampaignSpec missing;

@@ -6,6 +6,8 @@
 #include <random>
 
 #include "fp/ops.hpp"
+#include "kernel/matmul.hpp"
+#include "rtl/simulator.hpp"
 
 namespace flopsim::kernel {
 namespace {
@@ -205,6 +207,129 @@ TEST(Pe, SavedStateResumesInAnotherPe) {
   fused.use_fused_mac = true;
   ProcessingElement other(fused);
   EXPECT_THROW(other.restore(mid), std::invalid_argument);
+}
+
+TEST(Pe, UnitCloneSharesTheChainAndStepsIdentically) {
+  const units::FpUnit original(units::UnitKind::kAdder,
+                               fp::FpFormat::binary64(),
+                               small_cfg().adder_config());
+  units::FpUnit fresh(units::UnitKind::kAdder, fp::FpFormat::binary64(),
+                      small_cfg().adder_config());
+  units::FpUnit clone = original.clone();
+  EXPECT_EQ(&clone.pieces(), &original.pieces()) << "no chain rebuild";
+  EXPECT_EQ(clone.plan().stage_begin, original.plan().stage_begin);
+  std::mt19937_64 rng(5);
+  for (int t = 0; t < 40; ++t) {
+    const units::UnitInput in{rng(), rng(), (t & 1) != 0};
+    const auto issue = t % 5 == 4 ? std::nullopt
+                                  : std::optional<units::UnitInput>(in);
+    clone.step(issue);
+    fresh.step(issue);
+    ASSERT_EQ(clone.latches(), fresh.latches()) << "cycle " << t;
+  }
+}
+
+TEST(Pe, CloneStepsLikeAFreshPe) {
+  for (const bool fused : {false, true}) {
+    PeConfig cfg = small_cfg();
+    cfg.use_fused_mac = fused;
+    cfg.ecc_accumulators = true;
+    ProcessingElement original(cfg);
+    original.step(ProcessingElement::MacIssue{enc(1.5), enc(2.0), 0});
+    ProcessingElement clone = original.clone();
+    ProcessingElement fresh(cfg);
+    EXPECT_EQ(&clone.adder().pieces(), &original.adder().pieces());
+    EXPECT_EQ(&clone.multiplier().pieces(), &original.multiplier().pieces());
+    EXPECT_EQ(&clone.accumulator_unit().pieces(),
+              &original.accumulator_unit().pieces());
+    EXPECT_EQ(clone.cycles(), 0) << "a clone starts cleared";
+    EXPECT_EQ(clone.clone(100).config().storage_rows, 100);
+    for (int t = 0; t < 40; ++t) {
+      const auto issue =
+          t < 30 ? std::optional<ProcessingElement::MacIssue>(
+                       {enc(t % 7 + 1), enc(t % 3 + 0.5), t % 11})
+                 : std::nullopt;
+      clone.step(issue);
+      fresh.step(issue);
+    }
+    EXPECT_TRUE(clone.matches(fresh.save(cfg.storage_rows)))
+        << (fused ? "fused" : "split");
+  }
+}
+
+TEST(Pe, ClonedArrayEqualsOneBuiltPeByPe) {
+  constexpr int n = 5;  // below PL = 7: padded rows too
+  PeConfig cfg = small_cfg();
+  cfg.storage_rows = 16;
+  std::mt19937_64 rng(3);
+  Matrix a = Matrix::zero(n, cfg.fmt);
+  Matrix b = Matrix::zero(n, cfg.fmt);
+  for (fp::u64& x : a.bits) x = enc(static_cast<double>(rng() % 9) - 4);
+  for (fp::u64& x : b.bits) x = enc(static_cast<double>(rng() % 7) - 3);
+  LinearArrayMatmul array(n, cfg);
+  const LinearArrayMatmul cloned = array.clone();
+  LinearArrayMatmul replica = cloned.clone();
+  const MatmulRun run = replica.run(a, b);
+
+  // The same array stepped by hand, every PE constructed on its own.
+  PeConfig wide = cfg;
+  wide.storage_rows = array.pe(0).config().storage_rows;
+  std::vector<ProcessingElement> pes;
+  for (int j = 0; j < n; ++j) pes.emplace_back(wide);
+  const Schedule sched = array.schedule();
+  for (long t = 0; t < array.cycles(); ++t) {
+    for (int j = 0; j < n; ++j) {
+      pes[static_cast<std::size_t>(j)].step(
+          scheduled_issue(sched, a, b, j, t));
+    }
+  }
+  for (int j = 0; j < n; ++j) {
+    EXPECT_TRUE(replica.pe(j).matches(
+        pes[static_cast<std::size_t>(j)].save(wide.storage_rows)))
+        << "PE " << j;
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(run.c.at(i, j), pes[static_cast<std::size_t>(j)].acc(i));
+    }
+  }
+  const MatmulRun again = array.run(a, b);
+  EXPECT_EQ(again.c.bits, run.c.bits);
+  EXPECT_EQ(replica.result().c.bits, run.c.bits);
+  EXPECT_EQ(again.flags, run.flags);
+  EXPECT_EQ(run.c.bits, reference_gemm(a, b, cfg.fmt, cfg.rounding).bits);
+}
+
+// run_accumulate walks the stages as PipelineSim::step does: a stage that
+// clears valid stops the bundle, and no later piece runs on it. On a toy
+// chain whose second stage would revive the bundle, evaluating the whole
+// chain regardless (rtl::evaluate_chain) would write a value back.
+TEST(Pe, RunAccumulateStopsWhereValidDrops) {
+  rtl::PieceChain chain(2);
+  chain[0].name = "drop";
+  chain[0].eval = [](rtl::SignalSet& s) { s.valid = false; };
+  chain[1].name = "revive";
+  chain[1].eval = [](rtl::SignalSet& s) {
+    s.valid = true;
+    s[units::detail::kLaneResult] = 42;
+  };
+  rtl::PipelinePlan plan;
+  plan.stage_begin = {0, 1, 2};
+  const units::UnitInput in{1, 2, false};
+  EXPECT_FALSE(run_accumulate(chain, plan, in).has_value());
+
+  rtl::PipelineSim sim(&chain, plan);
+  sim.step(units::FpUnit::pack(in));
+  sim.step(std::nullopt);
+  EXPECT_FALSE(sim.output().valid) << "the pipeline writes nothing back";
+
+  // Without the drop, both carry the bundle to the end alike.
+  chain[0].eval = [](rtl::SignalSet& s) { s.flags |= 3; };
+  rtl::PipelineSim kept(&chain, plan);
+  kept.step(units::FpUnit::pack(in));
+  kept.step(std::nullopt);
+  const std::optional<units::UnitOutput> out = run_accumulate(chain, plan, in);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->result, kept.output()[units::detail::kLaneResult]);
+  EXPECT_EQ(out->flags, kept.output().flags);
 }
 
 }  // namespace

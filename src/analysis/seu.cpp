@@ -393,12 +393,7 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
       count, exec::resolve_threads(camp.threads),
       [&](int, std::size_t begin, std::size_t end) {
         if (fast) {
-          // Verdicts gather in a chunk-local buffer and land in one copy:
-          // neighbouring chunks belong to other workers (the grid deals
-          // them round-robin), and a chunk's 3-byte slots share cache
-          // lines with theirs.
           const rtl::CleanRun& run = *clean.clean;
-          std::vector<UnitTrial> local(end - begin);
           for (std::size_t i = begin; i < end; ++i) {
             const fault::Fault& f = faults[i];
             const rtl::LatchUpset upset{f.cycle, f.index, f.lane, f.bit};
@@ -409,11 +404,9 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
                                      run.stages - 1)
                                .lane[units::detail::kLaneResult]
                          : 0;
-            local[i - begin] =
+            trials[i] =
                 map_fast_trial(v, camp.scheme, clean_result, frac_mask);
           }
-          std::copy(local.begin(), local.end(),
-                    trials.begin() + static_cast<std::ptrdiff_t>(begin));
           progress.tick(static_cast<long>(end - begin));
           return;
         }
@@ -1000,13 +993,14 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
       control.cancel != nullptr ? control.cancel : &local_token;
 
   // Trial loop. The fast path answers an accumulator upset from the
-  // golden op log (MatmulReplay::accumulator_upset) and replays every
-  // other upset on the worker's own PE; the reference re-runs the whole
-  // kernel on the worker's own array replica (run() clears every PE
-  // first, so a replica's trial is bit-identical to the legacy reuse of
-  // one array). Either structure is cloned on the worker's first chunk
-  // that needs it and kept for the campaign; worker 0's replica is the
-  // golden array. Verdicts land in per-fault slots.
+  // golden op log, letting the fault's injector strike the golden bank
+  // (MatmulReplay::accumulator_upset), and replays every other upset on
+  // the worker's own PE; the reference re-runs the whole kernel on the
+  // worker's own array replica (run() clears every PE first, so a
+  // replica's trial is bit-identical to the legacy reuse of one array).
+  // Either structure is cloned on the worker's first chunk that needs it
+  // and kept for the campaign; worker 0's replica is the golden array.
+  // Verdicts land in per-fault slots.
   obs::ProgressReporter progress("matmul campaign",
                                  static_cast<long>(count));
   for (long i = 0; i < done_trials; ++i) progress.tick();
@@ -1052,19 +1046,19 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
         const std::size_t slot = static_cast<std::size_t>(worker);
         for (std::size_t i = begin; i < end; ++i) {
           const PeFault& pf = faults[i];
+          fault::FaultInjector injector({pf.fault});
           KernelTrial& trial = trials[i];
           if (replay) {
             std::optional<kernel::MatmulReplay::Verdict> v;
             if (pf.target == PeFault::kAccumulator) {
-              v = replay->accumulator_upset(pf.pe, pf.fault.cycle,
-                                            pf.fault.index, pf.fault.bit);
+              v = replay->accumulator_upset(pf.pe, pf.fault.cycle, injector);
             }
             if (!v) {
               if (!worker_pes[slot]) {
                 worker_pes[slot].emplace(array.pe(0).clone());
               }
               kernel::ProcessingElement& pe = *worker_pes[slot];
-              fault::FaultInjector injector({pf.fault});
+              injector.rewind();  // it may have struck the finisher's bank
               attach_fault(pe, pf.target, &injector);
               v = replay->replay(pe, pf.pe, pf.fault.cycle,
                                  fault::last_active_cycle(pf.fault));
@@ -1074,7 +1068,6 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
             trial.ecc_detected = v->ecc_detections > 0;
             trial.ecc_corrected = v->ecc_corrections > 0;
           } else {
-            fault::FaultInjector injector({pf.fault});
             if (worker != 0 && !replicas[slot]) {
               replicas[slot].emplace(array.clone());
             }

@@ -1,6 +1,5 @@
 #include "fault/campaign.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <random>
@@ -136,85 +135,55 @@ std::vector<units::UnitInput> campaign_workload(units::UnitKind kind,
 
 namespace {
 
+// Flatten the profile's occupied bits into (stage, lane, bit) triples so
+// uniform sampling is an index draw: per stage, its data bits by lane and
+// bit, then (unless `data_only`) the valid and flag pseudo-sites the
+// profile includes.
 struct BitSite {
   int stage;
   int lane;
   int bit;
 };
 
-/// The profile's sites in one fixed order — per stage, its occupied data
-/// bits by lane and bit, then (unless `data_only`) the valid pseudo-site
-/// and the 8 flag pseudo-sites the profile includes — so uniform sampling
-/// is an index draw below size(). at(k) finds site k from running counts
-/// of occupied bits per stage and lane and the k-th set bit of one lane's
-/// mask, without listing the sites: a matmul campaign draws one fault per
-/// make(). Finding a site that way costs ~50 ns more than reading it from
-/// a list, and listing costs a few ns per site, so a sampler built for
-/// many draws lists the sites once and reads them from the list.
-class SiteSampler {
- public:
-  SiteSampler(const LatchProfile& profile, bool data_only, long draws) {
-    const bool valid = !data_only && profile.include_valid;
-    const bool flags = !data_only && profile.include_flags;
-    masks_.reserve(profile.occupied.size() * kSlots);
-    ends_.reserve(profile.occupied.size() * kSlots);
-    std::uint64_t total = 0;
-    for (const auto& lanes : profile.occupied) {
-      masks_.insert(masks_.end(), lanes.begin(), lanes.end());
-      masks_.push_back(valid ? 1 : 0);
-      masks_.push_back(flags ? 0xff : 0);
-      for (std::size_t slot = ends_.size(); slot < masks_.size(); ++slot) {
-        total += static_cast<std::uint64_t>(std::popcount(masks_[slot]));
-        ends_.push_back(total);
+std::vector<BitSite> flatten(const LatchProfile& profile, bool data_only) {
+  const bool valid = !data_only && profile.include_valid;
+  const bool flags = !data_only && profile.include_flags;
+  std::size_t total = 0;
+  for (const auto& lanes : profile.occupied) {
+    for (const fp::u64 mask : lanes) {
+      total += static_cast<std::size_t>(std::popcount(mask));
+    }
+    total += (valid ? 1 : 0) + (flags ? 8 : 0);
+  }
+  std::vector<BitSite> sites;
+  sites.reserve(total);
+  for (int s = 0; s < profile.stages(); ++s) {
+    const auto& lanes = profile.occupied[static_cast<std::size_t>(s)];
+    for (int l = 0; l < rtl::kMaxSignals; ++l) {
+      fp::u64 mask = lanes[static_cast<std::size_t>(l)];
+      while (mask != 0) {
+        const int bit = std::countr_zero(mask);
+        sites.push_back({s, l, bit});
+        mask &= mask - 1;
       }
     }
-    if (static_cast<std::uint64_t>(draws) * 8 >= total) {
-      list_.reserve(total);
-      for (std::size_t slot = 0; slot < masks_.size(); ++slot) {
-        for (fp::u64 m = masks_[slot]; m != 0; m &= m - 1) {
-          list_.push_back(site(slot, std::countr_zero(m)));
-        }
-      }
+    if (valid) sites.push_back({s, kValidLane, 0});
+    if (flags) {
+      for (int b = 0; b < 8; ++b) sites.push_back({s, kFlagsLane, b});
     }
   }
-
-  std::uint64_t size() const { return ends_.empty() ? 0 : ends_.back(); }
-
-  BitSite at(std::uint64_t k) const {
-    if (!list_.empty()) return list_[k];
-    const auto slot = static_cast<std::size_t>(
-        std::upper_bound(ends_.begin(), ends_.end(), k) - ends_.begin());
-    if (slot > 0) k -= ends_[slot - 1];
-    fp::u64 m = masks_[slot];
-    for (; k > 0; --k) m &= m - 1;  // drop the k lowest set bits
-    return site(slot, std::countr_zero(m));
-  }
-
- private:
-  // Per stage: the data lanes, then the valid and the flag pseudo-lanes.
-  static constexpr std::size_t kSlots = rtl::kMaxSignals + 2;
-
-  static BitSite site(std::size_t slot, int bit) {
-    const auto l = static_cast<int>(slot % kSlots);
-    const int lane = l < rtl::kMaxSignals       ? l
-                     : l == rtl::kMaxSignals    ? kValidLane
-                                                : kFlagsLane;
-    return {static_cast<int>(slot / kSlots), lane, bit};
-  }
-
-  std::vector<fp::u64> masks_;       // per (stage, slot)
-  std::vector<std::uint64_t> ends_;  // sites up to each slot's end
-  std::vector<BitSite> list_;        // every site, when built for many draws
-};
+  return sites;
+}
 
 std::vector<Fault> place_faults(const LatchProfile& profile, long horizon,
                                 long count, std::mt19937_64& rng) {
-  const SiteSampler sites(profile, /*data_only=*/false, count);
+  const std::vector<BitSite> sites = flatten(profile, /*data_only=*/false);
   std::vector<Fault> faults;
-  if (sites.size() == 0 || horizon <= 0) return faults;
+  if (sites.empty() || horizon <= 0) return faults;
   faults.reserve(static_cast<std::size_t>(count));
   for (long i = 0; i < count; ++i) {
-    const BitSite site = sites.at(draw_below(rng, sites.size()));
+    const BitSite& site =
+        sites[static_cast<std::size_t>(draw_below(rng, sites.size()))];
     Fault f;
     f.cycle = static_cast<long>(
         draw_below(rng, static_cast<std::uint64_t>(horizon)));
@@ -236,12 +205,13 @@ std::vector<Fault> place_config_faults(const LatchProfile& profile,
                                        long horizon, long count,
                                        long scrub_period_cycles, int mask_bits,
                                        std::mt19937_64& rng) {
-  const SiteSampler sites(profile, /*data_only=*/true, count);
+  const std::vector<BitSite> sites = flatten(profile, /*data_only=*/true);
   std::vector<Fault> faults;
-  if (sites.size() == 0 || horizon <= 0) return faults;
+  if (sites.empty() || horizon <= 0) return faults;
   faults.reserve(static_cast<std::size_t>(count));
   for (long i = 0; i < count; ++i) {
-    const BitSite site = sites.at(draw_below(rng, sites.size()));
+    const BitSite& site =
+        sites[static_cast<std::size_t>(draw_below(rng, sites.size()))];
     const fp::u64 occupied =
         profile.occupied[static_cast<std::size_t>(site.stage)]
                         [static_cast<std::size_t>(site.lane)];

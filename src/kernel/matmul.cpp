@@ -252,42 +252,46 @@ bool MatmulReplay::flags_differ(int j, std::uint8_t flags) const {
 }
 
 std::optional<MatmulReplay::Verdict> MatmulReplay::accumulator_upset(
-    int j, long cycle, int row, int bit) const {
+    int j, long cycle, StorageObserver& observer) const {
   const Golden& g = golden_.at(static_cast<std::size_t>(j));
-  const PeConfig& cfg = array_.pe(j).config();
-  // The strike lands where a StorageObserver would apply it: on a clock
-  // the run steps, in a row of the bank, on a check bit only when the
-  // bank has check bytes. Otherwise the run is the golden one.
-  const bool check_bit = bit >= fault::kSecdedDataBits;
-  if (cycle < 0 || cycle >= cycles_ || row < 0 || row >= cfg.storage_rows ||
-      bit < 0 || bit >= fault::kSecdedWordBits ||
-      (check_bit && !cfg.ecc_accumulators)) {
+  if (cycle < 0 || cycle >= cycles_) {
+    // The PE never runs that clock, so the observer never sees the bank.
     Verdict v;
     v.ecc_corrections = g.ecc_corrections;
     v.ecc_detections = g.ecc_detections;
     return v;
   }
-  // The row's golden word after clock `cycle`: the last write-back at or
-  // before it, or the cleared bank's 0.
-  const auto written = std::partition_point(
-      g.ops.begin(), g.ops.end(),
-      [cycle](const AccumulateOp& op) { return op.writeback_cycle <= cycle; });
-  RowWord w{row, 0, 0};
-  for (auto it = written; it != g.ops.begin();) {
-    if ((--it)->row == row) {
-      w.data = it->result;
-      break;
-    }
+  // PE j's golden bank after clock `cycle`: the snapshot at or before it
+  // plus the write-backs since. The observer strikes a copy, as step()
+  // hands it the bank: data words, then check bytes when the bank has
+  // them.
+  const ProcessingElement::State& snap =
+      g.snapshots[static_cast<std::size_t>(cycle / kSnapshotInterval)];
+  std::vector<fp::u64> acc = snap.acc;
+  std::vector<std::uint8_t> check = snap.acc_check;
+  const bool ecc = array_.pe(j).config().ecc_accumulators;
+  auto op = std::partition_point(
+      g.ops.begin(), g.ops.end(), [&snap](const AccumulateOp& x) {
+        return x.writeback_cycle < snap.cycles;
+      });
+  for (; op != g.ops.end() && op->writeback_cycle <= cycle; ++op) {
+    acc[static_cast<std::size_t>(op->row)] = op->result;
+    if (ecc) check[static_cast<std::size_t>(op->row)] = op->result_check;
   }
-  if (cfg.ecc_accumulators) w.check = fault::secded_encode(w.data);
-  if (check_bit) {
-    w.check ^= static_cast<std::uint8_t>(1u << (bit - fault::kSecdedDataBits));
-  } else {
-    w.data ^= fp::u64{1} << bit;
+  std::vector<fp::u64> struck = acc;
+  std::vector<std::uint8_t> struck_check = check;
+  observer.on_storage(cycle, struck);
+  if (ecc) observer.on_check_bits(cycle, struck_check);
+  std::vector<RowWord> rows;
+  for (std::size_t r = 0; r < acc.size(); ++r) {
+    if (struck[r] != acc[r] || (ecc && struck_check[r] != check[r])) {
+      rows.push_back(
+          {static_cast<int>(r), struck[r], ecc ? struck_check[r] : 0});
+    }
   }
   // The golden pass runs unobserved, so its corrector never fires: the
   // counters at the strike are 0, like every golden read's contribution.
-  auto v = finish(j, cycle + 1, {w},
+  auto v = finish(j, cycle + 1, std::move(rows),
                   g.flags_after[static_cast<std::size_t>(cycle)], 0, 0);
   if (v) v->cycles_stepped = 0;
   return v;

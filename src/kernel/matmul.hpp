@@ -151,15 +151,18 @@ class MatmulReplay {
   Verdict replay(ProcessingElement& pe, int j, long first_active,
                  long last_active) const;
 
-  /// An accumulator upset on PE j: bit `bit` of row `row` flips at the end
-  /// of clock `cycle`, where a StorageObserver flips it (bits 64..71
-  /// strike the SECDED check byte, which only an ECC bank has). The
-  /// finisher answers it from the log, stepping no PE (cycles_stepped is
-  /// 0). nullopt when it cannot — a recomputed accumulate left its unit
-  /// invalid; replay() the upset instead. Thread-safe once every PE is
-  /// recorded.
-  std::optional<Verdict> accumulator_upset(int j, long cycle, int row,
-                                           int bit) const;
+  /// An accumulator upset that `observer` (the caller's fault injector)
+  /// makes in PE j's bank at the end of clock `cycle` and on no other
+  /// clock. The observer is handed PE j's golden bank after that clock as
+  /// step() hands it over — the data words, then the check bytes when the
+  /// bank has them — cut to the rows the schedule reads, as the snapshots
+  /// are (a strike elsewhere is never read back). The finisher answers
+  /// from the rows the observer changed, stepping no PE (cycles_stepped
+  /// is 0). nullopt when it cannot — a recomputed accumulate left its unit
+  /// invalid; re-arm the observer and replay() the upset instead.
+  /// Thread-safe on distinct observers once every PE is recorded.
+  std::optional<Verdict> accumulator_upset(int j, long cycle,
+                                           StorageObserver& observer) const;
 
  private:
   /// A row whose stored word or check byte may differ from the golden

@@ -183,7 +183,7 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
       adder_rows_.pop_front();
       write_acc(row, out->result);
       flags_ |= out->flags;
-      if (log_ != nullptr) log_->complete(cycles_, *out);
+      if (log_ != nullptr) log_->complete(cycles_, *out, stored_check(row));
       --pending_writes_[static_cast<std::size_t>(row)];
       --in_flight_;
     }
@@ -234,7 +234,7 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
     adder_rows_.pop_front();
     write_acc(row, sum->result);
     flags_ |= sum->flags;
-    if (log_ != nullptr) log_->complete(cycles_, *sum);
+    if (log_ != nullptr) log_->complete(cycles_, *sum, stored_check(row));
     --pending_writes_[static_cast<std::size_t>(row)];
     --in_flight_;
   }

@@ -14,7 +14,8 @@
 // Every accumulate is one read of an accumulator row, one pass of the
 // consuming unit (the adder, or the fused MAC) and one write-back. With an
 // AccumulateLog attached the PE records each one (row, read and
-// write-back cycles, the unit's input, the flags raised); a kernel replay
+// write-back cycles, the unit's input, the flags raised, the result and
+// the check byte stored with it); a kernel replay
 // records its golden pass this way and later recomputes only the
 // accumulates an upset reaches, through run_accumulate and ecc_read, the
 // same stage walk and corrector step() runs.
@@ -58,6 +59,7 @@ struct AccumulateOp {
   std::uint8_t product_flags = 0;  ///< raised at the read (split PE only)
   fp::u64 result = 0;
   std::uint8_t result_flags = 0;   ///< raised at the write-back
+  std::uint8_t result_check = 0;   ///< stored with it (0 without ECC)
 };
 
 /// The accumulates one PE performed, in issue order — which is also read
@@ -67,12 +69,15 @@ struct AccumulateLog {
   std::vector<AccumulateOp> ops;
   std::size_t completed = 0;
 
-  /// Complete the oldest open op with its write-back.
-  void complete(long cycle, const units::UnitOutput& out) {
+  /// Complete the oldest open op with its write-back and the check byte
+  /// stored with it.
+  void complete(long cycle, const units::UnitOutput& out,
+                std::uint8_t check) {
     AccumulateOp& op = ops[completed++];
     op.writeback_cycle = cycle;
     op.result = out.result;
     op.result_flags = out.flags;
+    op.result_check = check;
   }
 };
 

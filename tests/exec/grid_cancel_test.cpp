@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdint>
 #include <csignal>
 #include <mutex>
 #include <set>
@@ -42,8 +41,12 @@ TEST(Grid, BoundariesAreIndependentOfThreadCount) {
     const GridOptions opts{.chunk = 8};
     const GridResult r = parallel_for_grid(
         count, threads,
-        [&](int /*worker*/, std::size_t begin, std::size_t end) {
+        [&](int worker, std::size_t begin, std::size_t end) {
           std::lock_guard<std::mutex> lk(m);
+          // Chunks are dealt round-robin: chunk c runs on worker c mod T.
+          EXPECT_EQ(static_cast<std::size_t>(worker),
+                    begin / 8 % static_cast<std::size_t>(threads))
+              << "chunk " << begin / 8 << " at threads=" << threads;
           spans.insert({begin, end});
           for (std::size_t i = begin; i < end; ++i) ++hits[i];
         },
@@ -157,58 +160,6 @@ TEST(Grid, OnChunkDoneFiresExactlyOncePerChunkAndIsSerialized) {
   EXPECT_FALSE(overlapped);
   for (std::size_t c = 0; c < 12; ++c) {
     EXPECT_EQ(done_calls[c], 1) << "chunk " << c;
-  }
-}
-
-TEST(Grid, DealsChunkCToWorkerCModT) {
-  const std::size_t count = 100;  // 13 chunks of 8, the last one short
-  for (const int threads : {1, 2, 3, 8}) {
-    std::vector<int> owner(13, -1);
-    std::mutex m;
-    GridOptions opts;
-    opts.chunk = 8;
-    const GridResult r = parallel_for_grid(
-        count, threads,
-        [&](int worker, std::size_t begin, std::size_t /*end*/) {
-          std::lock_guard<std::mutex> lk(m);
-          owner[begin / 8] = worker;
-        },
-        opts);
-    ASSERT_TRUE(r.complete());
-    for (std::size_t c = 0; c < owner.size(); ++c) {
-      EXPECT_EQ(owner[c], static_cast<int>(c % static_cast<std::size_t>(
-                                               threads)))
-          << "chunk " << c << " at threads=" << threads;
-    }
-  }
-}
-
-TEST(Grid, UnevenChunkCostsFillIdenticalSlots) {
-  // Cheap chunks first, expensive ones after, like a matmul campaign's
-  // draw: whichever worker runs a chunk, every slot gets the same value.
-  const std::size_t count = 200;
-  const auto value = [](std::size_t i) {
-    std::uint64_t x = i * 0x9e3779b97f4a7c15ull;
-    const std::size_t rounds = i < 64 ? 1 : 200 + 50 * (i % 7);
-    for (std::size_t k = 0; k < rounds; ++k) x ^= (x << 13) ^ (x >> 7);
-    return x;
-  };
-  std::vector<std::uint64_t> reference;
-  for (const int threads : {1, 2, 8}) {
-    std::vector<std::uint64_t> slots(count, 0);
-    GridOptions opts;
-    opts.chunk = 16;
-    parallel_for_grid(
-        count, threads,
-        [&](int, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) slots[i] = value(i);
-        },
-        opts);
-    if (reference.empty()) {
-      reference = slots;
-    } else {
-      EXPECT_EQ(slots, reference) << "threads=" << threads;
-    }
   }
 }
 

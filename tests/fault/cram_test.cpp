@@ -3,7 +3,6 @@
 // the essential-bit / scrub-window arithmetic.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "fault/campaign.hpp"
@@ -221,21 +220,6 @@ TEST(Cram, CampaignSpecReproducesLegacyFactories) {
                  128},
                 {61, FaultSite::kConfig, 3, 5, 24, 0x3000000, 0x3000000,
                  64}}));
-
-  // A draw of many faults reads its sites from a list built once; a draw
-  // of a few finds each from the profile's running counts. Same seed, same
-  // faults: the long draw begins with the short one, for both sources.
-  for (const auto source :
-       {CampaignSpec::Source::kRandom, CampaignSpec::Source::kCram}) {
-    with_pseudo.source = source;
-    with_pseudo.count = 2000;  // 8 draws per site and more: listed
-    const FaultCampaign many = FaultCampaign::make(with_pseudo);
-    with_pseudo.count = 50;  // below 1 draw per 8 sites: walked
-    const FaultCampaign few = FaultCampaign::make(with_pseudo);
-    ASSERT_EQ(few.size(), 50u);
-    EXPECT_TRUE(std::equal(few.faults().begin(), few.faults().end(),
-                           many.faults().begin()));
-  }
 
   // Sources that sample a profile refuse to run without one.
   CampaignSpec missing;

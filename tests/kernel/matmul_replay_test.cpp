@@ -181,8 +181,9 @@ class ReplayBench {
 
   MatmulReplay::Verdict check_accumulator(int p, const Fault& f,
                                           const Reference& ref) {
+    fault::FaultInjector injector({f});
     const std::optional<MatmulReplay::Verdict> v =
-        replay_.accumulator_upset(p, f.cycle, f.index, f.bit);
+        replay_.accumulator_upset(p, f.cycle, injector);
     if (!v.has_value()) {
       ADD_FAILURE() << "the finisher gave no verdict";
       return {};
@@ -603,6 +604,30 @@ TEST(MatmulFinisher, EccReadsRunTheCorrector) {
                   accumulator_fault(6, 12, ops.back().writeback + 1));
   EXPECT_FALSE(v.corrupted);
   EXPECT_EQ(v.ecc_corrections, 1) << "repaired by the readout";
+}
+
+// Strikes no read reaches: a row the schedule never issues to, a clock
+// after the last one, and a check bit of a bank without check bytes. The
+// fault injector decides where a strike lands; both entries must agree
+// with the full run that these change nothing.
+TEST(MatmulFinisher, StrikesNoReadReachesAreMasked) {
+  for (const bool ecc : {false, true}) {
+    SCOPED_TRACE(ecc ? "ECC" : "no ECC");
+    ReplayBench bench(8, pe_config(ecc));
+    std::vector<Fault> faults = {accumulator_fault(40, 7, 20),
+                                 accumulator_fault(2, 7, bench.cycles())};
+    if (!ecc) {
+      faults.push_back(accumulator_fault(2, fault::kSecdedDataBits + 1, 20));
+    }
+    for (const Fault& f : faults) {
+      SCOPED_TRACE("row " + std::to_string(f.index) + " bit " +
+                   std::to_string(f.bit) + " cycle " + std::to_string(f.cycle));
+      const MatmulReplay::Verdict v = bench.check(3, Target::kStorage, f);
+      EXPECT_FALSE(v.corrupted);
+      EXPECT_EQ(v.ecc_corrections, 0);
+      EXPECT_EQ(v.ecc_detections, 0);
+    }
+  }
 }
 
 }  // namespace

@@ -724,6 +724,13 @@ struct PeFault {
   fault::Fault fault;
 };
 
+/// The PE unit a latch or configuration upset of `target` strikes.
+kernel::PeUnit struck_unit(PeFault::Target target) {
+  return target == PeFault::kMultLatch || target == PeFault::kConfigMult
+             ? kernel::PeUnit::kMultiplier
+             : kernel::PeUnit::kAdder;
+}
+
 /// Attach the trial's injector (nullptr detaches) to the structure
 /// `target` names inside `pe`.
 void attach_fault(kernel::ProcessingElement& pe, PeFault::Target target,
@@ -828,7 +835,7 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   const kernel::Matrix b = kernel::matrix_from_doubles(bv, n, cfg.fmt);
 
   // One shared golden run; every trial compares against it. The fast path
-  // records it PE by PE across the workers, snapshotting each PE's state.
+  // records it PE by PE across the workers, logging each PE's accumulates.
   auto golden_span = tracer.span("golden", "campaign");
   kernel::LinearArrayMatmul array(n, pe_cfg);
   std::optional<kernel::MatmulReplay> replay;
@@ -992,15 +999,18 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   exec::CancelToken* cancel =
       control.cancel != nullptr ? control.cancel : &local_token;
 
-  // Trial loop. The fast path answers an accumulator upset from the
-  // golden op log, letting the fault's injector strike the golden bank
-  // (MatmulReplay::accumulator_upset), and replays every other upset on
-  // the worker's own PE; the reference re-runs the whole kernel on the
-  // worker's own array replica (run() clears every PE first, so a
-  // replica's trial is bit-identical to the legacy reuse of one array).
-  // Either structure is cloned on the worker's first chunk that needs it
-  // and kept for the campaign; worker 0's replica is the golden array.
-  // Verdicts land in per-fault slots.
+  // Trial loop. The fast path answers an upset by walking the golden
+  // accumulates it reaches through the fault's injector: an accumulator
+  // upset strikes the golden bank (MatmulReplay::accumulator_upset), a
+  // latch or configuration upset the accumulates' passes through its
+  // unit (MatmulReplay::unit_upset). A valid-bit flip, and a walk that
+  // leaves its unit invalid, step the struck PE from cycle 0 on the
+  // worker's own PE instead, each counted by reason. The reference re-runs the whole
+  // kernel on the worker's own array replica (run() clears every PE
+  // first, so a replica's trial is bit-identical to the legacy reuse of
+  // one array). Either structure is cloned on the worker's first chunk
+  // that needs it and kept for the campaign; worker 0's replica is the
+  // golden array. Verdicts land in per-fault slots.
   obs::ProgressReporter progress("matmul campaign",
                                  static_cast<long>(count));
   for (long i = 0; i < done_trials; ++i) progress.tick();
@@ -1038,6 +1048,15 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   };
 
   const auto slots = static_cast<std::size_t>(threads);
+  // Fast-path trials that step the struck PE instead of walking, by
+  // reason; registered (at 0) by every fast-path campaign, beside
+  // campaign.matmul.dropped_trials.
+  obs::Counter* stepped_valid_lane =
+      replay ? &reg.counter("campaign.matmul.stepped_trials.valid_lane")
+             : nullptr;
+  obs::Counter* stepped_invalid_walk =
+      replay ? &reg.counter("campaign.matmul.stepped_trials.invalid_walk")
+             : nullptr;
   std::vector<std::optional<kernel::ProcessingElement>> worker_pes(slots);
   std::vector<std::optional<kernel::LinearArrayMatmul>> replicas(slots);
   const exec::GridResult grid = exec::parallel_for_grid(
@@ -1049,19 +1068,25 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
           fault::FaultInjector injector({pf.fault});
           KernelTrial& trial = trials[i];
           if (replay) {
+            const bool valid_lane = fault::flips_valid(pf.fault);
             std::optional<kernel::MatmulReplay::Verdict> v;
             if (pf.target == PeFault::kAccumulator) {
               v = replay->accumulator_upset(pf.pe, pf.fault.cycle, injector);
+            } else if (!valid_lane) {
+              v = replay->unit_upset(pf.pe, struck_unit(pf.target),
+                                     pf.fault.cycle,
+                                     fault::last_active_cycle(pf.fault),
+                                     injector);
             }
             if (!v) {
+              (valid_lane ? stepped_valid_lane : stepped_invalid_walk)->inc();
               if (!worker_pes[slot]) {
                 worker_pes[slot].emplace(array.pe(0).clone());
               }
               kernel::ProcessingElement& pe = *worker_pes[slot];
-              injector.rewind();  // it may have struck the finisher's bank
+              injector.rewind();  // a walk may have struck already
               attach_fault(pe, pf.target, &injector);
-              v = replay->replay(pe, pf.pe, pf.fault.cycle,
-                                 fault::last_active_cycle(pf.fault));
+              v = replay->replay(pe, pf.pe);
               attach_fault(pe, pf.target, nullptr);
             }
             trial.corrupted = v->corrupted;
@@ -1086,7 +1111,7 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
         }
       },
       grid_opts);
-  // Free the worker structures and the golden snapshots here, where the
+  // Free the worker structures and the golden logs here, where the
   // inject span accounts for the cost.
   worker_pes.clear();
   replicas.clear();

@@ -42,8 +42,8 @@ struct SeuCampaignConfig {
   /// both run the upset-replay engine (rtl::Evaluator), which produces
   /// bit-identical tallies (and checkpoint bytes — the backend never
   /// enters the spec hash); a campaign whose faults or chain fall outside
-  /// its guarantees (non-latch faults, DONE-writing pieces) silently
-  /// falls back to the interpreted loop and bumps
+  /// its guarantees (non-latch faults, DONE-writing pieces) falls back to
+  /// the interpreted loop, counted in the registry counter
   /// campaign.unit.backend_fallback.
   rtl::EvalBackend backend = rtl::EvalBackend::kAuto;
 };
@@ -264,20 +264,22 @@ struct MatmulSeuConfig {
   /// piece repairs at the next scrub boundary. <= 0: persists all run.
   long scrub_period_cycles = 0;
   /// Worker threads for the golden pass (PEs split across workers) and
-  /// the per-fault loop, where each worker keeps one PE (fast path) or one
-  /// array replica (reference) for the whole campaign. 0 = auto
+  /// the per-fault loop, where each worker keeps one PE (fast path, for
+  /// the trials it must step) or one array replica (reference) for the
+  /// whole campaign. 0 = auto
   /// (FLOPSIM_THREADS, then hardware_concurrency); 1 = serial. Tallies
   /// reduce in fault-list order: bit-identical at any thread count.
   int threads = 0;
   /// Requested evaluation backend; kAuto resolves like the unit campaign's.
   /// kCompiled and kBitsliced take the kernel fast path
-  /// (kernel::MatmulReplay): a trial steps only the struck PE, resuming
-  /// from the golden snapshot before the fault and stopping once the PE's
-  /// datapath is back in its golden state — ECC-repaired trials included,
-  /// their counters reported as golden deltas; the PE's units still step
-  /// interpreted pipelines. kInterpreted re-runs the whole array per
-  /// trial, the reference. Both give bit-identical tallies and checkpoint
-  /// bytes.
+  /// (kernel::MatmulReplay), which steps no PE: the golden pass walks each
+  /// accumulate through its units, and a trial re-walks only the
+  /// accumulates its upset reaches, through the fault's injector. A
+  /// valid-bit flip, and a walk that leaves its unit invalid, step the
+  /// struck PE from cycle 0 instead, counted in the registry counters
+  /// campaign.matmul.stepped_trials.valid_lane and .invalid_walk.
+  /// kInterpreted re-runs the whole array per trial, the reference. Both
+  /// give bit-identical tallies and checkpoint bytes.
   rtl::EvalBackend backend = rtl::EvalBackend::kAuto;
 };
 

@@ -22,6 +22,10 @@ long last_active_cycle(const Fault& f) {
                              : std::numeric_limits<long>::max();
 }
 
+bool flips_valid(const Fault& f) {
+  return f.site == FaultSite::kStageLatch && f.lane == kValidLane;
+}
+
 FaultInjector::FaultInjector(std::vector<Fault> faults)
     : faults_(std::move(faults)),
       armed_(faults_.size(), 1),
@@ -78,9 +82,11 @@ void FaultInjector::on_latch(long cycle, int stage, rtl::SignalSet& latch) {
       armed_[i] = 0;
       apply_latch_fault(i, latch);
     } else if (f.site == FaultSite::kConfig) {
-      if (cycle < f.cycle) continue;
-      if (f.repair_cycle >= 0 && cycle >= f.repair_cycle) {
-        armed_[i] = 0;  // scrubbed back; stop checking
+      // Scrubbed back from repair_cycle on. The fault stays armed: a
+      // kernel replay walks accumulates one at a time, so the clocks it
+      // shows the injector need not rise.
+      if (cycle < f.cycle ||
+          (f.repair_cycle >= 0 && cycle >= f.repair_cycle)) {
         continue;
       }
       const fp::u64 before = latch[f.lane];

@@ -143,88 +143,127 @@ MatmulReplay::MatmulReplay(LinearArrayMatmul& array, const Matrix& a,
 void MatmulReplay::record(int j) {
   ProcessingElement& pe = array_.pe(j);
   Golden& g = golden_.at(static_cast<std::size_t>(j));
+  g = Golden{};
   pe.clear();
-  g.snapshots.clear();
-  g.flags_after.assign(static_cast<std::size_t>(cycles_), 0);
-  AccumulateLog log;
-  log.ops.reserve(static_cast<std::size_t>(sched_.issues_per_pe()));
-  struct Detach {
-    ProcessingElement& pe;
-    ~Detach() { pe.set_accumulate_log(nullptr); }
-  } detach{pe};
-  pe.set_accumulate_log(&log);
-  // Snapshots keep only the rows the schedule issues to: the ones a run
-  // reads. Anything a fault flips elsewhere is never read back.
-  for (long t = 0; t < cycles_; ++t) {
-    if (t % kSnapshotInterval == 0) {
-      g.snapshots.push_back(pe.save(sched_.n_eff));
+  if (!walk_golden(j, g)) {
+    // A golden walk left its unit invalid, so the PE's row tags fall out
+    // of step with the log: step PE j instead, and decline its trials.
+    g = Golden{};
+    g.stepped = true;
+    for (long t = 0; t < cycles_; ++t) {
+      pe.step(scheduled_issue(sched_, a_, b_, j, t));
     }
-    pe.step(scheduled_issue(sched_, a_, b_, j, t));
-    g.flags_after[static_cast<std::size_t>(t)] = pe.flags();
   }
-  g.ops = std::move(log.ops);
   g.column.resize(static_cast<std::size_t>(sched_.n));
   for (int i = 0; i < sched_.n; ++i) {
     g.column[static_cast<std::size_t>(i)] = pe.acc(i);
   }
   g.flags = pe.flags();
-  g.ecc_corrections = pe.ecc_corrections();
-  g.ecc_detections = pe.ecc_detections();
 }
 
-MatmulReplay::Verdict MatmulReplay::replay(ProcessingElement& pe, int j,
-                                           long first_active,
-                                           long last_active) const {
-  const Golden& g = golden_.at(static_cast<std::size_t>(j));
-  const std::size_t from =
-      std::min(static_cast<std::size_t>(std::max(first_active, 0L) /
-                                        kSnapshotInterval),
-               g.snapshots.size() - 1);
-  const long start = static_cast<long>(from) * kSnapshotInterval;
-  pe.restore(g.snapshots[from]);
-  Verdict v;
-  for (long t = start; t < cycles_; ++t) {
-    // Past the fault's last active cycle, a datapath equal to the golden
-    // one evolves exactly as the golden run did, so the output is the
-    // golden one. The ECC counters stay out of the comparison (step()
-    // never reads them), so a repaired trial rejoins too; from here each
-    // counter gains what the golden run gains, which puts it at the golden
-    // final plus what this trial has counted beyond the snapshot. A PE
-    // whose pipelines alone equal the golden ones goes to the finisher
-    // with the rows that still differ.
-    if (t > last_active && t % kSnapshotInterval == 0) {
-      const ProcessingElement::State& snap =
-          g.snapshots[static_cast<std::size_t>(t / kSnapshotInterval)];
-      if (pe.matches_datapath(snap)) {
-        v.ecc_corrections =
-            g.ecc_corrections + (pe.ecc_corrections() - snap.ecc_corrections);
-        v.ecc_detections =
-            g.ecc_detections + (pe.ecc_detections() - snap.ecc_detections);
-        v.cycles_stepped = t - start;
-        return v;
-      }
-      if (pe.matches_pipelines(snap)) {
-        std::vector<RowWord> rows;
-        for (std::size_t r = 0; r < snap.acc.size(); ++r) {
-          const int row = static_cast<int>(r);
-          const RowWord w{row, pe.stored_word(row), pe.stored_check(row)};
-          if (w.data != snap.acc[r] ||
-              (!snap.acc_check.empty() && w.check != snap.acc_check[r])) {
-            rows.push_back(w);
-          }
-        }
-        if (auto done = finish(j, t, std::move(rows), pe.flags(),
-                               pe.ecc_corrections(), pe.ecc_detections())) {
-          done->cycles_stepped = t - start;
-          return *done;
-        }
-      }
+bool MatmulReplay::walk_golden(int j, Golden& g) {
+  ProcessingElement& pe = array_.pe(j);
+  const bool fused = pe.config().use_fused_mac;
+  const bool ecc = pe.config().ecc_accumulators;
+  const units::FpUnit& mult = pe.multiplier();
+  const units::FpUnit& unit = pe.accumulator_unit();
+  // Split PE: a product leaves the multiplier Lmul - 1 clocks after its
+  // issue, its row is read on that clock, and the sum enters the adder on
+  // the next. Fused PE: the row is read and the MAC entered at the issue.
+  const long read_delay = fused ? 0 : mult.latency() - 1;
+  const long sum_delay = fused ? unit.latency() - 1 : unit.latency();
+  const long issues = sched_.issues_per_pe();
+
+  std::vector<fp::u64> bank(static_cast<std::size_t>(sched_.n_eff), 0);
+  std::vector<std::uint8_t> raised(static_cast<std::size_t>(cycles_), 0);
+  long hazards = 0;
+  std::size_t landed = 0;  // ops whose write-back is in `bank`
+  const auto land = [&](long before) {
+    for (; landed < g.ops.size() &&
+           g.ops[landed].writeback_cycle < before;
+         ++landed) {
+      bank[static_cast<std::size_t>(g.ops[landed].row)] =
+          g.ops[landed].result;
     }
+  };
+  g.ops.reserve(static_cast<std::size_t>(issues));
+  for (long k = 0; k < issues; ++k) {
+    const ProcessingElement::MacIssue issue =
+        *scheduled_issue(sched_, a_, b_, j, j + k);
+    AccumulateOp op;
+    op.row = issue.row;
+    op.read_cycle = j + k + read_delay;
+    op.writeback_cycle = op.read_cycle + sum_delay;
+    op.input = {issue.a, issue.b, false};
+    if (!fused) {
+      const auto product =
+          run_accumulate(mult.pieces(), mult.plan(), op.input);
+      if (!product) return false;
+      op.input = {product->result, 0, false};
+      op.product_flags = product->flags;
+    }
+    // The read sees the write-backs of earlier clocks only; one still
+    // pending on the row is a RAW hazard, counted as step() counts it.
+    land(op.read_cycle);
+    if (std::any_of(g.ops.begin() + static_cast<std::ptrdiff_t>(landed),
+                    g.ops.end(),
+                    [&op](const AccumulateOp& x) { return x.row == op.row; })) {
+      ++hazards;
+    }
+    (fused ? op.input.c : op.input.b) =
+        bank[static_cast<std::size_t>(op.row)];
+    const auto sum = run_accumulate(unit.pieces(), unit.plan(), op.input);
+    if (!sum) return false;
+    op.result = sum->result;
+    op.result_flags = sum->flags;
+    if (ecc) op.result_check = fault::secded_encode(op.result);
+    raised[static_cast<std::size_t>(op.read_cycle)] |= op.product_flags;
+    raised[static_cast<std::size_t>(op.writeback_cycle)] |= op.result_flags;
+    g.ops.push_back(op);
+  }
+  land(cycles_);
+  g.flags_after.resize(raised.size());
+  std::uint8_t flags = 0;
+  for (std::size_t c = 0; c < raised.size(); ++c) {
+    flags |= raised[c];
+    g.flags_after[c] = flags;
+  }
+
+  // What run() leaves: every pipeline drained, each stage of the units
+  // step() drives having latched every accumulate once, the counters at
+  // their totals and each row holding its last write-back.
+  ProcessingElement::State s = pe.save(sched_.n_eff);
+  const std::size_t driven_begin = fused ? 2 : 0;  // {mult, adder, mac}
+  for (std::size_t u = driven_begin; u < driven_begin + (fused ? 1 : 2);
+       ++u) {
+    s.units[u].valid_cycles.assign(s.units[u].valid_cycles.size(), issues);
+    s.units[u].cycles = cycles_;
+  }
+  s.acc = bank;
+  if (ecc) {
+    std::ranges::transform(bank, s.acc_check.begin(), fault::secded_encode);
+  }
+  s.mac_issues = issues;
+  s.hazards = hazards;
+  s.cycles = cycles_;
+  s.flags = flags;
+  pe.restore(s);
+  return true;
+}
+
+std::uint8_t MatmulReplay::flags_after(int j, long cycle) const {
+  return golden_.at(static_cast<std::size_t>(j))
+      .flags_after.at(static_cast<std::size_t>(cycle));
+}
+
+MatmulReplay::Verdict MatmulReplay::replay(ProcessingElement& pe,
+                                           int j) const {
+  const Golden& g = golden_.at(static_cast<std::size_t>(j));
+  pe.clear();
+  for (long t = 0; t < cycles_; ++t) {
     pe.step(scheduled_issue(sched_, a_, b_, j, t));
   }
-  v.cycles_stepped = cycles_ - start;
-
-  // Ran to the end: the same guards and readout as result(), for PE j.
+  // The same guards and readout as result(), for PE j.
   if (!pe.drained()) {
     throw std::logic_error("LinearArrayMatmul: pipeline not drained");
   }
@@ -232,6 +271,7 @@ MatmulReplay::Verdict MatmulReplay::replay(ProcessingElement& pe, int j,
     throw std::runtime_error(
         "LinearArrayMatmul: RAW hazard despite default padding");
   }
+  Verdict v;
   v.corrupted = flags_differ(j, pe.flags());
   for (int i = 0; i < sched_.n; ++i) {
     // Read every row: each read runs the ECC corrector, as in result().
@@ -239,6 +279,7 @@ MatmulReplay::Verdict MatmulReplay::replay(ProcessingElement& pe, int j,
   }
   v.ecc_corrections = pe.ecc_corrections();
   v.ecc_detections = pe.ecc_detections();
+  v.cycles_stepped = cycles_;
   return v;
 }
 
@@ -254,27 +295,27 @@ bool MatmulReplay::flags_differ(int j, std::uint8_t flags) const {
 std::optional<MatmulReplay::Verdict> MatmulReplay::accumulator_upset(
     int j, long cycle, StorageObserver& observer) const {
   const Golden& g = golden_.at(static_cast<std::size_t>(j));
-  if (cycle < 0 || cycle >= cycles_) {
-    // The PE never runs that clock, so the observer never sees the bank.
-    Verdict v;
-    v.ecc_corrections = g.ecc_corrections;
-    v.ecc_detections = g.ecc_detections;
-    return v;
-  }
-  // PE j's golden bank after clock `cycle`: the snapshot at or before it
-  // plus the write-backs since. The observer strikes a copy, as step()
-  // hands it the bank: data words, then check bytes when the bank has
-  // them.
-  const ProcessingElement::State& snap =
-      g.snapshots[static_cast<std::size_t>(cycle / kSnapshotInterval)];
-  std::vector<fp::u64> acc = snap.acc;
-  std::vector<std::uint8_t> check = snap.acc_check;
+  if (g.stepped) return std::nullopt;
+  // The PE never runs that clock, so the observer never sees the bank:
+  // the golden verdict (a golden pass reads only clean words, so its ECC
+  // counters are 0).
+  if (cycle < 0 || cycle >= cycles_) return Verdict{};
+  // PE j's golden bank after clock `cycle`, from the log. The schedule
+  // issues to each row once per phase, so the last n_eff write-backs up
+  // to that clock hold every written row's word. The observer strikes a
+  // copy, as step() hands it the bank: data words, then check bytes when
+  // the bank has them.
   const bool ecc = array_.pe(j).config().ecc_accumulators;
-  auto op = std::partition_point(
-      g.ops.begin(), g.ops.end(), [&snap](const AccumulateOp& x) {
-        return x.writeback_cycle < snap.cycles;
+  const auto rows = static_cast<std::size_t>(sched_.n_eff);
+  std::vector<fp::u64> acc(rows, 0);
+  std::vector<std::uint8_t> check(ecc ? rows : 0, fault::secded_encode(0));
+  const auto end = std::partition_point(
+      g.ops.begin(), g.ops.end(), [cycle](const AccumulateOp& op) {
+        return op.writeback_cycle <= cycle;
       });
-  for (; op != g.ops.end() && op->writeback_cycle <= cycle; ++op) {
+  for (auto op = end - std::min(end - g.ops.begin(),
+                                static_cast<std::ptrdiff_t>(rows));
+       op != end; ++op) {
     acc[static_cast<std::size_t>(op->row)] = op->result;
     if (ecc) check[static_cast<std::size_t>(op->row)] = op->result_check;
   }
@@ -282,29 +323,45 @@ std::optional<MatmulReplay::Verdict> MatmulReplay::accumulator_upset(
   std::vector<std::uint8_t> struck_check = check;
   observer.on_storage(cycle, struck);
   if (ecc) observer.on_check_bits(cycle, struck_check);
-  std::vector<RowWord> rows;
-  for (std::size_t r = 0; r < acc.size(); ++r) {
+  std::vector<RowWord> changed;
+  for (std::size_t r = 0; r < rows; ++r) {
     if (struck[r] != acc[r] || (ecc && struck_check[r] != check[r])) {
-      rows.push_back(
-          {static_cast<int>(r), struck[r], ecc ? struck_check[r] : 0});
+      changed.push_back({static_cast<int>(r), struck[r],
+                         ecc ? struck_check[r] : std::uint8_t{0}});
     }
   }
-  // The golden pass runs unobserved, so its corrector never fires: the
-  // counters at the strike are 0, like every golden read's contribution.
-  auto v = finish(j, cycle + 1, std::move(rows),
-                  g.flags_after[static_cast<std::size_t>(cycle)], 0, 0);
-  if (v) v->cycles_stepped = 0;
-  return v;
+  return finish(j, cycle + 1, std::move(changed), nullptr);
+}
+
+std::optional<MatmulReplay::Verdict> MatmulReplay::unit_upset(
+    int j, PeUnit unit, long first_active, long last_active,
+    rtl::LatchObserver& observer) const {
+  if (golden_.at(static_cast<std::size_t>(j)).stepped) return std::nullopt;
+  const long first = std::max(first_active, 0L);
+  if (first >= cycles_ || last_active < first) return Verdict{};
+  const UnitStrike strike{unit, first, last_active, &observer};
+  return finish(j, first, {}, &strike);
 }
 
 std::optional<MatmulReplay::Verdict> MatmulReplay::finish(
-    int j, long t, std::vector<RowWord> rows, std::uint8_t flags,
-    long corrections, long detections) const {
+    int j, long t, std::vector<RowWord> rows, const UnitStrike* strike) const {
   const Golden& g = golden_.at(static_cast<std::size_t>(j));
   const ProcessingElement& golden_pe = array_.pe(j);
   const bool ecc = golden_pe.config().ecc_accumulators;
   const bool fused = golden_pe.config().use_fused_mac;
+  const units::FpUnit& mult = golden_pe.multiplier();
   const units::FpUnit& unit = golden_pe.accumulator_unit();
+  // The unit the strike acts in (the fused PE steps neither), and whether
+  // a pass through it entered on clock `entry` overlaps the clocks it is
+  // active on.
+  const units::FpUnit* struck = nullptr;
+  if (strike != nullptr && !fused) {
+    struck = strike->unit == PeUnit::kMultiplier ? &mult : &unit;
+  }
+  const auto reached = [&](const units::FpUnit& u, long entry) {
+    return struck == &u && entry <= strike->last &&
+           entry + u.latency() - 1 >= strike->first;
+  };
 
   // Per differing row: its word now, and the write-backs whose value is
   // known but whose clock is still ahead, in write-back order.
@@ -317,7 +374,7 @@ std::optional<MatmulReplay::Verdict> MatmulReplay::finish(
     std::vector<Pending> pending;
   };
   std::vector<Row> state;
-  state.reserve(rows.size());
+  state.reserve(rows.size() + 1);
   for (const RowWord& w : rows) state.push_back({w, {}});
   // Land every pending write-back of `r` before clock `before`: a read at
   // clock c sees the write-backs of earlier clocks only (step() reads
@@ -331,37 +388,91 @@ std::optional<MatmulReplay::Verdict> MatmulReplay::finish(
     r.pending.erase(r.pending.begin(),
                     r.pending.begin() + static_cast<std::ptrdiff_t>(k));
   };
+  using OpIt = std::vector<AccumulateOp>::const_iterator;
+  // A row that first differs at `op`'s write-back: until then it holds
+  // what op read, and the write-backs in flight at that read land on it
+  // first. Those are golden, or the row would differ already.
+  const auto diverging = [&](OpIt op) {
+    const fp::u64 read = fused ? op->input.c : op->input.b;
+    Row r{{op->row, read, ecc ? fault::secded_encode(read) : std::uint8_t{0}},
+          {}};
+    OpIt m = op;
+    while (m != g.ops.begin() &&
+           std::prev(m)->writeback_cycle >= op->read_cycle) {
+      --m;
+    }
+    for (; m != op; ++m) {
+      if (m->row == op->row) {
+        r.pending.push_back({m->writeback_cycle, m->result});
+      }
+    }
+    return r;
+  };
 
   // Every accumulate not yet written back at t, in issue order. Those
-  // that read before t are in flight in pipelines equal to the golden
-  // ones, so they write back the golden sum; so does every accumulate of
-  // a row that does not differ. Products never depend on the bank.
-  const auto first = std::partition_point(
+  // that read before t keep their golden reads; products never depend on
+  // the bank. An accumulate walks through the strike where its pass
+  // overlaps it, walks again where its input changed, and is taken from
+  // the log otherwise.
+  std::uint8_t flags =
+      t > 0 ? g.flags_after[static_cast<std::size_t>(t - 1)] : 0;
+  // Golden reads see only clean words: the ECC counters start at 0.
+  long corrections = 0;
+  long detections = 0;
+  const OpIt first = std::partition_point(
       g.ops.begin(), g.ops.end(),
       [t](const AccumulateOp& op) { return op.writeback_cycle < t; });
-  for (auto op = first; op != g.ops.end(); ++op) {
-    if (op->read_cycle >= t) flags |= op->product_flags;
-    const auto r = std::find_if(state.begin(), state.end(), [&](const Row& x) {
-      return x.word.row == op->row;
-    });
-    if (r == state.end() || op->read_cycle < t) {
-      flags |= op->result_flags;
-      if (r != state.end()) {
-        r->pending.push_back({op->writeback_cycle, op->result});
-      }
-      continue;
-    }
-    land(*r, op->read_cycle);
-    const fp::u64 read =
-        ecc ? ecc_read(r->word.data, r->word.check, corrections, detections)
-            : r->word.data;
+  for (OpIt op = first; op != g.ops.end(); ++op) {
+    const bool read_after = op->read_cycle >= t;
     units::UnitInput in = op->input;
-    (fused ? in.c : in.b) = read;
-    const std::optional<units::UnitOutput> out =
-        run_accumulate(unit.pieces(), unit.plan(), in);
+    bool changed = false;
+    std::uint8_t product_flags = op->product_flags;
+    const long issue = op->read_cycle - (mult.latency() - 1);
+    if (reached(mult, issue)) {
+      const ProcessingElement::MacIssue operands =
+          *scheduled_issue(sched_, a_, b_, j, issue);
+      const auto product =
+          run_accumulate(mult.pieces(), mult.plan(),
+                         {operands.a, operands.b, false}, issue,
+                         strike->observer);
+      if (!product) return std::nullopt;  // no read: the golden log ends
+      changed = product->result != in.a;
+      in.a = product->result;
+      product_flags = product->flags;
+    }
+    if (read_after) flags |= product_flags;
+
+    Row* row = nullptr;
+    for (Row& r : state) {
+      if (r.word.row == op->row) row = &r;
+    }
+    if (row != nullptr && read_after) {
+      land(*row, op->read_cycle);
+      const fp::u64 read = ecc ? ecc_read(row->word.data, row->word.check,
+                                          corrections, detections)
+                               : row->word.data;
+      fp::u64& slot = fused ? in.c : in.b;
+      changed |= read != slot;
+      slot = read;
+    }
+    const long entry = op->writeback_cycle - (unit.latency() - 1);
+    std::optional<units::UnitOutput> out;
+    if (reached(unit, entry)) {
+      out = run_accumulate(unit.pieces(), unit.plan(), in, entry,
+                           strike->observer);
+    } else if (changed) {
+      out = run_accumulate(unit.pieces(), unit.plan(), in);
+    } else {
+      out = units::UnitOutput{op->result, op->result_flags};
+    }
     if (!out) return std::nullopt;  // no write-back: the golden log ends
     flags |= out->flags;
-    r->pending.push_back({op->writeback_cycle, out->result});
+    if (row == nullptr && out->result != op->result) {
+      row = &state.emplace_back(diverging(op));
+    }
+    if (row != nullptr) {
+      row->pending.push_back({op->writeback_cycle, out->result});
+    }
   }
 
   // The readout, as in result(): the differing rows below n through the

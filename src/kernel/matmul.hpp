@@ -95,74 +95,101 @@ class LinearArrayMatmul {
   int pad_override_ = -1;
 };
 
+/// One accumulate of a golden pass: the row it reads and writes back, the
+/// clocks it does so on, the consuming unit's input (the word the read
+/// returned sits in `b` beside the product in `a`; fused MAC: in `c`
+/// beside the operands), the product's flags, and the result with its
+/// flags and the check byte stored with it.
+struct AccumulateOp {
+  int row = 0;
+  long read_cycle = 0;
+  long writeback_cycle = 0;
+  units::UnitInput input;
+  std::uint8_t product_flags = 0;  ///< raised at the read (split PE only)
+  fp::u64 result = 0;
+  std::uint8_t result_flags = 0;   ///< raised at the write-back
+  std::uint8_t result_check = 0;   ///< stored with it (0 without ECC)
+};
+
 /// Single-PE replay of the array's product, the kernel SEU fast path. PE j
-/// reads only a(i, k), b(k, j) and its own state, so stepping PE j alone
-/// over its skewed schedule does exactly what a full array run does to
-/// it. record() runs that golden pass for one PE, snapshots its whole
-/// state every kSnapshotInterval cycles and logs every accumulate it
-/// performs (AccumulateLog).
+/// reads only a(i, k), b(k, j) and its own state, so its share of a full
+/// array run is one accumulate per scheduled issue: the product through
+/// the multiplier (split PE), the read of the row, which sees the
+/// write-backs of earlier clocks only, and the sum through the adder or
+/// the fused MAC back into the row. record() computes that golden pass
+/// by walking each accumulate through its units (run_accumulate) and logs
+/// it (AccumulateOp); it steps no PE.
 ///
-/// A trial ends one of three ways:
-///  * rejoin — replay() re-runs one PE under a fault from the last
-///    snapshot at or before it, and stops once the fault can no longer
-///    act and the PE's datapath equals the golden snapshot for that cycle
-///    (ProcessingElement::matches_datapath). The two ECC counters are left
-///    out of that comparison, so a trial whose upset the corrector
-///    repaired rejoins as well; its verdict reports each counter as the
-///    golden final plus what the trial counted beyond the snapshot.
-///  * finish — where the PE equals the golden one except in some
-///    accumulator rows (data or check bytes), the flags and the ECC
-///    counters (ProcessingElement::matches_pipelines), the PE will perform
-///    exactly the golden accumulates from then on; only the ones that read
-///    a differing row can compute something else. The finisher re-runs
-///    just those, through the consuming unit's stages (run_accumulate) and
-///    the PE's corrector (ecc_read), in each row's read and write-back
-///    order, and takes everything else from the log. replay() hands over
-///    to it at a snapshot boundary past the fault's last active cycle;
-///    accumulator_upset() enters it at the strike, stepping nothing.
-///  * the end — a fault that never stops acting (an unrepaired
-///    configuration upset) steps to the last cycle.
-/// All three give a full array run's verdict by construction.
+/// A trial walks only the accumulates its fault can reach, through the
+/// caller's fault observer, so the fault layer alone decides what a
+/// strike does:
+///  * accumulator_upset() rebuilds PE j's bank after the strike clock from
+///    the log and hands it to the observer as step() would;
+///  * unit_upset() walks each accumulate whose stay in the struck unit
+///    overlaps the fault's active clocks through the observer; one that
+///    read its row before the fault could act keeps its golden read.
+/// The finisher takes what changed (rows, products, sums), re-walks the
+/// accumulates that read a changed row, in each row's read and write-back
+/// order, and takes everything else from the log. Its verdict is a full
+/// array run's by construction, with cycles_stepped 0.
+///
+/// Two kinds of upset need PE j stepped. A flipped valid bit can turn a
+/// bubble into an accumulate no walk carries; the caller sends it to
+/// replay() itself. A walk that leaves its unit invalid puts the PE's row
+/// tags out of step with the log; the entries then return nullopt (a
+/// golden walk doing so makes record() step PE j, and every entry
+/// declines PE j). replay() steps PE j from cycle 0 under the caller's
+/// observers.
 class MatmulReplay {
  public:
-  static constexpr long kSnapshotInterval = 16;
-
   /// Replays of `array`'s product a * b (C0 = 0). Borrows all three; they
   /// must outlive the replay.
   MatmulReplay(LinearArrayMatmul& array, const Matrix& a, const Matrix& b);
 
-  /// Golden pass of PE j on the array's own PE. Calls for distinct j touch
-  /// disjoint state and may run on different threads. Once every PE is
-  /// recorded the array holds what run(a, b) leaves, and
-  /// LinearArrayMatmul::result() returns the clean product.
+  /// Golden pass of PE j, leaving the array's own PE as run() leaves it.
+  /// Calls for distinct j touch disjoint state and may run on different
+  /// threads. Once every PE is recorded the array holds what run(a, b)
+  /// leaves, and LinearArrayMatmul::result() returns the clean product.
   void record(int j);
 
   struct Verdict {
     bool corrupted = false;  ///< C or the array's flags differ from golden
     long ecc_corrections = 0;  ///< PE j's counters after the readout
     long ecc_detections = 0;
-    long cycles_stepped = 0;  ///< from the resume snapshot; a rejoin or a
-                              ///< finish stops short of the last cycle
+    long cycles_stepped = 0;  ///< PE clocks stepped: 0 but for replay()
   };
-  /// Re-run PE j's share of the product on `pe`, a PE configured like the
-  /// array's, with the fault observers the caller attached to it. The
-  /// fault may change state only on cycles [first_active, last_active].
-  /// Thread-safe on distinct `pe`s once every PE is recorded.
-  Verdict replay(ProcessingElement& pe, int j, long first_active,
-                 long last_active) const;
+
+  /// PE j's flags after golden clock `cycle` (0 <= cycle < the run's
+  /// cycles); PE j must have been recorded without stepping.
+  std::uint8_t flags_after(int j, long cycle) const;
 
   /// An accumulator upset that `observer` (the caller's fault injector)
   /// makes in PE j's bank at the end of clock `cycle` and on no other
   /// clock. The observer is handed PE j's golden bank after that clock as
   /// step() hands it over — the data words, then the check bytes when the
-  /// bank has them — cut to the rows the schedule reads, as the snapshots
-  /// are (a strike elsewhere is never read back). The finisher answers
-  /// from the rows the observer changed, stepping no PE (cycles_stepped
-  /// is 0). nullopt when it cannot — a recomputed accumulate left its unit
-  /// invalid; re-arm the observer and replay() the upset instead.
-  /// Thread-safe on distinct observers once every PE is recorded.
+  /// bank has them — cut to the rows the schedule reads (a strike
+  /// elsewhere is never read back). The finisher answers from the rows
+  /// the observer changed. nullopt when a walk leaves its unit invalid:
+  /// re-arm the observer and replay() the upset instead. Thread-safe on
+  /// distinct observers once every PE is recorded.
   std::optional<Verdict> accumulator_upset(int j, long cycle,
                                            StorageObserver& observer) const;
+
+  /// A latch or configuration upset that `observer` makes in PE j's
+  /// `unit` on clocks [first_active, last_active] and no others, and
+  /// never on a valid bit (that one goes to replay()). nullopt when a walk
+  /// leaves its unit invalid: re-arm the observer and replay() the upset
+  /// instead. Thread-safe on distinct observers once every PE is
+  /// recorded.
+  std::optional<Verdict> unit_upset(int j, PeUnit unit, long first_active,
+                                    long last_active,
+                                    rtl::LatchObserver& observer) const;
+
+  /// Step PE j's whole share of the product on `pe`, a PE configured like
+  /// the array's, under the fault observers the caller attached to it:
+  /// the fallback for the upsets no walk can follow. Thread-safe on
+  /// distinct `pe`s once every PE is recorded.
+  Verdict replay(ProcessingElement& pe, int j) const;
 
  private:
   /// A row whose stored word or check byte may differ from the golden
@@ -172,24 +199,33 @@ class MatmulReplay {
     fp::u64 data = 0;
     std::uint8_t check = 0;
   };
-  /// The finisher: PE j from clock t on, given that it equals the golden
-  /// PE at t except in `rows`, the flags and the ECC counters.
-  std::optional<Verdict> finish(int j, long t, std::vector<RowWord> rows,
-                                std::uint8_t flags, long corrections,
-                                long detections) const;
-  /// Whether PE j ending with `flags`, the other PEs with their golden
-  /// flags, leaves the array's flags other than the clean run's.
-  bool flags_differ(int j, std::uint8_t flags) const;
-
+  /// A unit upset as the finisher walks it.
+  struct UnitStrike {
+    PeUnit unit;
+    long first = 0;
+    long last = 0;
+    rtl::LatchObserver* observer = nullptr;
+  };
   struct Golden {
-    std::vector<ProcessingElement::State> snapshots;  // every interval
     std::vector<AccumulateOp> ops;  // every accumulate, in issue order
     std::vector<std::uint8_t> flags_after;  // PE flags after each clock
     std::vector<fp::u64> column;  // C(:, j) as read out
     std::uint8_t flags = 0;
-    long ecc_corrections = 0;
-    long ecc_detections = 0;
+    bool stepped = false;  // a golden walk left its unit invalid
   };
+
+  /// The golden pass of PE j by walks, leaving the PE drained as run()
+  /// does; false (and PE j untouched but cleared) when a walk leaves its
+  /// unit invalid.
+  bool walk_golden(int j, Golden& g);
+  /// The finisher: PE j from clock t on, given that up to t it equals the
+  /// golden PE except in `rows`, and that from t on `strike` (if any)
+  /// acts on it.
+  std::optional<Verdict> finish(int j, long t, std::vector<RowWord> rows,
+                                const UnitStrike* strike) const;
+  /// Whether PE j ending with `flags`, the other PEs with their golden
+  /// flags, leaves the array's flags other than the clean run's.
+  bool flags_differ(int j, std::uint8_t flags) const;
 
   LinearArrayMatmul& array_;
   const Matrix& a_;

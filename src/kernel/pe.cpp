@@ -104,12 +104,15 @@ fp::u64 ecc_read(fp::u64& data, std::uint8_t& check, long& corrections,
   return d.data;
 }
 
-std::optional<units::UnitOutput> run_accumulate(const rtl::PieceChain& chain,
-                                                const rtl::PipelinePlan& plan,
-                                                const units::UnitInput& in) {
+std::optional<units::UnitOutput> run_accumulate(
+    const rtl::PieceChain& chain, const rtl::PipelinePlan& plan,
+    const units::UnitInput& in, long entry, rtl::LatchObserver* observer) {
   rtl::SignalSet s = units::FpUnit::pack(in);
-  for (int st = 0; st < plan.stages() && s.valid; ++st) {
-    rtl::run_stage(chain, plan, st, s);
+  // Unobserved, an invalid bundle can stop: nothing can revive it.
+  for (int st = 0; st < plan.stages() && (s.valid || observer != nullptr);
+       ++st) {
+    if (s.valid) rtl::run_stage(chain, plan, st, s);
+    if (observer != nullptr) observer->on_latch(entry + st, st, s);
   }
   if (!s.valid) return std::nullopt;
   return units::UnitOutput{s[units::detail::kLaneResult], s.flags};
@@ -170,7 +173,6 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
       const units::UnitInput in{issue->a, issue->b, false,
                                 read_acc(issue->row)};
       mac_->step(in);
-      if (log_ != nullptr) log_->ops.push_back({issue->row, cycles_, -1, in});
       adder_rows_.push_back(issue->row);
       ++pending_writes_[row];
       ++mac_issues_;
@@ -183,7 +185,6 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
       adder_rows_.pop_front();
       write_acc(row, out->result);
       flags_ |= out->flags;
-      if (log_ != nullptr) log_->complete(cycles_, *out, stored_check(row));
       --pending_writes_[static_cast<std::size_t>(row)];
       --in_flight_;
     }
@@ -221,9 +222,6 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
     if (pending_writes_[static_cast<std::size_t>(row)] > 0) ++hazards_;
     add_stage_reg_ = units::UnitInput{prod->result, read_acc(row), false};
     flags_ |= prod->flags;
-    if (log_ != nullptr) {
-      log_->ops.push_back({row, cycles_, -1, *add_stage_reg_, prod->flags});
-    }
     adder_rows_.push_back(row);
     ++pending_writes_[static_cast<std::size_t>(row)];
   }
@@ -234,7 +232,6 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
     adder_rows_.pop_front();
     write_acc(row, sum->result);
     flags_ |= sum->flags;
-    if (log_ != nullptr) log_->complete(cycles_, *sum, stored_check(row));
     --pending_writes_[static_cast<std::size_t>(row)];
     --in_flight_;
   }
@@ -314,8 +311,10 @@ void ProcessingElement::restore(const State& s) {
   flags_ = s.flags;
 }
 
-bool ProcessingElement::matches_pipelines(const State& s) const {
-  return cycles_ == s.cycles && in_flight_ == s.in_flight &&
+bool ProcessingElement::matches_datapath(const State& s) const {
+  return flags_ == s.flags && is_prefix(s.acc, acc_) &&
+         is_prefix(s.acc_check, acc_check_) && cycles_ == s.cycles &&
+         in_flight_ == s.in_flight &&
          mac_issues_ == s.mac_issues && hazards_ == s.hazards &&
          s.units.size() == (mac_.has_value() ? 3u : 2u) &&
          mult_.sim().matches(s.units[0]) &&
@@ -325,11 +324,6 @@ bool ProcessingElement::matches_pipelines(const State& s) const {
          std::ranges::equal(s.mult_rows, mult_rows_) &&
          std::ranges::equal(s.adder_rows, adder_rows_) &&
          is_prefix(s.pending_writes, pending_writes_);
-}
-
-bool ProcessingElement::matches_datapath(const State& s) const {
-  return flags_ == s.flags && is_prefix(s.acc, acc_) &&
-         is_prefix(s.acc_check, acc_check_) && matches_pipelines(s);
 }
 
 bool ProcessingElement::matches(const State& s) const {

@@ -11,14 +11,12 @@
 // t + Lmul + Ladd, and accumulator reuse inside that window is a real
 // read-after-write hazard the PE detects and counts.
 //
-// Every accumulate is one read of an accumulator row, one pass of the
-// consuming unit (the adder, or the fused MAC) and one write-back. With an
-// AccumulateLog attached the PE records each one (row, read and
-// write-back cycles, the unit's input, the flags raised, the result and
-// the check byte stored with it); a kernel replay
-// records its golden pass this way and later recomputes only the
-// accumulates an upset reaches, through run_accumulate and ecc_read, the
-// same stage walk and corrector step() runs.
+// Every accumulate is one pass of the multiplier (split PE only), one read
+// of an accumulator row, one pass of the consuming unit (the adder, or the
+// fused MAC) and one write-back. A kernel replay (kernel/matmul.hpp)
+// computes a PE's share of a product accumulate by accumulate, walking
+// each one through its units with run_accumulate and reading rows through
+// ecc_read: the same stage walk and corrector step() runs.
 #pragma once
 
 #include <deque>
@@ -48,39 +46,6 @@ class StorageObserver {
   }
 };
 
-/// One accumulate as the golden pass saw it. The consuming unit's input
-/// holds the accumulator word the read returned in `b` (multiplier +
-/// adder: a = the product) or `c` (fused MAC: a, b = the operands).
-struct AccumulateOp {
-  int row = 0;
-  long read_cycle = 0;
-  long writeback_cycle = 0;
-  units::UnitInput input;
-  std::uint8_t product_flags = 0;  ///< raised at the read (split PE only)
-  fp::u64 result = 0;
-  std::uint8_t result_flags = 0;   ///< raised at the write-back
-  std::uint8_t result_check = 0;   ///< stored with it (0 without ECC)
-};
-
-/// The accumulates one PE performed, in issue order — which is also read
-/// order and write-back order, since both pipelines are FIFOs. An op is
-/// appended at its read and completed at its write-back.
-struct AccumulateLog {
-  std::vector<AccumulateOp> ops;
-  std::size_t completed = 0;
-
-  /// Complete the oldest open op with its write-back and the check byte
-  /// stored with it.
-  void complete(long cycle, const units::UnitOutput& out,
-                std::uint8_t check) {
-    AccumulateOp& op = ops[completed++];
-    op.writeback_cycle = cycle;
-    op.result = out.result;
-    op.result_flags = out.flags;
-    op.result_check = check;
-  }
-};
-
 /// The PE's SECDED read of one stored word: a single-bit upset is repaired
 /// in place (the read-modify-write of a BRAM ECC controller) and counted
 /// in `corrections`; a double-bit one is counted in `detections` and the
@@ -88,14 +53,22 @@ struct AccumulateLog {
 fp::u64 ecc_read(fp::u64& data, std::uint8_t& check, long& corrections,
                  long& detections);
 
-/// One accumulate input through the consuming unit's stages as
-/// PipelineSim::step carries a bundle: packed (units::FpUnit::pack), then
-/// stage by stage through rtl::run_stage behind the valid gate. nullopt
-/// when it leaves the last stage invalid, where the PE writes nothing
-/// back.
-std::optional<units::UnitOutput> run_accumulate(const rtl::PieceChain& chain,
-                                                const rtl::PipelinePlan& plan,
-                                                const units::UnitInput& in);
+/// One accumulate's pass through one of the PE's units (its product
+/// through the multiplier, or its sum through the adder or fused MAC), as
+/// PipelineSim::step carries a bundle that enters on clock `entry`:
+/// packed (units::FpUnit::pack), then stage by stage through
+/// rtl::run_stage behind the valid gate. With an observer attached, stage
+/// s's latch goes to it on clock entry + s, where step() shows it, the
+/// stages after valid drops included. nullopt when the bundle leaves the
+/// last stage invalid, where the PE reads or writes nothing.
+std::optional<units::UnitOutput> run_accumulate(
+    const rtl::PieceChain& chain, const rtl::PipelinePlan& plan,
+    const units::UnitInput& in, long entry = 0,
+    rtl::LatchObserver* observer = nullptr);
+
+/// A unit of the PE's multiplier + adder datapath: where a latch or
+/// configuration upset strikes. The fused-MAC PE steps neither.
+enum class PeUnit { kMultiplier, kAdder };
 
 struct PeConfig {
   fp::FpFormat fmt = fp::FpFormat::binary32();
@@ -177,8 +150,8 @@ class ProcessingElement {
   /// its first `rows` rows: the unit pipelines (multiplier, adder, and the
   /// fused MAC when engaged), the add-stage register, the row-tag queues,
   /// per-row data, check bytes and pending writes, and every counter. A
-  /// kernel replay snapshots the rows its schedule reads; rows beyond them
-  /// are never read, so they cannot change what the PE computes.
+  /// kernel replay that computed a golden pass without stepping loads the
+  /// drained PE it leaves this way, over the rows its schedule reads.
   struct State {
     std::vector<rtl::PipelineSim::State> units;
     std::optional<units::UnitInput> add_stage_reg;
@@ -206,22 +179,12 @@ class ProcessingElement {
   /// never reads them, so two PEs that match here evolve alike from now
   /// on, and their counters keep the difference they have now.
   bool matches_datapath(const State& s) const;
-  /// matches_datapath() without the accumulator rows, their check bytes
-  /// and the flags: the unit pipelines, the add-stage register, the row
-  /// tags, the pending writes and the issue, hazard and in-flight counts.
-  /// Two PEs that match here perform the same accumulates from now on;
-  /// only the values a differing row feeds them can differ.
-  bool matches_pipelines(const State& s) const;
 
   /// Attach (or detach with nullptr) the end-of-cycle storage observer.
   /// Not owned; survives clear().
   void set_storage_observer(StorageObserver* observer) {
     storage_observer_ = observer;
   }
-  /// Attach (or detach with nullptr) the log step() appends each
-  /// accumulate to. Not owned; survives clear(). Detached, it costs step()
-  /// one branch per accumulator read and per write-back.
-  void set_accumulate_log(AccumulateLog* log) { log_ = log; }
 
   /// Per-PE FPGA resources: units + storage + control. Control includes the
   /// latency-proportional control shift registers the paper describes.
@@ -277,7 +240,6 @@ class ProcessingElement {
   long cycles_ = 0;
   std::uint8_t flags_ = 0;
   StorageObserver* storage_observer_ = nullptr;  // not owned
-  AccumulateLog* log_ = nullptr;                 // not owned
 };
 
 }  // namespace flopsim::kernel

@@ -58,9 +58,8 @@ class PipelineSim {
   const std::vector<long>& valid_cycles() const { return valid_cycles_; }
 
   /// Everything step() advances: the stage latches, the per-stage valid
-  /// counts and the clock. A kernel replay saves it into golden snapshots,
-  /// restores a snapshot to resume mid-run, and compares against one to
-  /// prove a perturbed run has rejoined the clean one.
+  /// counts and the clock. A kernel replay that computed a golden pass
+  /// without stepping loads the drained pipeline it leaves this way.
   struct State {
     std::vector<SignalSet> latches;
     std::vector<long> valid_cycles;

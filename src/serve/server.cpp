@@ -348,33 +348,28 @@ void Server::complete(const std::shared_ptr<Connection>& conn,
                       std::uint64_t seq, std::string response,
                       std::shared_ptr<RequestTrace> rt) {
   response.push_back('\n');
-  // Traces flushed this call, finished below after conn->m is released
-  // (telemetry appends never run under a connection lock).
-  std::vector<std::shared_ptr<RequestTrace>> finished;
-  {
-    std::lock_guard<std::mutex> lock(conn->m);
-    conn->ready.emplace(seq,
-                        Connection::Pending{std::move(response), std::move(rt)});
-    // Flush the prefix that is now contiguous: responses reach the client
-    // in request order no matter how the queue completed them.
-    for (auto it = conn->ready.find(conn->next_write);
-         it != conn->ready.end() && it->first == conn->next_write;
-         it = conn->ready.find(conn->next_write)) {
-      Connection::Pending& p = it->second;
-      if (!conn->dead) {
-        if (p.rt != nullptr) p.rt->phase_begin(Phase::kWrite);
-        const bool ok =
-            write_all(conn->fd, p.response.data(), p.response.size());
-        if (p.rt != nullptr) p.rt->phase_end(Phase::kWrite);
-        if (!ok) conn->dead = true;
-      }
-      if (p.rt != nullptr) finished.push_back(std::move(p.rt));
-      conn->ready.erase(it);
-      ++conn->next_write;
+  std::lock_guard<std::mutex> lock(conn->m);
+  conn->ready.emplace(seq,
+                      Connection::Pending{std::move(response), std::move(rt)});
+  // Flush the prefix that is now contiguous: responses reach the client
+  // in request order no matter how the queue completed them. Each trace
+  // is finished, under the lock, before the next response is written, so
+  // the access log keeps that order too: a client that sends on receipt
+  // can have its next request answered inline, but not logged first.
+  for (auto it = conn->ready.find(conn->next_write);
+       it != conn->ready.end() && it->first == conn->next_write;
+       it = conn->ready.find(conn->next_write)) {
+    Connection::Pending& p = it->second;
+    if (!conn->dead) {
+      if (p.rt != nullptr) p.rt->phase_begin(Phase::kWrite);
+      const bool ok =
+          write_all(conn->fd, p.response.data(), p.response.size());
+      if (p.rt != nullptr) p.rt->phase_end(Phase::kWrite);
+      if (!ok) conn->dead = true;
     }
-  }
-  for (const std::shared_ptr<RequestTrace>& done : finished) {
-    telemetry_.finish(*done);
+    if (p.rt != nullptr) telemetry_.finish(*p.rt);
+    conn->ready.erase(it);
+    ++conn->next_write;
   }
 }
 

@@ -97,7 +97,7 @@ class FpUnit {
   /// obs/ occupancy probes and rtl::TraceRecorder waveform capture.
   const rtl::PipelineSim& sim() const { return sim_; }
   /// Load pipeline state saved by sim().state() on a unit of this
-  /// configuration (a kernel replay resuming from a golden snapshot).
+  /// configuration (ProcessingElement::restore).
   void restore(const rtl::PipelineSim::State& s) { sim_.restore(s); }
   /// Post-latch observer hook (fault injection). Nullptr detaches; the
   /// zero-observer path is bit-identical to an unobserved unit.

@@ -3,17 +3,20 @@
 // count, the backend never enters the checkpoint spec hash (a run
 // interrupted under one backend resumes under another), and kAuto
 // resolves through FLOPSIM_BACKEND. For matmul campaigns the fast
-// backends replay only the struck PE from golden snapshots, and every
-// result field and sidecar byte must equal the full-array reference loop.
+// backends walk only the struck PE's accumulates an upset reaches, and
+// every result field and sidecar byte must equal the full-array reference
+// loop.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/seu.hpp"
 #include "fault/checkpoint.hpp"
+#include "obs/metrics.hpp"
 #include "rtl/evaluator.hpp"
 
 namespace flopsim::analysis {
@@ -212,8 +215,8 @@ fault::CheckpointLoad only_sidecar(const std::string& dir) {
                        : fault::load_checkpoint(files.front().string());
 }
 
-// The kernel fast path — replay only the struck PE from the last golden
-// snapshot, stop early once the state is clean again — against the
+// The kernel fast path — walk only the accumulates of the struck PE that
+// an upset reaches, stepping no PE — against the
 // full-array reference loop: every result field and every sidecar byte,
 // at 1/2/8 threads. The cases span padded and unpadded sizes, both
 // storage schemes, persistent and scrubbed config upsets, all-latch and
@@ -290,6 +293,57 @@ TEST(BackendEquivalence, MatmulFastPathMatchesFullArrayReference) {
       }
     }
     ++variant;
+  }
+}
+
+// The walks answer every drawn upset: one campaign of every leg — no
+// hardening, ECC, and configuration upsets never scrubbed and scrubbed —
+// leaves both stepping-fallback counters at 0, and registers them so a
+// metrics dump shows that 0.
+TEST(BackendEquivalence, MatmulFastPathStepsNoDrawnTrial) {
+  const struct {
+    const char* leg;
+    fault::Scheme scheme;
+    double config_fraction;
+    long scrub;
+  } legs[] = {
+      {"none", fault::Scheme::kNone, 0.0, 0},
+      {"ecc", fault::Scheme::kEcc, 0.0, 0},
+      {"config", fault::Scheme::kNone, 0.5, 0},
+      {"config scrubbed", fault::Scheme::kNone, 0.5, 24},
+  };
+  obs::Registry& reg = obs::Registry::global();
+  bool first = true;
+  for (const auto& leg : legs) {
+    SCOPED_TRACE(leg.leg);
+    kernel::PeConfig cfg;
+    cfg.adder_stages = 5;
+    cfg.mult_stages = 4;
+    MatmulSeuConfig camp;
+    camp.n = 16;
+    camp.faults = 48;
+    camp.seed = 0xfa57;
+    camp.scheme = leg.scheme;
+    camp.config_fraction = leg.config_fraction;
+    camp.scrub_period_cycles = leg.scrub;
+    camp.threads = 2;
+    camp.backend = rtl::EvalBackend::kBitsliced;
+    const MatmulSeuResult r = run_matmul_campaign(cfg, camp);
+    EXPECT_GE(r.injected, camp.faults);
+    if (first) {
+      std::ostringstream dump;
+      reg.write_jsonl(dump);
+      EXPECT_NE(dump.str().find("campaign.matmul.stepped_trials.valid_lane"),
+                std::string::npos);
+      EXPECT_NE(
+          dump.str().find("campaign.matmul.stepped_trials.invalid_walk"),
+          std::string::npos);
+      first = false;
+    }
+    EXPECT_EQ(reg.counter("campaign.matmul.stepped_trials.valid_lane").value(),
+              0);
+    EXPECT_EQ(
+        reg.counter("campaign.matmul.stepped_trials.invalid_walk").value(), 0);
   }
 }
 

@@ -52,6 +52,42 @@ TEST(Cram, ConfigFaultPersistsUntilRepair) {
   EXPECT_EQ(latch[1], 0xABu);
 }
 
+// A kernel replay walks accumulates one at a time, so the clocks it shows
+// an injector need not rise: a config fault acts on every edge in its
+// window whatever came before, a repair-clock edge seen first included.
+TEST(Cram, ConfigFaultWindowIgnoresTheOrderOfClocks) {
+  Fault f;
+  f.cycle = 2;
+  f.site = FaultSite::kConfig;
+  f.lane = 1;
+  f.mask = 0x30;
+  f.stuck = 0x10;
+  f.repair_cycle = 5;
+  FaultInjector injector({f});
+  for (const long cycle : {6L, 5L, 4L, 1L, 2L, 7L, 3L}) {
+    rtl::SignalSet latch;
+    latch[1] = 0xFF;
+    injector.on_latch(cycle, 0, latch);
+    EXPECT_EQ(latch[1], cycle >= 2 && cycle < 5 ? 0xDFu : 0xFFu)
+        << "clock " << cycle;
+  }
+}
+
+// Only a stage-latch flip of the valid lane can turn a bubble into a
+// bundle (or drop one): the upsets a kernel replay must step.
+TEST(Cram, FlipsValidNamesStageLatchValidFlipsOnly) {
+  Fault f;
+  f.lane = kValidLane;
+  EXPECT_TRUE(flips_valid(f));
+  f.lane = kFlagsLane;
+  EXPECT_FALSE(flips_valid(f));
+  f.lane = 0;
+  EXPECT_FALSE(flips_valid(f));
+  f.site = FaultSite::kAccumulator;
+  f.lane = kValidLane;  // ignored off the stage latches
+  EXPECT_FALSE(flips_valid(f));
+}
+
 TEST(Cram, ConfigFaultValidation) {
   Fault f;
   f.site = FaultSite::kConfig;

@@ -1,8 +1,8 @@
 // Kernel SEU fast path: a MatmulReplay verdict must equal a full
-// LinearArrayMatmul::run under the same fault — at the snapshot
-// boundaries, the skew and horizon edges, and the early exit, where
-// resuming one PE from a golden snapshot could go wrong, and in the
-// finisher, which recomputes only the accumulates an upset reaches.
+// LinearArrayMatmul::run under the same fault — on both the walks, which
+// step no PE and re-walk only the accumulates an upset reaches, and the
+// stepped fallback — at the skew and horizon edges, on and beside
+// multiples of kInterval, and on every kind of upset.
 #include "kernel/matmul.hpp"
 
 #include <gtest/gtest.h>
@@ -23,7 +23,10 @@ namespace {
 using fault::Fault;
 using fault::FaultSite;
 
-constexpr long kInterval = MatmulReplay::kSnapshotInterval;
+/// A clock spacing the named cases strike on and beside, and some drawn
+/// configuration upsets scrub at: where a replay resuming from periodic
+/// golden snapshots would turn.
+constexpr long kInterval = 16;
 
 enum class Target { kMult, kAdd, kStorage };
 
@@ -35,6 +38,24 @@ void attach(ProcessingElement& pe, Target target,
     case Target::kStorage: pe.set_storage_observer(injector); break;
   }
 }
+
+/// An injector attached to one of a PE's structures for one scope, so a
+/// run that throws leaves nothing attached.
+class Attached {
+ public:
+  Attached(ProcessingElement& pe, Target target, const Fault& f)
+      : pe_(pe), target_(target), injector_({f}) {
+    attach(pe_, target_, &injector_);
+  }
+  ~Attached() { attach(pe_, target_, nullptr); }
+  Attached(const Attached&) = delete;
+  Attached& operator=(const Attached&) = delete;
+
+ private:
+  ProcessingElement& pe_;
+  Target target_;
+  fault::FaultInjector injector_;
+};
 
 PeConfig pe_config(bool ecc = false, bool fused = false) {
   PeConfig cfg;
@@ -137,23 +158,18 @@ class ReplayBench {
     return -1;
   }
 
-  /// Replay fault `f` on PE p, expect the full run's verdict, and return
-  /// the replay's. An accumulator fault also goes through the finisher's
-  /// own entry (check_accumulator).
+  /// Answer fault `f` on PE p the way a fast-path campaign does and
+  /// expect the full run's verdict, and the same from the stepped
+  /// fallback. Returns the campaign's verdict: the accumulator or unit
+  /// entry's, or the stepped one for a valid-bit flip.
   MatmulReplay::Verdict check(int p, Target target, const Fault& f) {
     const Reference ref = reference(p, target, f);
-    fault::FaultInjector fast({f});
-    attach(pe_, target, &fast);
-    const MatmulReplay::Verdict v =
-        replay_.replay(pe_, p, f.cycle, fault::last_active_cycle(f));
-    attach(pe_, target, nullptr);
-
-    EXPECT_EQ(v.corrupted, ref.corrupted);
-    EXPECT_EQ(v.ecc_corrections, ref.ecc_corrections);
-    EXPECT_EQ(v.ecc_detections, ref.ecc_detections);
-    EXPECT_LE(v.cycles_stepped, cycles());
-    if (target == Target::kStorage) check_accumulator(p, f, ref);
-    return v;
+    const MatmulReplay::Verdict fallback = stepped(p, target, f);
+    expect_verdict(fallback, ref, "stepped");
+    EXPECT_EQ(fallback.cycles_stepped, cycles()) << "stepped from cycle 0";
+    if (target == Target::kStorage) return check_accumulator(p, f, ref);
+    if (fault::flips_valid(f)) return fallback;  // no walk sees a bubble
+    return check_unit(p, target, f, ref);
   }
 
   /// Answer accumulator fault `f` on PE p from the op log alone
@@ -162,21 +178,33 @@ class ReplayBench {
     return check_accumulator(p, f, reference(p, Target::kStorage, f));
   }
 
- private:
   struct Reference {
     bool corrupted;
     long ecc_corrections;
     long ecc_detections;
   };
 
+  /// The full-array run under fault `f` on PE p.
   Reference reference(int p, Target target, const Fault& f) {
-    fault::FaultInjector full({f});
     ProcessingElement& struck = reference_.pe(p);
-    attach(struck, target, &full);
+    const Attached scope(struck, target, f);
     const MatmulRun faulty = reference_.run(a_, b_);
-    attach(struck, target, nullptr);
     return {faulty.c.bits != clean_.c.bits || faulty.flags != clean_.flags,
             struck.ecc_corrections(), struck.ecc_detections()};
+  }
+
+  /// PE p stepped from cycle 0 under fault `f` (MatmulReplay::replay).
+  MatmulReplay::Verdict stepped(int p, Target target, const Fault& f) {
+    const Attached scope(pe_, target, f);
+    return replay_.replay(pe_, p);
+  }
+
+ private:
+  static void expect_verdict(const MatmulReplay::Verdict& v,
+                             const Reference& ref, const char* entry) {
+    EXPECT_EQ(v.corrupted, ref.corrupted) << entry;
+    EXPECT_EQ(v.ecc_corrections, ref.ecc_corrections) << entry;
+    EXPECT_EQ(v.ecc_detections, ref.ecc_detections) << entry;
   }
 
   MatmulReplay::Verdict check_accumulator(int p, const Fault& f,
@@ -188,10 +216,23 @@ class ReplayBench {
       ADD_FAILURE() << "the finisher gave no verdict";
       return {};
     }
-    EXPECT_EQ(v->corrupted, ref.corrupted) << "accumulator entry";
-    EXPECT_EQ(v->ecc_corrections, ref.ecc_corrections) << "accumulator entry";
-    EXPECT_EQ(v->ecc_detections, ref.ecc_detections) << "accumulator entry";
+    expect_verdict(*v, ref, "accumulator entry");
     EXPECT_EQ(v->cycles_stepped, 0) << "the accumulator entry steps nothing";
+    return *v;
+  }
+
+  MatmulReplay::Verdict check_unit(int p, Target target, const Fault& f,
+                                   const Reference& ref) {
+    fault::FaultInjector injector({f});
+    const std::optional<MatmulReplay::Verdict> v = replay_.unit_upset(
+        p, target == Target::kMult ? PeUnit::kMultiplier : PeUnit::kAdder,
+        f.cycle, fault::last_active_cycle(f), injector);
+    if (!v.has_value()) {
+      ADD_FAILURE() << "a walk left its unit invalid";
+      return {};
+    }
+    expect_verdict(*v, ref, "unit entry");
+    EXPECT_EQ(v->cycles_stepped, 0) << "the unit entry steps nothing";
     return *v;
   }
 
@@ -248,14 +289,13 @@ TEST(MatmulReplay, FaultAtCycleZero) {
   bench.check(3, Target::kAdd, latch_fault(bench.pe(3).adder(), 2, 0));
 }
 
-TEST(MatmulReplay, FaultInLeadingSkewExitsAtTheNextSnapshot) {
+TEST(MatmulReplay, FaultInLeadingSkewStepsNoPe) {
   ReplayBench bench(8, pe_config());
   const int p = 7;  // PE 7 idles through cycles 0..6
   const MatmulReplay::Verdict v = bench.check(
       p, Target::kMult, latch_fault(bench.pe(p).multiplier(), 0, 3));
   EXPECT_FALSE(v.corrupted);
-  EXPECT_EQ(v.cycles_stepped, kInterval)
-      << "a bubble flip drains long before the first snapshot";
+  EXPECT_EQ(v.cycles_stepped, 0) << "a bubble flip reaches no accumulate";
 }
 
 TEST(MatmulReplay, FaultsOnAndJustBeforeASnapshotBoundary) {
@@ -299,9 +339,8 @@ TEST(MatmulReplay, ConfigFaultsPersistentAndRepairedOnABoundary) {
     f.cycle = 20;
     f.repair_cycle = -1;
     SCOPED_TRACE("never repaired");
-    EXPECT_EQ(bench.check(4, Target::kAdd, f).cycles_stepped,
-              bench.cycles() - kInterval)
-        << "a fault that never stops acting cannot exit early";
+    EXPECT_EQ(bench.check(4, Target::kAdd, f).cycles_stepped, 0)
+        << "a fault that never stops acting is walked to the end";
     f.repair_cycle = 3 * kInterval;
     SCOPED_TRACE("repaired on a boundary");
     bench.check(4, Target::kAdd, f);
@@ -310,11 +349,9 @@ TEST(MatmulReplay, ConfigFaultsPersistentAndRepairedOnABoundary) {
 
 // A single-bit upset in a stored accumulator word that PE 1's next read of
 // the row repairs: from that read on the datapath is the golden one and
-// only the correction counter is ahead. The replay rejoins at the first
-// snapshot boundary after the read (16 cycles after it resumed, here)
-// instead of stepping to the end, and still reports the full run's
-// verdict and counters.
-void expect_repair_exits_at_the_rejoin(int bit) {
+// only the correction counter is ahead. The trial steps no PE and still
+// reports the full run's verdict and counters.
+void expect_repair_steps_no_pe(int bit) {
   ReplayBench bench(8, pe_config(/*ecc=*/true));
   constexpr int kPe = 1;
   constexpr int kRow = 2;
@@ -326,19 +363,16 @@ void expect_repair_exits_at_the_rejoin(int bit) {
   EXPECT_FALSE(v.corrupted);
   EXPECT_EQ(v.ecc_corrections, 1);
   EXPECT_EQ(v.ecc_detections, 0);
-  const long resume = kStrike / kInterval * kInterval;
-  const long rejoin = (read / kInterval + 1) * kInterval;
-  EXPECT_EQ(v.cycles_stepped, rejoin - resume)
-      << "the repaired datapath matches the golden one from read " << read;
-  EXPECT_LT(v.cycles_stepped, bench.cycles() - resume);
+  EXPECT_EQ(v.cycles_stepped, 0)
+      << "the read at " << read << " repairs the row without stepping";
 }
 
-TEST(MatmulReplay, EccCorrectedTrialExitsAtTheRejoin) {
-  expect_repair_exits_at_the_rejoin(fault::kSecdedDataBits + 3);
+TEST(MatmulReplay, EccCorrectedTrialStepsNoPe) {
+  expect_repair_steps_no_pe(fault::kSecdedDataBits + 3);
 }
 
-TEST(MatmulReplay, EccCorrectedDataBitTrialExitsAtTheRejoin) {
-  expect_repair_exits_at_the_rejoin(30);
+TEST(MatmulReplay, EccCorrectedDataBitTrialStepsNoPe) {
+  expect_repair_steps_no_pe(30);
 }
 
 TEST(MatmulReplay, FusedMacPeResumesMidRun) {
@@ -520,9 +554,10 @@ TEST(MatmulFinisher, FlipOverwrittenByAnInFlightWriteBack) {
 }
 
 // An upset that changes only the flags: a divide-by-zero flag flipped on
-// into the adder's output register as it writes back. No row differs, so
-// the stepping replay hands over to the finisher at the first snapshot
-// boundary after the strike, and the flag alone corrupts the run.
+// into the adder's output register as it writes back. No row differs, and
+// the flag alone corrupts the run. The same flag flipped on into the
+// multiplier's output register rides the walked product into the PE's
+// flags at the row read, though no value changes.
 TEST(MatmulFinisher, FlagsOnlyDivergence) {
   ReplayBench bench(8, pe_config());
   ASSERT_EQ(bench.clean().flags & fp::kFlagDivByZero, 0);
@@ -534,18 +569,20 @@ TEST(MatmulFinisher, FlagsOnlyDivergence) {
   f.bit = 3;  // fp::kFlagDivByZero
   const MatmulReplay::Verdict v = bench.check(3, Target::kAdd, f);
   EXPECT_TRUE(v.corrupted);
-  const long resume = strike / kInterval * kInterval;
-  EXPECT_EQ(v.cycles_stepped, (strike / kInterval + 1) * kInterval - resume);
+  EXPECT_EQ(v.cycles_stepped, 0);
+
+  f.cycle = bench.ops(3, 4)[2].read;
+  f.index = bench.pe(3).mult_latency() - 1;
+  const MatmulReplay::Verdict product = bench.check(3, Target::kMult, f);
+  EXPECT_TRUE(product.corrupted);
+  EXPECT_EQ(product.cycles_stepped, 0);
 }
 
-// A multiplier latch upset corrupts one product, and so one row. Once the
-// product has been written back, and before the row's next read, the PE's
-// pipelines equal the golden ones: the replay hands over to the finisher
-// at the next snapshot boundary instead of stepping to the last cycle.
-// Here PE 0 reads row 7 at cycles 25 and 33, so boundary 32 qualifies (a
-// row read within the adder latency before a boundary is still in flight
-// there, carrying the trial's value).
-TEST(MatmulFinisher, LatchUpsetHandsOverOnceItsPipelinesRejoin) {
+// A multiplier latch upset corrupts one product, and so one row: the
+// product's walk through the struck multiplier carries the flip, its sum
+// is walked again, and every later accumulate of row 7 reads the
+// corrupted word. Here PE 0 reads row 7 at cycles 25 and 33.
+TEST(MatmulFinisher, LatchUpsetWalksOneProductStepsNoPe) {
   ReplayBench bench(8, pe_config());
   constexpr int kPe = 0;
   constexpr long kStrike = 25;
@@ -561,12 +598,8 @@ TEST(MatmulFinisher, LatchUpsetHandsOverOnceItsPipelinesRejoin) {
   const MatmulReplay::Verdict v = bench.check(kPe, Target::kMult, f);
   EXPECT_TRUE(v.corrupted);
   const long read = kStrike + pe.mult_latency() - 1 - stage;
-  const long writeback = read + pe.adder_latency();
-  const long handover = (writeback / kInterval + 1) * kInterval;
   ASSERT_EQ(bench.ops(kPe, 7)[2].read, read);
-  ASSERT_GE(bench.ops(kPe, 7)[3].read, handover);
-  const long resume = kStrike / kInterval * kInterval;
-  EXPECT_EQ(v.cycles_stepped, handover - resume);
+  EXPECT_EQ(v.cycles_stepped, 0);
 }
 
 // PE 0 alone multiplies 2^100 by 2^100 in phase 7: its products overflow
@@ -628,6 +661,261 @@ TEST(MatmulFinisher, StrikesNoReadReachesAreMasked) {
       EXPECT_EQ(v.ecc_detections, 0);
     }
   }
+}
+
+// --- the walks ----------------------------------------------------------
+
+/// Records the bank the accumulator entry hands its observer, striking
+/// nothing.
+class BankRecorder : public StorageObserver {
+ public:
+  void on_storage(long cycle, std::vector<fp::u64>& acc) override {
+    cycle_ = cycle;
+    acc_ = acc;
+  }
+  void on_check_bits(long cycle, std::vector<std::uint8_t>& check) override {
+    EXPECT_EQ(cycle, cycle_);
+    check_ = check;
+  }
+
+  long cycle_ = -1;
+  std::vector<fp::u64> acc_;
+  std::vector<std::uint8_t> check_;
+};
+
+// The walked golden pass against a stepped PE, clock by clock: after every
+// clock of every PE, the bank the accumulator entry rebuilds from the log
+// (data words, and check bytes with ECC) and the flags equal the stepped
+// PE's, over padded, unpadded and pad-overridden arrays (RAW hazards), both
+// formats, both datapaths, with and without ECC.
+TEST(MatmulReplay, WalkedBankAndFlagsEqualASteppedPeAfterEveryClock) {
+  const struct {
+    int n;
+    bool ecc;
+    bool fused;
+    fp::FpFormat fmt;
+    int pad;  // >= 0: padding threshold override
+  } benches[] = {
+      {3, false, false, fp::FpFormat::binary32(), -1},  // padded
+      {3, true, true, fp::FpFormat::binary64(), -1},
+      {8, true, false, fp::FpFormat::binary64(), -1},  // unpadded
+      {8, false, true, fp::FpFormat::binary32(), -1},
+      {16, false, false, fp::FpFormat::binary32(), -1},
+      {16, true, true, fp::FpFormat::binary64(), -1},
+      {3, true, false, fp::FpFormat::binary32(), 0},  // RAW hazards
+      {4, false, true, fp::FpFormat::binary64(), 2},
+  };
+  for (const auto& bc : benches) {
+    SCOPED_TRACE("n=" + std::to_string(bc.n) + " ecc=" +
+                 std::to_string(bc.ecc) + " fused=" + std::to_string(bc.fused) +
+                 " pad=" + std::to_string(bc.pad) + " " + bc.fmt.name());
+    PeConfig cfg = pe_config(bc.ecc, bc.fused);
+    cfg.fmt = bc.fmt;
+    LinearArrayMatmul array(bc.n, cfg);
+    if (bc.pad >= 0) array.set_pad_threshold(bc.pad);
+    const Matrix a = operand(bc.n, bc.fmt, 21);
+    const Matrix b = operand(bc.n, bc.fmt, 22);
+    MatmulReplay replay(array, a, b);
+    for (int j = 0; j < bc.n; ++j) replay.record(j);
+    if (bc.pad >= 0) {
+      EXPECT_GT(array.result().hazards, 0) << "the override must bite";
+    }
+    const Schedule sched = array.schedule();
+    const auto rows = static_cast<std::size_t>(sched.n_eff);
+    ProcessingElement stepped = array.pe(0).clone();
+    for (int j = 0; j < bc.n; ++j) {
+      stepped.clear();
+      for (long t = 0; t < array.cycles(); ++t) {
+        stepped.step(scheduled_issue(sched, a, b, j, t));
+        std::vector<fp::u64> acc(rows);
+        std::vector<std::uint8_t> check(bc.ecc ? rows : 0);
+        for (std::size_t r = 0; r < rows; ++r) {
+          acc[r] = stepped.stored_word(static_cast<int>(r));
+          if (bc.ecc) check[r] = stepped.stored_check(static_cast<int>(r));
+        }
+        BankRecorder seen;
+        const std::optional<MatmulReplay::Verdict> v =
+            replay.accumulator_upset(j, t, seen);
+        ASSERT_TRUE(v.has_value());
+        ASSERT_FALSE(v->corrupted) << "PE " << j << " clock " << t;
+        ASSERT_EQ(seen.cycle_, t);
+        ASSERT_EQ(seen.acc_, acc) << "PE " << j << " clock " << t;
+        ASSERT_EQ(seen.check_, check) << "PE " << j << " clock " << t;
+        ASSERT_EQ(replay.flags_after(j, t), stepped.flags())
+            << "PE " << j << " clock " << t;
+      }
+    }
+  }
+}
+
+/// A flip of `bit` in lane `lane` of `unit`-stage latch `stage` at `cycle`.
+Fault lane_fault(int stage, long cycle, int lane, int bit) {
+  Fault f;
+  f.cycle = cycle;
+  f.index = stage;
+  f.lane = lane;
+  f.bit = bit;
+  return f;
+}
+
+// With n = 8, PE 0's accumulates of rows 2-5 in odd phases are inside the
+// adder at every multiple of kInterval, so a replay that can only hand a
+// trial over where the pipelines hold no trial value never could. The
+// walks carry a flipped product, and a flipped sum, of each of those rows
+// to the readout without stepping.
+TEST(MatmulFinisher, LatchUpsetOnARowInFlightAtEveryOldBoundary) {
+  ReplayBench bench(8, pe_config());
+  constexpr int kPe = 0;
+  const ProcessingElement& pe = bench.pe(kPe);
+  const int mult_out = pe.mult_latency() - 1;
+  const int add_out = pe.adder_latency() - 1;
+  for (int row = 2; row <= 5; ++row) {
+    SCOPED_TRACE("row " + std::to_string(row));
+    const auto ops = bench.ops(kPe, row);
+    for (std::size_t k = 1; k < ops.size(); k += 2) {
+      const long boundary = (ops[k].read / kInterval + 1) * kInterval;
+      ASSERT_LE(boundary, ops[k].writeback) << "in flight at " << boundary;
+    }
+    const MatmulReplay::Verdict product = bench.check(
+        kPe, Target::kMult,
+        lane_fault(mult_out, ops[3].read, units::detail::kLaneResult, 20));
+    EXPECT_TRUE(product.corrupted);
+    EXPECT_EQ(product.cycles_stepped, 0);
+    const MatmulReplay::Verdict sum = bench.check(
+        kPe, Target::kAdd,
+        lane_fault(add_out, ops[3].writeback, units::detail::kLaneResult, 20));
+    EXPECT_TRUE(sum.corrupted);
+    EXPECT_EQ(sum.cycles_stepped, 0);
+  }
+}
+
+// An adder latch flip strikes an accumulate whose read came before it: the
+// walk keeps that golden read, carries the flip to the write-back, and the
+// row's later reads see it. Under a padding override that makes the next
+// accumulate of the row read before the struck write-back lands (a RAW
+// hazard), that stale read keeps its golden word too. There the third
+// accumulate also writes back after the fourth has read the row, so its
+// struck sum is overwritten unread: the row the strike made differ still
+// holds, for the fourth read, the second's write-back, in flight when the
+// third read the row.
+TEST(MatmulFinisher, AdderFlipAfterTheReadKeepsTheGoldenRead) {
+  for (const int pad : {-1, 0}) {
+    SCOPED_TRACE("pad " + std::to_string(pad));
+    ReplayBench bench(operand(4, fp::FpFormat::binary32(), 31),
+                      operand(4, fp::FpFormat::binary32(), 32), pe_config(),
+                      pad);
+    constexpr int kPe = 2;
+    constexpr int kRow = 1;
+    const auto ops = bench.ops(kPe, kRow);
+    ASSERT_GE(ops.size(), 3u);
+    if (pad == 0) {
+      // A read on the write-back's own clock comes first: still stale.
+      ASSERT_LE(ops[2].read, ops[1].writeback) << "the next read is stale";
+      EXPECT_GT(bench.clean().hazards, 0);
+    }
+    for (int stage = 0; stage < bench.pe(kPe).adder_latency(); ++stage) {
+      SCOPED_TRACE("stage " + std::to_string(stage));
+      const long strike = ops[1].read + 1 + stage;
+      const MatmulReplay::Verdict v = bench.check(
+          kPe, Target::kAdd,
+          latch_fault(bench.pe(kPe).adder(), stage, strike));
+      EXPECT_EQ(v.cycles_stepped, 0);
+    }
+    if (pad == 0) {
+      ASSERT_EQ(ops.size(), 4u);
+      ASSERT_LE(ops[3].read, ops[2].writeback) << "the last read misses it";
+      ASSERT_GT(ops[3].writeback, ops[2].writeback) << "and overwrites it";
+      ASSERT_GT(ops[3].read, ops[1].writeback) << "reading the second's sum";
+      const MatmulReplay::Verdict lost = bench.check(
+          kPe, Target::kAdd,
+          lane_fault(bench.pe(kPe).adder_latency() - 1, ops[2].writeback,
+                     units::detail::kLaneResult, 28));
+      EXPECT_FALSE(lost.corrupted);
+      EXPECT_EQ(lost.cycles_stepped, 0);
+    }
+  }
+}
+
+// Flips of data and flag bits in bubble latches: PE 7's multiplier and
+// adder before its first issue reaches them (the leading skew) and PE 0's
+// after its last accumulate has drained. A bubble is never evaluated and
+// never written back, so each is masked, and no walk carries it.
+TEST(MatmulFinisher, BubbleLatchFlipsAreMasked) {
+  ReplayBench bench(8, pe_config());
+  const long drained = bench.ops(0, 7).back().writeback + 1;
+  const struct {
+    int pe;
+    Target target;
+    long cycle;
+  } bubbles[] = {
+      {7, Target::kMult, 3},
+      {7, Target::kAdd, 5},
+      {0, Target::kMult, drained},
+      {0, Target::kAdd, drained + 2},
+  };
+  for (const auto& at : bubbles) {
+    SCOPED_TRACE("PE " + std::to_string(at.pe) + " cycle " +
+                 std::to_string(at.cycle));
+    for (const Fault& f :
+         {lane_fault(1, at.cycle, units::detail::kLaneResult, 30),
+          lane_fault(1, at.cycle, fault::kFlagsLane, 3)}) {
+      const MatmulReplay::Verdict v = bench.check(at.pe, at.target, f);
+      EXPECT_FALSE(v.corrupted);
+      EXPECT_EQ(v.cycles_stepped, 0);
+    }
+  }
+}
+
+// A configuration upset in an adder stage, scrubbed back while an
+// accumulate is inside the struck stage: the accumulate that latched there
+// on the clock before the repair is struck, the one latched on the repair
+// clock is not. The unit entry walks exactly the accumulates inside the
+// active clocks.
+TEST(MatmulFinisher, ConfigUpsetScrubbedWhileAnAccumulateIsInTheStage) {
+  ReplayBench bench(8, pe_config(/*ecc=*/true));
+  const fault::LatchProfile profile =
+      fault::profile_unit_latches(bench.pe(0).adder(), 24, 0x5eed);
+  fault::CampaignSpec spec;
+  spec.source = fault::CampaignSpec::Source::kCram;
+  spec.profile = &profile;
+  spec.horizon = bench.cycles();
+  spec.count = 4;
+  spec.seed = 11;
+  const fault::FaultCampaign drawn = fault::FaultCampaign::make(spec);
+  ASSERT_FALSE(drawn.empty());
+  constexpr int kPe = 5;
+  for (Fault f : drawn.faults()) {
+    f.cycle = 24;
+    for (const long repair : {25L, 29L, 40L}) {
+      SCOPED_TRACE("stage " + std::to_string(f.index) + " repaired at " +
+                   std::to_string(repair));
+      f.repair_cycle = repair;
+      const MatmulReplay::Verdict v = bench.check(kPe, Target::kAdd, f);
+      EXPECT_EQ(v.cycles_stepped, 0);
+    }
+  }
+}
+
+// A flipped valid bit can turn a bubble into a bundle no walk carries, so a
+// fast-path campaign steps the PE for it instead (counted in
+// campaign.matmul.stepped_trials.valid_lane). On the fused PE the split
+// units never step, so such a flip is masked, stepped as in the full run.
+// On the split PE, dropping an accumulate leaves its row tag behind: the
+// full run and the stepped PE both refuse the undrained pipeline.
+TEST(MatmulReplay, ValidLaneFlipTakesTheSteppedFallback) {
+  const Fault dropped = lane_fault(0, 30, fault::kValidLane, 0);
+  ASSERT_TRUE(fault::flips_valid(dropped));
+  {
+    ReplayBench bench(8, pe_config(false, /*fused=*/true));
+    for (const Target target : {Target::kMult, Target::kAdd}) {
+      const MatmulReplay::Verdict v = bench.check(2, target, dropped);
+      EXPECT_FALSE(v.corrupted);
+      EXPECT_EQ(v.cycles_stepped, bench.cycles()) << "stepped from cycle 0";
+    }
+  }
+  ReplayBench bench(8, pe_config());
+  EXPECT_THROW(bench.reference(2, Target::kAdd, dropped), std::logic_error);
+  EXPECT_THROW(bench.stepped(2, Target::kAdd, dropped), std::logic_error);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <vector>
 
 #include "fp/ops.hpp"
 #include "kernel/matmul.hpp"
@@ -330,6 +332,65 @@ TEST(Pe, RunAccumulateStopsWhereValidDrops) {
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->result, kept.output()[units::detail::kLaneResult]);
   EXPECT_EQ(out->flags, kept.output().flags);
+}
+
+// With an observer attached, run_accumulate shows it each stage's latch on
+// the clock PipelineSim::step shows it, the stages after valid drops
+// included: an upset there can still revive the bundle.
+TEST(Pe, RunAccumulateShowsEveryStageToItsObserver) {
+  rtl::PieceChain chain(2);
+  chain[0].name = "drop";
+  chain[0].eval = [](rtl::SignalSet& s) { s.valid = false; };
+  chain[1].name = "mark";
+  chain[1].eval = [](rtl::SignalSet& s) { s[units::detail::kLaneResult] = 42; };
+  rtl::PipelinePlan plan;
+  plan.stage_begin = {0, 1, 2};
+  const units::UnitInput in{1, 2, false};
+
+  struct Seen {
+    long cycle;
+    int stage;
+    rtl::SignalSet latch;
+  };
+  struct Recorder : rtl::LatchObserver {
+    void on_latch(long cycle, int stage, rtl::SignalSet& latch) override {
+      seen.push_back({cycle, stage, latch});
+    }
+    std::vector<Seen> seen;
+  };
+  constexpr long kEntry = 3;
+  Recorder walked;
+  EXPECT_FALSE(run_accumulate(chain, plan, in, kEntry, &walked).has_value());
+  Recorder stepped;
+  rtl::PipelineSim sim(&chain, plan);
+  sim.set_latch_observer(&stepped);
+  for (long t = 0; t < kEntry; ++t) sim.step(std::nullopt);
+  sim.step(units::FpUnit::pack(in));
+  sim.step(std::nullopt);
+  ASSERT_EQ(walked.seen.size(), 2u);
+  for (const Seen& w : walked.seen) {
+    SCOPED_TRACE("stage " + std::to_string(w.stage));
+    EXPECT_EQ(w.cycle, kEntry + w.stage);
+    // Stage s holds the bundle on clock entry + s, the (s+1)-th latch the
+    // simulator showed from then on.
+    const Seen& s = stepped.seen[static_cast<std::size_t>(
+        (w.cycle * plan.stages()) + (plan.stages() - 1 - w.stage))];
+    EXPECT_EQ(s.cycle, w.cycle);
+    EXPECT_EQ(s.stage, w.stage);
+    EXPECT_EQ(s.latch, w.latch);
+  }
+
+  // An observer that sets valid again after the drop revives the bundle
+  // in the walk as it would in the pipeline.
+  struct Revive : rtl::LatchObserver {
+    void on_latch(long, int stage, rtl::SignalSet& latch) override {
+      if (stage == 0) latch.valid = true;
+    }
+  } revive;
+  const std::optional<units::UnitOutput> out =
+      run_accumulate(chain, plan, in, kEntry, &revive);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->result, 42u);
 }
 
 }  // namespace

@@ -344,6 +344,59 @@ TEST(Telemetry, InlineHitRecordsNoQueuePhase) {
   EXPECT_EQ(queue_count, 1);
 }
 
+// A miss completes on a worker and a hit inline on the reader thread. A
+// client that sends its next request as soon as the miss's response
+// arrives must still find the miss logged first: the access log keeps each
+// connection's request order, pair after pair.
+TEST(Telemetry, AccessLogKeepsRequestOrderAcrossMissHitPairs) {
+  const std::string access = temp_file("telemetry_order_access.jsonl");
+  TelemetryConfig tc;
+  tc.access_log_path = access;
+  obs::Registry reg;
+  ResultCache cache({.capacity = 64, .dir = "", .shards = 4}, reg);
+  Service service({}, &cache, reg);
+  constexpr int kPairs = 16;
+  {
+    Server server(ServerConfig{.unix_path = socket_path(),
+                               .port = 0,
+                               .workers = 2,
+                               .queue_capacity = 8,
+                               .telemetry = tc},
+                  service);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    std::thread runner([&server] { server.run(); });
+    Client c;
+    ASSERT_TRUE(c.connect(server.config().unix_path, 0, 5.0, &error))
+        << error;
+    std::string response;
+    for (int pair = 0; pair < kPairs; ++pair) {
+      // A plan no earlier pair asked for (a miss), then the same plan (a
+      // hit), each sent once the previous response is in.
+      const std::string plan =
+          "\"type\": \"plan\", \"op\": \"add\", \"bits\": " +
+          std::to_string(pair % 2 == 0 ? 32 : 64) +
+          ", \"stages\": " + std::to_string(1 + pair / 2) + "}";
+      for (int k = 0; k < 2; ++k) {
+        ASSERT_TRUE(c.send_line("{\"id\": " + std::to_string(2 * pair + k) +
+                                ", " + plan));
+        ASSERT_TRUE(c.recv_line(&response));
+      }
+    }
+    server.request_stop();
+    runner.join();
+  }
+
+  const std::vector<JsonValue> log = read_jsonl(access);
+  ASSERT_EQ(log.size(), static_cast<std::size_t>(2 * kPairs));
+  for (int i = 0; i < 2 * kPairs; ++i) {
+    SCOPED_TRACE("line " + std::to_string(i));
+    EXPECT_EQ(log[static_cast<std::size_t>(i)].get("id")->as_int(-1), i);
+    EXPECT_EQ(log[static_cast<std::size_t>(i)].get("cache")->as_int(-2),
+              i % 2);
+  }
+}
+
 TEST(Telemetry, BatchModeHandleLineLogsParseAndEvalPhases) {
   const std::string access = temp_file("telemetry_batch_access.jsonl");
   obs::Registry reg;

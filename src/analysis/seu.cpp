@@ -1003,14 +1003,12 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   // accumulates it reaches through the fault's injector: an accumulator
   // upset strikes the golden bank (MatmulReplay::accumulator_upset), a
   // latch or configuration upset the accumulates' passes through its
-  // unit (MatmulReplay::unit_upset). A valid-bit flip, and a walk that
-  // leaves its unit invalid, step the struck PE from cycle 0 on the
-  // worker's own PE instead, each counted by reason. The reference re-runs the whole
+  // unit (MatmulReplay::unit_upset). The reference re-runs the whole
   // kernel on the worker's own array replica (run() clears every PE
   // first, so a replica's trial is bit-identical to the legacy reuse of
-  // one array). Either structure is cloned on the worker's first chunk
-  // that needs it and kept for the campaign; worker 0's replica is the
-  // golden array. Verdicts land in per-fault slots.
+  // one array), cloned on the worker's first chunk and kept for the
+  // campaign; worker 0's replica is the golden array. Verdicts land in
+  // per-fault slots.
   obs::ProgressReporter progress("matmul campaign",
                                  static_cast<long>(count));
   for (long i = 0; i < done_trials; ++i) progress.tick();
@@ -1048,16 +1046,6 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   };
 
   const auto slots = static_cast<std::size_t>(threads);
-  // Fast-path trials that step the struck PE instead of walking, by
-  // reason; registered (at 0) by every fast-path campaign, beside
-  // campaign.matmul.dropped_trials.
-  obs::Counter* stepped_valid_lane =
-      replay ? &reg.counter("campaign.matmul.stepped_trials.valid_lane")
-             : nullptr;
-  obs::Counter* stepped_invalid_walk =
-      replay ? &reg.counter("campaign.matmul.stepped_trials.invalid_walk")
-             : nullptr;
-  std::vector<std::optional<kernel::ProcessingElement>> worker_pes(slots);
   std::vector<std::optional<kernel::LinearArrayMatmul>> replicas(slots);
   const exec::GridResult grid = exec::parallel_for_grid(
       count, threads,
@@ -1068,30 +1056,17 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
           fault::FaultInjector injector({pf.fault});
           KernelTrial& trial = trials[i];
           if (replay) {
-            const bool valid_lane = fault::flips_valid(pf.fault);
-            std::optional<kernel::MatmulReplay::Verdict> v;
-            if (pf.target == PeFault::kAccumulator) {
-              v = replay->accumulator_upset(pf.pe, pf.fault.cycle, injector);
-            } else if (!valid_lane) {
-              v = replay->unit_upset(pf.pe, struck_unit(pf.target),
-                                     pf.fault.cycle,
-                                     fault::last_active_cycle(pf.fault),
-                                     injector);
-            }
-            if (!v) {
-              (valid_lane ? stepped_valid_lane : stepped_invalid_walk)->inc();
-              if (!worker_pes[slot]) {
-                worker_pes[slot].emplace(array.pe(0).clone());
-              }
-              kernel::ProcessingElement& pe = *worker_pes[slot];
-              injector.rewind();  // a walk may have struck already
-              attach_fault(pe, pf.target, &injector);
-              v = replay->replay(pe, pf.pe);
-              attach_fault(pe, pf.target, nullptr);
-            }
-            trial.corrupted = v->corrupted;
-            trial.ecc_detected = v->ecc_detections > 0;
-            trial.ecc_corrected = v->ecc_corrections > 0;
+            const kernel::MatmulReplay::Verdict v =
+                pf.target == PeFault::kAccumulator
+                    ? replay->accumulator_upset(pf.pe, pf.fault.cycle,
+                                                injector)
+                    : replay->unit_upset(pf.pe, struck_unit(pf.target),
+                                         pf.fault.cycle,
+                                         fault::last_active_cycle(pf.fault),
+                                         injector);
+            trial.corrupted = v.corrupted;
+            trial.ecc_detected = v.ecc_detections > 0;
+            trial.ecc_corrected = v.ecc_corrections > 0;
           } else {
             if (worker != 0 && !replicas[slot]) {
               replicas[slot].emplace(array.clone());
@@ -1111,9 +1086,8 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
         }
       },
       grid_opts);
-  // Free the worker structures and the golden logs here, where the
-  // inject span accounts for the cost.
-  worker_pes.clear();
+  // Free the worker replicas and the golden logs here, where the inject
+  // span accounts for the cost.
   replicas.clear();
   replay.reset();
   inject_span.end();

@@ -264,9 +264,8 @@ struct MatmulSeuConfig {
   /// piece repairs at the next scrub boundary. <= 0: persists all run.
   long scrub_period_cycles = 0;
   /// Worker threads for the golden pass (PEs split across workers) and
-  /// the per-fault loop, where each worker keeps one PE (fast path, for
-  /// the trials it must step) or one array replica (reference) for the
-  /// whole campaign. 0 = auto
+  /// the per-fault loop, where each reference worker keeps one array
+  /// replica for the whole campaign. 0 = auto
   /// (FLOPSIM_THREADS, then hardware_concurrency); 1 = serial. Tallies
   /// reduce in fault-list order: bit-identical at any thread count.
   int threads = 0;
@@ -274,10 +273,7 @@ struct MatmulSeuConfig {
   /// kCompiled and kBitsliced take the kernel fast path
   /// (kernel::MatmulReplay), which steps no PE: the golden pass walks each
   /// accumulate through its units, and a trial re-walks only the
-  /// accumulates its upset reaches, through the fault's injector. A
-  /// valid-bit flip, and a walk that leaves its unit invalid, step the
-  /// struck PE from cycle 0 instead, counted in the registry counters
-  /// campaign.matmul.stepped_trials.valid_lane and .invalid_walk.
+  /// accumulates its upset reaches, through the fault's injector.
   /// kInterpreted re-runs the whole array per trial, the reference. Both
   /// give bit-identical tallies and checkpoint bytes.
   rtl::EvalBackend backend = rtl::EvalBackend::kAuto;

@@ -22,10 +22,6 @@ long last_active_cycle(const Fault& f) {
                              : std::numeric_limits<long>::max();
 }
 
-bool flips_valid(const Fault& f) {
-  return f.site == FaultSite::kStageLatch && f.lane == kValidLane;
-}
-
 FaultInjector::FaultInjector(std::vector<Fault> faults)
     : faults_(std::move(faults)),
       armed_(faults_.size(), 1),

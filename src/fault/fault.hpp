@@ -60,10 +60,6 @@ struct Fault {
 /// this edge with its state back to the clean one has masked the fault.
 long last_active_cycle(const Fault& f);
 
-/// Whether `f` flips a stage latch's valid (DONE) bit: it can turn a
-/// bubble into a bundle the pipeline never issued, or drop one it did.
-bool flips_valid(const Fault& f);
-
 /// One fault the injector actually applied, with the touched word before
 /// and after the flip (the valid bit is reported as 0/1).
 struct AppliedFault {

@@ -40,6 +40,19 @@ ProcessingElement first_pe(int n, const PeConfig& cfg) {
       std::max(cfg.storage_rows, n + probe.total_latency() + 8));
 }
 
+/// What a run whose PE never drains ends in.
+[[noreturn]] void throw_not_drained() {
+  throw std::logic_error("LinearArrayMatmul: pipeline not drained");
+}
+
+/// A walk's output. One that leaves its unit invalid has dropped its
+/// accumulate, whose row tag a stepped PE keeps queued: that PE never
+/// drains.
+units::UnitOutput walked(const std::optional<units::UnitOutput>& out) {
+  if (!out) throw_not_drained();
+  return *out;
+}
+
 }  // namespace
 
 LinearArrayMatmul::LinearArrayMatmul(int n, const PeConfig& cfg)
@@ -113,9 +126,7 @@ MatmulRun LinearArrayMatmul::result() const {
   run.c = Matrix::zero(n_, cfg_.fmt);
   for (int j = 0; j < n_; ++j) {
     const ProcessingElement& pe = pes_[static_cast<std::size_t>(j)];
-    if (!pe.drained()) {
-      throw std::logic_error("LinearArrayMatmul: pipeline not drained");
-    }
+    if (!pe.drained()) throw_not_drained();
     run.hazards += pe.hazards();
     run.flags |= pe.flags();
     for (int i = 0; i < n_; ++i) run.c.at(i, j) = pe.acc(i);
@@ -145,42 +156,19 @@ void MatmulReplay::record(int j) {
   Golden& g = golden_.at(static_cast<std::size_t>(j));
   g = Golden{};
   pe.clear();
-  if (!walk_golden(j, g)) {
-    // A golden walk left its unit invalid, so the PE's row tags fall out
-    // of step with the log: step PE j instead, and decline its trials.
-    g = Golden{};
-    g.stepped = true;
-    for (long t = 0; t < cycles_; ++t) {
-      pe.step(scheduled_issue(sched_, a_, b_, j, t));
-    }
-  }
-  g.column.resize(static_cast<std::size_t>(sched_.n));
-  for (int i = 0; i < sched_.n; ++i) {
-    g.column[static_cast<std::size_t>(i)] = pe.acc(i);
-  }
-  g.flags = pe.flags();
-}
-
-bool MatmulReplay::walk_golden(int j, Golden& g) {
-  ProcessingElement& pe = array_.pe(j);
   const bool fused = pe.config().use_fused_mac;
   const bool ecc = pe.config().ecc_accumulators;
   const units::FpUnit& mult = pe.multiplier();
   const units::FpUnit& unit = pe.accumulator_unit();
-  // Split PE: a product leaves the multiplier Lmul - 1 clocks after its
-  // issue, its row is read on that clock, and the sum enters the adder on
-  // the next. Fused PE: the row is read and the MAC entered at the issue.
-  const long read_delay = fused ? 0 : mult.latency() - 1;
-  const long sum_delay = fused ? unit.latency() - 1 : unit.latency();
   const long issues = sched_.issues_per_pe();
 
   std::vector<fp::u64> bank(static_cast<std::size_t>(sched_.n_eff), 0);
   std::vector<std::uint8_t> raised(static_cast<std::size_t>(cycles_), 0);
   long hazards = 0;
   std::size_t landed = 0;  // ops whose write-back is in `bank`
-  const auto land = [&](long before) {
+  const auto land = [&](long read) {
     for (; landed < g.ops.size() &&
-           g.ops[landed].writeback_cycle < before;
+           ProcessingElement::read_sees(read, g.ops[landed].clocks.writeback);
          ++landed) {
       bank[static_cast<std::size_t>(g.ops[landed].row)] =
           g.ops[landed].result;
@@ -192,19 +180,17 @@ bool MatmulReplay::walk_golden(int j, Golden& g) {
         *scheduled_issue(sched_, a_, b_, j, j + k);
     AccumulateOp op;
     op.row = issue.row;
-    op.read_cycle = j + k + read_delay;
-    op.writeback_cycle = op.read_cycle + sum_delay;
+    op.clocks = pe.accumulate_clocks(j + k);
     op.input = {issue.a, issue.b, false};
     if (!fused) {
-      const auto product =
-          run_accumulate(mult.pieces(), mult.plan(), op.input);
-      if (!product) return false;
-      op.input = {product->result, 0, false};
-      op.product_flags = product->flags;
+      const units::UnitOutput product =
+          walked(run_accumulate(mult.pieces(), mult.plan(), op.input));
+      op.input = {product.result, 0, false};
+      op.product_flags = product.flags;
     }
-    // The read sees the write-backs of earlier clocks only; one still
-    // pending on the row is a RAW hazard, counted as step() counts it.
-    land(op.read_cycle);
+    // A write-back of the row that the read does not see is still
+    // pending: a RAW hazard, counted as step() counts it.
+    land(op.clocks.read);
     if (std::any_of(g.ops.begin() + static_cast<std::ptrdiff_t>(landed),
                     g.ops.end(),
                     [&op](const AccumulateOp& x) { return x.row == op.row; })) {
@@ -212,13 +198,13 @@ bool MatmulReplay::walk_golden(int j, Golden& g) {
     }
     (fused ? op.input.c : op.input.b) =
         bank[static_cast<std::size_t>(op.row)];
-    const auto sum = run_accumulate(unit.pieces(), unit.plan(), op.input);
-    if (!sum) return false;
-    op.result = sum->result;
-    op.result_flags = sum->flags;
+    const units::UnitOutput sum =
+        walked(run_accumulate(unit.pieces(), unit.plan(), op.input));
+    op.result = sum.result;
+    op.result_flags = sum.flags;
     if (ecc) op.result_check = fault::secded_encode(op.result);
-    raised[static_cast<std::size_t>(op.read_cycle)] |= op.product_flags;
-    raised[static_cast<std::size_t>(op.writeback_cycle)] |= op.result_flags;
+    raised[static_cast<std::size_t>(op.clocks.read)] |= op.product_flags;
+    raised[static_cast<std::size_t>(op.clocks.writeback)] |= op.result_flags;
     g.ops.push_back(op);
   }
   land(cycles_);
@@ -228,6 +214,8 @@ bool MatmulReplay::walk_golden(int j, Golden& g) {
     flags |= raised[c];
     g.flags_after[c] = flags;
   }
+  g.column.assign(bank.begin(), bank.begin() + sched_.n);
+  g.flags = flags;
 
   // What run() leaves: every pipeline drained, each stage of the units
   // step() drives having latched every accumulate once, the counters at
@@ -248,39 +236,11 @@ bool MatmulReplay::walk_golden(int j, Golden& g) {
   s.cycles = cycles_;
   s.flags = flags;
   pe.restore(s);
-  return true;
 }
 
 std::uint8_t MatmulReplay::flags_after(int j, long cycle) const {
   return golden_.at(static_cast<std::size_t>(j))
       .flags_after.at(static_cast<std::size_t>(cycle));
-}
-
-MatmulReplay::Verdict MatmulReplay::replay(ProcessingElement& pe,
-                                           int j) const {
-  const Golden& g = golden_.at(static_cast<std::size_t>(j));
-  pe.clear();
-  for (long t = 0; t < cycles_; ++t) {
-    pe.step(scheduled_issue(sched_, a_, b_, j, t));
-  }
-  // The same guards and readout as result(), for PE j.
-  if (!pe.drained()) {
-    throw std::logic_error("LinearArrayMatmul: pipeline not drained");
-  }
-  if (pe.hazards() > 0 && !array_.pad_overridden()) {
-    throw std::runtime_error(
-        "LinearArrayMatmul: RAW hazard despite default padding");
-  }
-  Verdict v;
-  v.corrupted = flags_differ(j, pe.flags());
-  for (int i = 0; i < sched_.n; ++i) {
-    // Read every row: each read runs the ECC corrector, as in result().
-    v.corrupted |= pe.acc(i) != g.column[static_cast<std::size_t>(i)];
-  }
-  v.ecc_corrections = pe.ecc_corrections();
-  v.ecc_detections = pe.ecc_detections();
-  v.cycles_stepped = cycles_;
-  return v;
 }
 
 bool MatmulReplay::flags_differ(int j, std::uint8_t flags) const {
@@ -292,26 +252,25 @@ bool MatmulReplay::flags_differ(int j, std::uint8_t flags) const {
   return flags != clean;
 }
 
-std::optional<MatmulReplay::Verdict> MatmulReplay::accumulator_upset(
+MatmulReplay::Verdict MatmulReplay::accumulator_upset(
     int j, long cycle, StorageObserver& observer) const {
   const Golden& g = golden_.at(static_cast<std::size_t>(j));
-  if (g.stepped) return std::nullopt;
   // The PE never runs that clock, so the observer never sees the bank:
   // the golden verdict (a golden pass reads only clean words, so its ECC
   // counters are 0).
   if (cycle < 0 || cycle >= cycles_) return Verdict{};
-  // PE j's golden bank after clock `cycle`, from the log. The schedule
-  // issues to each row once per phase, so the last n_eff write-backs up
-  // to that clock hold every written row's word. The observer strikes a
-  // copy, as step() hands it the bank: data words, then check bytes when
-  // the bank has them.
+  // PE j's golden bank after clock `cycle`, what a read on the next clock
+  // sees, from the log. The schedule issues to each row once per phase, so
+  // the last n_eff write-backs up to that clock hold every written row's
+  // word. The observer strikes a copy, as step() hands it the bank: data
+  // words, then check bytes when the bank has them.
   const bool ecc = array_.pe(j).config().ecc_accumulators;
   const auto rows = static_cast<std::size_t>(sched_.n_eff);
   std::vector<fp::u64> acc(rows, 0);
   std::vector<std::uint8_t> check(ecc ? rows : 0, fault::secded_encode(0));
   const auto end = std::partition_point(
       g.ops.begin(), g.ops.end(), [cycle](const AccumulateOp& op) {
-        return op.writeback_cycle <= cycle;
+        return ProcessingElement::read_sees(cycle + 1, op.clocks.writeback);
       });
   for (auto op = end - std::min(end - g.ops.begin(),
                                 static_cast<std::ptrdiff_t>(rows));
@@ -333,17 +292,16 @@ std::optional<MatmulReplay::Verdict> MatmulReplay::accumulator_upset(
   return finish(j, cycle + 1, std::move(changed), nullptr);
 }
 
-std::optional<MatmulReplay::Verdict> MatmulReplay::unit_upset(
+MatmulReplay::Verdict MatmulReplay::unit_upset(
     int j, PeUnit unit, long first_active, long last_active,
     rtl::LatchObserver& observer) const {
-  if (golden_.at(static_cast<std::size_t>(j)).stepped) return std::nullopt;
   const long first = std::max(first_active, 0L);
   if (first >= cycles_ || last_active < first) return Verdict{};
   const UnitStrike strike{unit, first, last_active, &observer};
   return finish(j, first, {}, &strike);
 }
 
-std::optional<MatmulReplay::Verdict> MatmulReplay::finish(
+MatmulReplay::Verdict MatmulReplay::finish(
     int j, long t, std::vector<RowWord> rows, const UnitStrike* strike) const {
   const Golden& g = golden_.at(static_cast<std::size_t>(j));
   const ProcessingElement& golden_pe = array_.pe(j);
@@ -352,15 +310,14 @@ std::optional<MatmulReplay::Verdict> MatmulReplay::finish(
   const units::FpUnit& mult = golden_pe.multiplier();
   const units::FpUnit& unit = golden_pe.accumulator_unit();
   // The unit the strike acts in (the fused PE steps neither), and whether
-  // a pass through it entered on clock `entry` overlaps the clocks it is
+  // a pass through it on clocks [entry, exit] overlaps the clocks it is
   // active on.
   const units::FpUnit* struck = nullptr;
   if (strike != nullptr && !fused) {
     struck = strike->unit == PeUnit::kMultiplier ? &mult : &unit;
   }
-  const auto reached = [&](const units::FpUnit& u, long entry) {
-    return struck == &u && entry <= strike->last &&
-           entry + u.latency() - 1 >= strike->first;
+  const auto reached = [&](const units::FpUnit& u, long entry, long exit) {
+    return struck == &u && entry <= strike->last && exit >= strike->first;
   };
 
   // Per differing row: its word now, and the write-backs whose value is
@@ -376,12 +333,12 @@ std::optional<MatmulReplay::Verdict> MatmulReplay::finish(
   std::vector<Row> state;
   state.reserve(rows.size() + 1);
   for (const RowWord& w : rows) state.push_back({w, {}});
-  // Land every pending write-back of `r` before clock `before`: a read at
-  // clock c sees the write-backs of earlier clocks only (step() reads
-  // before it writes back).
-  const auto land = [ecc](Row& r, long before) {
+  // Land every pending write-back of `r` that a read on clock `read` sees.
+  const auto land = [ecc](Row& r, long read) {
     std::size_t k = 0;
-    for (; k < r.pending.size() && r.pending[k].cycle < before; ++k) {
+    for (; k < r.pending.size() &&
+           ProcessingElement::read_sees(read, r.pending[k].cycle);
+         ++k) {
       r.word.data = r.pending[k].result;
       if (ecc) r.word.check = fault::secded_encode(r.word.data);
     }
@@ -398,12 +355,13 @@ std::optional<MatmulReplay::Verdict> MatmulReplay::finish(
           {}};
     OpIt m = op;
     while (m != g.ops.begin() &&
-           std::prev(m)->writeback_cycle >= op->read_cycle) {
+           !ProcessingElement::read_sees(op->clocks.read,
+                                         std::prev(m)->clocks.writeback)) {
       --m;
     }
     for (; m != op; ++m) {
       if (m->row == op->row) {
-        r.pending.push_back({m->writeback_cycle, m->result});
+        r.pending.push_back({m->clocks.writeback, m->result});
       }
     }
     return r;
@@ -420,25 +378,25 @@ std::optional<MatmulReplay::Verdict> MatmulReplay::finish(
   long corrections = 0;
   long detections = 0;
   const OpIt first = std::partition_point(
-      g.ops.begin(), g.ops.end(),
-      [t](const AccumulateOp& op) { return op.writeback_cycle < t; });
+      g.ops.begin(), g.ops.end(), [t](const AccumulateOp& op) {
+        return ProcessingElement::read_sees(t, op.clocks.writeback);
+      });
   for (OpIt op = first; op != g.ops.end(); ++op) {
-    const bool read_after = op->read_cycle >= t;
+    const ProcessingElement::AccumulateClocks& at = op->clocks;
+    const bool read_after = at.read >= t;
     units::UnitInput in = op->input;
     bool changed = false;
     std::uint8_t product_flags = op->product_flags;
-    const long issue = op->read_cycle - (mult.latency() - 1);
-    if (reached(mult, issue)) {
+    if (reached(mult, at.issue, at.read)) {
       const ProcessingElement::MacIssue operands =
-          *scheduled_issue(sched_, a_, b_, j, issue);
-      const auto product =
+          *scheduled_issue(sched_, a_, b_, j, at.issue);
+      const units::UnitOutput product = walked(
           run_accumulate(mult.pieces(), mult.plan(),
-                         {operands.a, operands.b, false}, issue,
-                         strike->observer);
-      if (!product) return std::nullopt;  // no read: the golden log ends
-      changed = product->result != in.a;
-      in.a = product->result;
-      product_flags = product->flags;
+                         {operands.a, operands.b, false}, at.issue,
+                         strike->observer));
+      changed = product.result != in.a;
+      in.a = product.result;
+      product_flags = product.flags;
     }
     if (read_after) flags |= product_flags;
 
@@ -447,7 +405,7 @@ std::optional<MatmulReplay::Verdict> MatmulReplay::finish(
       if (r.word.row == op->row) row = &r;
     }
     if (row != nullptr && read_after) {
-      land(*row, op->read_cycle);
+      land(*row, at.read);
       const fp::u64 read = ecc ? ecc_read(row->word.data, row->word.check,
                                           corrections, detections)
                                : row->word.data;
@@ -455,23 +413,19 @@ std::optional<MatmulReplay::Verdict> MatmulReplay::finish(
       changed |= read != slot;
       slot = read;
     }
-    const long entry = op->writeback_cycle - (unit.latency() - 1);
-    std::optional<units::UnitOutput> out;
-    if (reached(unit, entry)) {
-      out = run_accumulate(unit.pieces(), unit.plan(), in, entry,
-                           strike->observer);
+    units::UnitOutput out{op->result, op->result_flags};
+    if (reached(unit, at.entry, at.writeback)) {
+      out = walked(run_accumulate(unit.pieces(), unit.plan(), in, at.entry,
+                                  strike->observer));
     } else if (changed) {
-      out = run_accumulate(unit.pieces(), unit.plan(), in);
-    } else {
-      out = units::UnitOutput{op->result, op->result_flags};
+      out = walked(run_accumulate(unit.pieces(), unit.plan(), in));
     }
-    if (!out) return std::nullopt;  // no write-back: the golden log ends
-    flags |= out->flags;
-    if (row == nullptr && out->result != op->result) {
+    flags |= out.flags;
+    if (row == nullptr && out.result != op->result) {
       row = &state.emplace_back(diverging(op));
     }
     if (row != nullptr) {
-      row->pending.push_back({op->writeback_cycle, out->result});
+      row->pending.push_back({at.writeback, out.result});
     }
   }
 

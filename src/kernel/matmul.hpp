@@ -95,18 +95,18 @@ class LinearArrayMatmul {
   int pad_override_ = -1;
 };
 
-/// One accumulate of a golden pass: the row it reads and writes back, the
-/// clocks it does so on, the consuming unit's input (the word the read
-/// returned sits in `b` beside the product in `a`; fused MAC: in `c`
-/// beside the operands), the product's flags, and the result with its
-/// flags and the check byte stored with it.
+/// One accumulate of a golden pass: the row it reads and writes back, its
+/// clocks (ProcessingElement::accumulate_clocks), the consuming unit's
+/// input (the word the read returned sits in `b` beside the product in
+/// `a`; fused MAC: in `c` beside the operands), the product's flags, and
+/// the result with its flags and the check byte stored with it.
 struct AccumulateOp {
-  int row = 0;
-  long read_cycle = 0;
-  long writeback_cycle = 0;
+  // Ordered to pack: a trial's finisher streams through these.
+  ProcessingElement::AccumulateClocks clocks;
   units::UnitInput input;
-  std::uint8_t product_flags = 0;  ///< raised at the read (split PE only)
   fp::u64 result = 0;
+  int row = 0;
+  std::uint8_t product_flags = 0;  ///< raised at the read (split PE only)
   std::uint8_t result_flags = 0;   ///< raised at the write-back
   std::uint8_t result_check = 0;   ///< stored with it (0 without ECC)
 };
@@ -118,7 +118,7 @@ struct AccumulateOp {
 /// write-backs of earlier clocks only, and the sum through the adder or
 /// the fused MAC back into the row. record() computes that golden pass
 /// by walking each accumulate through its units (run_accumulate) and logs
-/// it (AccumulateOp); it steps no PE.
+/// it (AccumulateOp); nothing here steps a PE.
 ///
 /// A trial walks only the accumulates its fault can reach, through the
 /// caller's fault observer, so the fault layer alone decides what a
@@ -131,15 +131,12 @@ struct AccumulateOp {
 /// The finisher takes what changed (rows, products, sums), re-walks the
 /// accumulates that read a changed row, in each row's read and write-back
 /// order, and takes everything else from the log. Its verdict is a full
-/// array run's by construction, with cycles_stepped 0.
+/// array run's by construction.
 ///
-/// Two kinds of upset need PE j stepped. A flipped valid bit can turn a
-/// bubble into an accumulate no walk carries; the caller sends it to
-/// replay() itself. A walk that leaves its unit invalid puts the PE's row
-/// tags out of step with the log; the entries then return nullopt (a
-/// golden walk doing so makes record() step PE j, and every entry
-/// declines PE j). replay() steps PE j from cycle 0 under the caller's
-/// observers.
+/// A walk that leaves its unit invalid drops its accumulate: a stepped PE
+/// keeps the row tag queued and never drains, so, as result() does, the
+/// walk throws std::logic_error("LinearArrayMatmul: pipeline not
+/// drained").
 class MatmulReplay {
  public:
   /// Replays of `array`'s product a * b (C0 = 0). Borrows all three; they
@@ -156,11 +153,10 @@ class MatmulReplay {
     bool corrupted = false;  ///< C or the array's flags differ from golden
     long ecc_corrections = 0;  ///< PE j's counters after the readout
     long ecc_detections = 0;
-    long cycles_stepped = 0;  ///< PE clocks stepped: 0 but for replay()
   };
 
   /// PE j's flags after golden clock `cycle` (0 <= cycle < the run's
-  /// cycles); PE j must have been recorded without stepping.
+  /// cycles).
   std::uint8_t flags_after(int j, long cycle) const;
 
   /// An accumulator upset that `observer` (the caller's fault injector)
@@ -169,27 +165,18 @@ class MatmulReplay {
   /// step() hands it over — the data words, then the check bytes when the
   /// bank has them — cut to the rows the schedule reads (a strike
   /// elsewhere is never read back). The finisher answers from the rows
-  /// the observer changed. nullopt when a walk leaves its unit invalid:
-  /// re-arm the observer and replay() the upset instead. Thread-safe on
-  /// distinct observers once every PE is recorded.
-  std::optional<Verdict> accumulator_upset(int j, long cycle,
-                                           StorageObserver& observer) const;
+  /// the observer changed. Thread-safe on distinct observers once every
+  /// PE is recorded.
+  Verdict accumulator_upset(int j, long cycle,
+                            StorageObserver& observer) const;
 
   /// A latch or configuration upset that `observer` makes in PE j's
-  /// `unit` on clocks [first_active, last_active] and no others, and
-  /// never on a valid bit (that one goes to replay()). nullopt when a walk
-  /// leaves its unit invalid: re-arm the observer and replay() the upset
-  /// instead. Thread-safe on distinct observers once every PE is
+  /// `unit` on clocks [first_active, last_active] and no others. A bubble
+  /// no accumulate occupies is never walked: a flip that revives one is
+  /// not followed. Thread-safe on distinct observers once every PE is
   /// recorded.
-  std::optional<Verdict> unit_upset(int j, PeUnit unit, long first_active,
-                                    long last_active,
-                                    rtl::LatchObserver& observer) const;
-
-  /// Step PE j's whole share of the product on `pe`, a PE configured like
-  /// the array's, under the fault observers the caller attached to it:
-  /// the fallback for the upsets no walk can follow. Thread-safe on
-  /// distinct `pe`s once every PE is recorded.
-  Verdict replay(ProcessingElement& pe, int j) const;
+  Verdict unit_upset(int j, PeUnit unit, long first_active, long last_active,
+                     rtl::LatchObserver& observer) const;
 
  private:
   /// A row whose stored word or check byte may differ from the golden
@@ -211,18 +198,13 @@ class MatmulReplay {
     std::vector<std::uint8_t> flags_after;  // PE flags after each clock
     std::vector<fp::u64> column;  // C(:, j) as read out
     std::uint8_t flags = 0;
-    bool stepped = false;  // a golden walk left its unit invalid
   };
 
-  /// The golden pass of PE j by walks, leaving the PE drained as run()
-  /// does; false (and PE j untouched but cleared) when a walk leaves its
-  /// unit invalid.
-  bool walk_golden(int j, Golden& g);
   /// The finisher: PE j from clock t on, given that up to t it equals the
   /// golden PE except in `rows`, and that from t on `strike` (if any)
   /// acts on it.
-  std::optional<Verdict> finish(int j, long t, std::vector<RowWord> rows,
-                                const UnitStrike* strike) const;
+  Verdict finish(int j, long t, std::vector<RowWord> rows,
+                 const UnitStrike* strike) const;
   /// Whether PE j ending with `flags`, the other PEs with their golden
   /// flags, leaves the array's flags other than the clean run's.
   bool flags_differ(int j, std::uint8_t flags) const;

@@ -160,6 +160,16 @@ int ProcessingElement::total_latency() const {
                           : mult_.latency() + adder_.latency();
 }
 
+ProcessingElement::AccumulateClocks ProcessingElement::accumulate_clocks(
+    long issue) const {
+  if (mac_.has_value()) {
+    return {issue, issue, issue, issue + mac_->latency() - 1};
+  }
+  // A bundle shows at a unit's output on its last stage's clock.
+  const long read = issue + mult_.latency() - 1;
+  return {issue, read, read + 1, read + adder_.latency()};
+}
+
 void ProcessingElement::step(const std::optional<MacIssue>& issue) {
   if (mac_.has_value()) {
     // Fused datapath: acc[row] is the addend, read at issue time — the
@@ -265,7 +275,7 @@ void ProcessingElement::clear() {
 
 ProcessingElement::State ProcessingElement::save(int rows) const {
   if (rows < 0 || rows > cfg_.storage_rows) {
-    throw std::out_of_range("ProcessingElement: snapshot rows");
+    throw std::out_of_range("ProcessingElement: state rows");
   }
   State s;
   s.units = {mult_.sim().state(), adder_.sim().state()};
@@ -311,11 +321,13 @@ void ProcessingElement::restore(const State& s) {
   flags_ = s.flags;
 }
 
-bool ProcessingElement::matches_datapath(const State& s) const {
+bool ProcessingElement::matches(const State& s) const {
   return flags_ == s.flags && is_prefix(s.acc, acc_) &&
          is_prefix(s.acc_check, acc_check_) && cycles_ == s.cycles &&
          in_flight_ == s.in_flight &&
          mac_issues_ == s.mac_issues && hazards_ == s.hazards &&
+         ecc_corrections_ == s.ecc_corrections &&
+         ecc_detections_ == s.ecc_detections &&
          s.units.size() == (mac_.has_value() ? 3u : 2u) &&
          mult_.sim().matches(s.units[0]) &&
          adder_.sim().matches(s.units[1]) &&
@@ -324,11 +336,6 @@ bool ProcessingElement::matches_datapath(const State& s) const {
          std::ranges::equal(s.mult_rows, mult_rows_) &&
          std::ranges::equal(s.adder_rows, adder_rows_) &&
          is_prefix(s.pending_writes, pending_writes_);
-}
-
-bool ProcessingElement::matches(const State& s) const {
-  return matches_datapath(s) && ecc_corrections_ == s.ecc_corrections &&
-         ecc_detections_ == s.ecc_detections;
 }
 
 device::Resources ProcessingElement::mac_resources() const {

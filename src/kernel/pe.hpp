@@ -16,7 +16,8 @@
 // fused MAC) and one write-back. A kernel replay (kernel/matmul.hpp)
 // computes a PE's share of a product accumulate by accumulate, walking
 // each one through its units with run_accumulate and reading rows through
-// ecc_read: the same stage walk and corrector step() runs.
+// ecc_read on the clocks accumulate_clocks gives: the same stage walk,
+// corrector and timing step() runs.
 #pragma once
 
 #include <deque>
@@ -100,8 +101,8 @@ class ProcessingElement {
   /// A fresh (cleared) PE with this one's configuration whose units are
   /// clones of this one's (units::FpUnit::clone: the built chains are
   /// shared, nothing is rebuilt). `storage_rows` > 0 sizes the clone's
-  /// accumulator bank instead of config().storage_rows. Observers and the
-  /// accumulate log are not carried over.
+  /// accumulator bank instead of config().storage_rows. Observers are not
+  /// carried over.
   ProcessingElement clone(int storage_rows = 0) const;
 
   /// A multiply-accumulate: acc[row] += a * b (operand encodings).
@@ -113,6 +114,23 @@ class ProcessingElement {
 
   /// Advance one clock, optionally issuing a MAC.
   void step(const std::optional<MacIssue>& issue);
+
+  /// The clocks step() runs one accumulate on whose MAC issues on clock
+  /// `issue`. Split PE: the product rides the multiplier from the issue to
+  /// the read, which loads the add-stage register, and the sum rides the
+  /// adder from the next clock to the write-back. Fused PE: the row is
+  /// read and the MAC entered at the issue.
+  struct AccumulateClocks {
+    long issue = 0;
+    long read = 0;       ///< the accumulator row is read
+    long entry = 0;      ///< the adder or fused MAC takes the sum's inputs
+    long writeback = 0;  ///< the result lands in the row
+  };
+  AccumulateClocks accumulate_clocks(long issue) const;
+  /// Whether a row read on clock `read` returns a write-back of clock
+  /// `writeback`: step() reads before it writes back, so only those of
+  /// earlier clocks. One of the row's not yet seen is a RAW hazard.
+  static bool read_sees(long read, long writeback) { return writeback < read; }
 
   /// Total issue-to-writeback latency: Lmul + Ladd — the paper's "PL".
   int total_latency() const;
@@ -149,9 +167,9 @@ class ProcessingElement {
   /// Everything step() reads or writes, with the accumulator bank cut to
   /// its first `rows` rows: the unit pipelines (multiplier, adder, and the
   /// fused MAC when engaged), the add-stage register, the row-tag queues,
-  /// per-row data, check bytes and pending writes, and every counter. A
-  /// kernel replay that computed a golden pass without stepping loads the
-  /// drained PE it leaves this way, over the rows its schedule reads.
+  /// per-row data, check bytes and pending writes, and every counter.
+  /// MatmulReplay::record loads the drained PE of a walked golden pass
+  /// this way.
   struct State {
     std::vector<rtl::PipelineSim::State> units;
     std::optional<units::UnitInput> add_stage_reg;
@@ -174,11 +192,6 @@ class ProcessingElement {
   void restore(const State& s);
   /// Whether the PE holds exactly `s` (over s's rows).
   bool matches(const State& s) const;
-  /// matches() without the two ECC counters: everything step() reads.
-  /// step() only ever adds to ecc_corrections and ecc_detections and
-  /// never reads them, so two PEs that match here evolve alike from now
-  /// on, and their counters keep the difference they have now.
-  bool matches_datapath(const State& s) const;
 
   /// Attach (or detach with nullptr) the end-of-cycle storage observer.
   /// Not owned; survives clear().

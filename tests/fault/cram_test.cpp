@@ -73,21 +73,6 @@ TEST(Cram, ConfigFaultWindowIgnoresTheOrderOfClocks) {
   }
 }
 
-// Only a stage-latch flip of the valid lane can turn a bubble into a
-// bundle (or drop one): the upsets a kernel replay must step.
-TEST(Cram, FlipsValidNamesStageLatchValidFlipsOnly) {
-  Fault f;
-  f.lane = kValidLane;
-  EXPECT_TRUE(flips_valid(f));
-  f.lane = kFlagsLane;
-  EXPECT_FALSE(flips_valid(f));
-  f.lane = 0;
-  EXPECT_FALSE(flips_valid(f));
-  f.site = FaultSite::kAccumulator;
-  f.lane = kValidLane;  // ignored off the stage latches
-  EXPECT_FALSE(flips_valid(f));
-}
-
 TEST(Cram, ConfigFaultValidation) {
   Fault f;
   f.site = FaultSite::kConfig;

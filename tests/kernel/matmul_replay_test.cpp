@@ -1,14 +1,14 @@
-// Kernel SEU fast path: a MatmulReplay verdict must equal a full
-// LinearArrayMatmul::run under the same fault — on both the walks, which
-// step no PE and re-walk only the accumulates an upset reaches, and the
-// stepped fallback — at the skew and horizon edges, on and beside
-// multiples of kInterval, and on every kind of upset.
+// Kernel SEU fast path: a MatmulReplay verdict, which re-walks only the
+// accumulates an upset reaches and steps no PE, must equal a full
+// LinearArrayMatmul::run under the same fault — at the skew and horizon
+// edges, on and beside multiples of kInterval, and on every kind of
+// upset.
 #include "kernel/matmul.hpp"
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -117,8 +117,7 @@ class ReplayBench {
         b_(std::move(b)),
         array_(padded(a_.n, cfg, pad)),
         reference_(padded(a_.n, cfg, pad)),
-        replay_(array_, a_, b_),
-        pe_(array_.pe(0).clone()) {
+        replay_(array_, a_, b_) {
     for (int j = 0; j < a_.n; ++j) replay_.record(j);
     clean_ = reference_.run(a_, b_);
   }
@@ -127,49 +126,36 @@ class ReplayBench {
   const ProcessingElement& pe(int j) const { return array_.pe(j); }
   const MatmulRun& clean() const { return clean_; }
 
-  /// Every accumulate PE p performs on `row`: its read and write-back
-  /// clocks, from the schedule. The multiplier + adder PE reads a row as
-  /// the product leaves the multiplier and writes back when the adder
-  /// finishes; the fused PE reads at issue.
-  struct OpCycles {
-    long read;
-    long writeback;
-  };
-  std::vector<OpCycles> ops(int p, int row) const {
+  /// The clocks of every accumulate PE p performs on `row`, from the
+  /// schedule.
+  std::vector<ProcessingElement::AccumulateClocks> ops(int p, int row) const {
     const Schedule sched = array_.schedule();
-    const ProcessingElement& pe = array_.pe(p);
-    const bool fused = pe.config().use_fused_mac;
-    std::vector<OpCycles> out;
+    std::vector<ProcessingElement::AccumulateClocks> out;
     for (long t = 0; t < cycles(); ++t) {
       const auto issue = scheduled_issue(sched, a_, b_, p, t);
-      if (!issue.has_value() || issue->row != row) continue;
-      const long read = fused ? t : t + pe.mult_latency() - 1;
-      out.push_back({read, fused ? t + pe.total_latency() - 1
-                                 : read + pe.adder_latency()});
+      if (issue.has_value() && issue->row == row) {
+        out.push_back(array_.pe(p).accumulate_clocks(t));
+      }
     }
     return out;
   }
 
   /// The first cycle after `after` on which PE p reads accumulator `row`.
   long next_read(int p, int row, long after) const {
-    for (const OpCycles& op : ops(p, row)) {
+    for (const ProcessingElement::AccumulateClocks& op : ops(p, row)) {
       if (op.read > after) return op.read;
     }
     return -1;
   }
 
-  /// Answer fault `f` on PE p the way a fast-path campaign does and
-  /// expect the full run's verdict, and the same from the stepped
-  /// fallback. Returns the campaign's verdict: the accumulator or unit
-  /// entry's, or the stepped one for a valid-bit flip.
+  /// Answer fault `f` on PE p the way a fast-path campaign does (the
+  /// accumulator or the unit entry) and expect the full run's verdict.
   MatmulReplay::Verdict check(int p, Target target, const Fault& f) {
     const Reference ref = reference(p, target, f);
-    const MatmulReplay::Verdict fallback = stepped(p, target, f);
-    expect_verdict(fallback, ref, "stepped");
-    EXPECT_EQ(fallback.cycles_stepped, cycles()) << "stepped from cycle 0";
     if (target == Target::kStorage) return check_accumulator(p, f, ref);
-    if (fault::flips_valid(f)) return fallback;  // no walk sees a bubble
-    return check_unit(p, target, f, ref);
+    const MatmulReplay::Verdict v = unit(p, target, f);
+    expect_verdict(v, ref, "unit entry");
+    return v;
   }
 
   /// Answer accumulator fault `f` on PE p from the op log alone
@@ -193,10 +179,13 @@ class ReplayBench {
             struck.ecc_corrections(), struck.ecc_detections()};
   }
 
-  /// PE p stepped from cycle 0 under fault `f` (MatmulReplay::replay).
-  MatmulReplay::Verdict stepped(int p, Target target, const Fault& f) {
-    const Attached scope(pe_, target, f);
-    return replay_.replay(pe_, p);
+  /// Latch or configuration fault `f` on PE p through the unit entry
+  /// (MatmulReplay::unit_upset) alone.
+  MatmulReplay::Verdict unit(int p, Target target, const Fault& f) const {
+    fault::FaultInjector injector({f});
+    return replay_.unit_upset(
+        p, target == Target::kMult ? PeUnit::kMultiplier : PeUnit::kAdder,
+        f.cycle, fault::last_active_cycle(f), injector);
   }
 
  private:
@@ -210,30 +199,10 @@ class ReplayBench {
   MatmulReplay::Verdict check_accumulator(int p, const Fault& f,
                                           const Reference& ref) {
     fault::FaultInjector injector({f});
-    const std::optional<MatmulReplay::Verdict> v =
+    const MatmulReplay::Verdict v =
         replay_.accumulator_upset(p, f.cycle, injector);
-    if (!v.has_value()) {
-      ADD_FAILURE() << "the finisher gave no verdict";
-      return {};
-    }
-    expect_verdict(*v, ref, "accumulator entry");
-    EXPECT_EQ(v->cycles_stepped, 0) << "the accumulator entry steps nothing";
-    return *v;
-  }
-
-  MatmulReplay::Verdict check_unit(int p, Target target, const Fault& f,
-                                   const Reference& ref) {
-    fault::FaultInjector injector({f});
-    const std::optional<MatmulReplay::Verdict> v = replay_.unit_upset(
-        p, target == Target::kMult ? PeUnit::kMultiplier : PeUnit::kAdder,
-        f.cycle, fault::last_active_cycle(f), injector);
-    if (!v.has_value()) {
-      ADD_FAILURE() << "a walk left its unit invalid";
-      return {};
-    }
-    expect_verdict(*v, ref, "unit entry");
-    EXPECT_EQ(v->cycles_stepped, 0) << "the unit entry steps nothing";
-    return *v;
+    expect_verdict(v, ref, "accumulator entry");
+    return v;
   }
 
   static PeConfig with_format(PeConfig cfg, fp::FpFormat fmt) {
@@ -252,7 +221,6 @@ class ReplayBench {
   LinearArrayMatmul array_;
   LinearArrayMatmul reference_;
   MatmulReplay replay_;
-  ProcessingElement pe_;
   MatmulRun clean_;
 };
 
@@ -292,10 +260,11 @@ TEST(MatmulReplay, FaultAtCycleZero) {
 TEST(MatmulReplay, FaultInLeadingSkewStepsNoPe) {
   ReplayBench bench(8, pe_config());
   const int p = 7;  // PE 7 idles through cycles 0..6
-  const MatmulReplay::Verdict v = bench.check(
-      p, Target::kMult, latch_fault(bench.pe(p).multiplier(), 0, 3));
-  EXPECT_FALSE(v.corrupted);
-  EXPECT_EQ(v.cycles_stepped, 0) << "a bubble flip reaches no accumulate";
+  EXPECT_FALSE(bench
+                   .check(p, Target::kMult,
+                          latch_fault(bench.pe(p).multiplier(), 0, 3))
+                   .corrupted)
+      << "a bubble flip reaches no accumulate";
 }
 
 TEST(MatmulReplay, FaultsOnAndJustBeforeASnapshotBoundary) {
@@ -339,8 +308,7 @@ TEST(MatmulReplay, ConfigFaultsPersistentAndRepairedOnABoundary) {
     f.cycle = 20;
     f.repair_cycle = -1;
     SCOPED_TRACE("never repaired");
-    EXPECT_EQ(bench.check(4, Target::kAdd, f).cycles_stepped, 0)
-        << "a fault that never stops acting is walked to the end";
+    bench.check(4, Target::kAdd, f);
     f.repair_cycle = 3 * kInterval;
     SCOPED_TRACE("repaired on a boundary");
     bench.check(4, Target::kAdd, f);
@@ -350,7 +318,7 @@ TEST(MatmulReplay, ConfigFaultsPersistentAndRepairedOnABoundary) {
 // A single-bit upset in a stored accumulator word that PE 1's next read of
 // the row repairs: from that read on the datapath is the golden one and
 // only the correction counter is ahead. The trial steps no PE and still
-// reports the full run's verdict and counters.
+// reports the full run's verdict and counters, the repair included.
 void expect_repair_steps_no_pe(int bit) {
   ReplayBench bench(8, pe_config(/*ecc=*/true));
   constexpr int kPe = 1;
@@ -361,10 +329,8 @@ void expect_repair_steps_no_pe(int bit) {
   const MatmulReplay::Verdict v = bench.check(
       kPe, Target::kStorage, accumulator_fault(kRow, bit, kStrike));
   EXPECT_FALSE(v.corrupted);
-  EXPECT_EQ(v.ecc_corrections, 1);
+  EXPECT_EQ(v.ecc_corrections, 1) << "repaired by the read at " << read;
   EXPECT_EQ(v.ecc_detections, 0);
-  EXPECT_EQ(v.cycles_stepped, 0)
-      << "the read at " << read << " repairs the row without stepping";
 }
 
 TEST(MatmulReplay, EccCorrectedTrialStepsNoPe) {
@@ -567,15 +533,11 @@ TEST(MatmulFinisher, FlagsOnlyDivergence) {
   f.index = bench.pe(3).adder_latency() - 1;
   f.lane = fault::kFlagsLane;
   f.bit = 3;  // fp::kFlagDivByZero
-  const MatmulReplay::Verdict v = bench.check(3, Target::kAdd, f);
-  EXPECT_TRUE(v.corrupted);
-  EXPECT_EQ(v.cycles_stepped, 0);
+  EXPECT_TRUE(bench.check(3, Target::kAdd, f).corrupted);
 
   f.cycle = bench.ops(3, 4)[2].read;
   f.index = bench.pe(3).mult_latency() - 1;
-  const MatmulReplay::Verdict product = bench.check(3, Target::kMult, f);
-  EXPECT_TRUE(product.corrupted);
-  EXPECT_EQ(product.cycles_stepped, 0);
+  EXPECT_TRUE(bench.check(3, Target::kMult, f).corrupted);
 }
 
 // A multiplier latch upset corrupts one product, and so one row: the
@@ -595,11 +557,9 @@ TEST(MatmulFinisher, LatchUpsetWalksOneProductStepsNoPe) {
   f.index = stage;
   f.lane = units::detail::kLaneResult;
   f.bit = 20;
-  const MatmulReplay::Verdict v = bench.check(kPe, Target::kMult, f);
-  EXPECT_TRUE(v.corrupted);
+  EXPECT_TRUE(bench.check(kPe, Target::kMult, f).corrupted);
   const long read = kStrike + pe.mult_latency() - 1 - stage;
   ASSERT_EQ(bench.ops(kPe, 7)[2].read, read);
-  EXPECT_EQ(v.cycles_stepped, 0);
 }
 
 // PE 0 alone multiplies 2^100 by 2^100 in phase 7: its products overflow
@@ -734,10 +694,8 @@ TEST(MatmulReplay, WalkedBankAndFlagsEqualASteppedPeAfterEveryClock) {
           if (bc.ecc) check[r] = stepped.stored_check(static_cast<int>(r));
         }
         BankRecorder seen;
-        const std::optional<MatmulReplay::Verdict> v =
-            replay.accumulator_upset(j, t, seen);
-        ASSERT_TRUE(v.has_value());
-        ASSERT_FALSE(v->corrupted) << "PE " << j << " clock " << t;
+        ASSERT_FALSE(replay.accumulator_upset(j, t, seen).corrupted)
+            << "PE " << j << " clock " << t;
         ASSERT_EQ(seen.cycle_, t);
         ASSERT_EQ(seen.acc_, acc) << "PE " << j << " clock " << t;
         ASSERT_EQ(seen.check_, check) << "PE " << j << " clock " << t;
@@ -776,16 +734,16 @@ TEST(MatmulFinisher, LatchUpsetOnARowInFlightAtEveryOldBoundary) {
       const long boundary = (ops[k].read / kInterval + 1) * kInterval;
       ASSERT_LE(boundary, ops[k].writeback) << "in flight at " << boundary;
     }
-    const MatmulReplay::Verdict product = bench.check(
-        kPe, Target::kMult,
-        lane_fault(mult_out, ops[3].read, units::detail::kLaneResult, 20));
-    EXPECT_TRUE(product.corrupted);
-    EXPECT_EQ(product.cycles_stepped, 0);
-    const MatmulReplay::Verdict sum = bench.check(
-        kPe, Target::kAdd,
-        lane_fault(add_out, ops[3].writeback, units::detail::kLaneResult, 20));
-    EXPECT_TRUE(sum.corrupted);
-    EXPECT_EQ(sum.cycles_stepped, 0);
+    EXPECT_TRUE(bench
+                    .check(kPe, Target::kMult,
+                           lane_fault(mult_out, ops[3].read,
+                                      units::detail::kLaneResult, 20))
+                    .corrupted);
+    EXPECT_TRUE(bench
+                    .check(kPe, Target::kAdd,
+                           lane_fault(add_out, ops[3].writeback,
+                                      units::detail::kLaneResult, 20))
+                    .corrupted);
   }
 }
 
@@ -816,22 +774,20 @@ TEST(MatmulFinisher, AdderFlipAfterTheReadKeepsTheGoldenRead) {
     for (int stage = 0; stage < bench.pe(kPe).adder_latency(); ++stage) {
       SCOPED_TRACE("stage " + std::to_string(stage));
       const long strike = ops[1].read + 1 + stage;
-      const MatmulReplay::Verdict v = bench.check(
-          kPe, Target::kAdd,
-          latch_fault(bench.pe(kPe).adder(), stage, strike));
-      EXPECT_EQ(v.cycles_stepped, 0);
+      bench.check(kPe, Target::kAdd,
+                  latch_fault(bench.pe(kPe).adder(), stage, strike));
     }
     if (pad == 0) {
       ASSERT_EQ(ops.size(), 4u);
       ASSERT_LE(ops[3].read, ops[2].writeback) << "the last read misses it";
       ASSERT_GT(ops[3].writeback, ops[2].writeback) << "and overwrites it";
       ASSERT_GT(ops[3].read, ops[1].writeback) << "reading the second's sum";
-      const MatmulReplay::Verdict lost = bench.check(
-          kPe, Target::kAdd,
-          lane_fault(bench.pe(kPe).adder_latency() - 1, ops[2].writeback,
-                     units::detail::kLaneResult, 28));
-      EXPECT_FALSE(lost.corrupted);
-      EXPECT_EQ(lost.cycles_stepped, 0);
+      EXPECT_FALSE(bench
+                       .check(kPe, Target::kAdd,
+                              lane_fault(bench.pe(kPe).adder_latency() - 1,
+                                         ops[2].writeback,
+                                         units::detail::kLaneResult, 28))
+                       .corrupted);
     }
   }
 }
@@ -859,9 +815,7 @@ TEST(MatmulFinisher, BubbleLatchFlipsAreMasked) {
     for (const Fault& f :
          {lane_fault(1, at.cycle, units::detail::kLaneResult, 30),
           lane_fault(1, at.cycle, fault::kFlagsLane, 3)}) {
-      const MatmulReplay::Verdict v = bench.check(at.pe, at.target, f);
-      EXPECT_FALSE(v.corrupted);
-      EXPECT_EQ(v.cycles_stepped, 0);
+      EXPECT_FALSE(bench.check(at.pe, at.target, f).corrupted);
     }
   }
 }
@@ -890,32 +844,28 @@ TEST(MatmulFinisher, ConfigUpsetScrubbedWhileAnAccumulateIsInTheStage) {
       SCOPED_TRACE("stage " + std::to_string(f.index) + " repaired at " +
                    std::to_string(repair));
       f.repair_cycle = repair;
-      const MatmulReplay::Verdict v = bench.check(kPe, Target::kAdd, f);
-      EXPECT_EQ(v.cycles_stepped, 0);
+      bench.check(kPe, Target::kAdd, f);
     }
   }
 }
 
-// A flipped valid bit can turn a bubble into a bundle no walk carries, so a
-// fast-path campaign steps the PE for it instead (counted in
-// campaign.matmul.stepped_trials.valid_lane). On the fused PE the split
-// units never step, so such a flip is masked, stepped as in the full run.
-// On the split PE, dropping an accumulate leaves its row tag behind: the
-// full run and the stepped PE both refuse the undrained pipeline.
-TEST(MatmulReplay, ValidLaneFlipTakesTheSteppedFallback) {
+// A valid-bit flip that drops an accumulate gives the full run's verdict.
+// On the fused PE the split units never step, so it is masked. On the
+// split PE the dropped bundle's row tag stays queued and the full run
+// refuses the undrained pipeline: the walk that drops it throws the same.
+TEST(MatmulReplay, ValidLaneFlipThatDropsAnAccumulateEndsAsTheFullRun) {
   const Fault dropped = lane_fault(0, 30, fault::kValidLane, 0);
-  ASSERT_TRUE(fault::flips_valid(dropped));
   {
     ReplayBench bench(8, pe_config(false, /*fused=*/true));
     for (const Target target : {Target::kMult, Target::kAdd}) {
-      const MatmulReplay::Verdict v = bench.check(2, target, dropped);
-      EXPECT_FALSE(v.corrupted);
-      EXPECT_EQ(v.cycles_stepped, bench.cycles()) << "stepped from cycle 0";
+      EXPECT_FALSE(bench.check(2, target, dropped).corrupted);
     }
   }
   ReplayBench bench(8, pe_config());
-  EXPECT_THROW(bench.reference(2, Target::kAdd, dropped), std::logic_error);
-  EXPECT_THROW(bench.stepped(2, Target::kAdd, dropped), std::logic_error);
+  for (const Target target : {Target::kMult, Target::kAdd}) {
+    EXPECT_THROW(bench.reference(2, target, dropped), std::logic_error);
+    EXPECT_THROW(bench.unit(2, target, dropped), std::logic_error);
+  }
 }
 
 }  // namespace

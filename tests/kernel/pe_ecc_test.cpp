@@ -93,9 +93,10 @@ TEST(PeEcc, ClearResetsCountersAndChecks) {
 }
 
 // Two PEs that step the same MAC, one through an upset its read repairs,
-// differ only in the correction counter: matches_datapath ignores it (and
-// the detection counter), matches does not. A third PE whose unread row
-// holds one flipped bit fails both.
+// hold the same datapath and differ only in the correction counter: the
+// repaired PE matches the clean one's state once that counter is its own,
+// and matches() tells them apart by it (and by the detection counter). A
+// third PE whose unread row holds one flipped bit differs in its datapath.
 TEST(Pe, MatchesDatapathIgnoresOnlyEccCounters) {
   ProcessingElement clean(ecc_config());
   ProcessingElement repaired(ecc_config());
@@ -122,19 +123,22 @@ TEST(Pe, MatchesDatapathIgnoresOnlyEccCounters) {
   ASSERT_EQ(repaired.ecc_corrections(), 1);
   ASSERT_EQ(clean.ecc_corrections(), 0);
   ASSERT_EQ(struck.ecc_corrections(), 0);
+  for (const ProcessingElement* pe : {&clean, &repaired, &struck}) {
+    EXPECT_EQ(pe->ecc_detections(), 0);
+  }
 
   const int rows = ecc_config().storage_rows;
   const ProcessingElement::State golden = clean.save(rows);
   ASSERT_TRUE(clean.matches(golden));
-  EXPECT_TRUE(repaired.matches_datapath(golden));
   EXPECT_FALSE(repaired.matches(golden));
+  ProcessingElement::State corrected = golden;
+  corrected.ecc_corrections = repaired.ecc_corrections();
+  EXPECT_TRUE(repaired.matches(corrected));
 
   ProcessingElement::State detected = golden;
   detected.ecc_detections = 1;
-  EXPECT_TRUE(clean.matches_datapath(detected));
   EXPECT_FALSE(clean.matches(detected));
 
-  EXPECT_FALSE(struck.matches_datapath(golden));
   EXPECT_FALSE(struck.matches(golden));
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -178,6 +179,70 @@ TEST(Pe, InvalidStorageThrows) {
   PeConfig cfg = small_cfg();
   cfg.storage_rows = 0;
   EXPECT_THROW(ProcessingElement{cfg}, std::invalid_argument);
+}
+
+/// Overwrites accumulator row 0 with `word` at the end of clock `cycle`.
+struct RowZeroStrike : StorageObserver {
+  long cycle = -1;
+  fp::u64 word = 0;
+  void on_storage(long c, std::vector<fp::u64>& acc) override {
+    if (c == cycle) acc[0] = word;
+  }
+};
+
+// accumulate_clocks names the clocks step() acts on, on both datapaths:
+// the multiplier takes the operands at the issue, a strike on row 0 after
+// clock s reaches the read only if s < read and survives only if s >= the
+// write-back, and the adder or MAC latches the sum's inputs at the entry.
+// read_sees is step()'s hazard rule: a second accumulate of the row whose
+// read falls on the first's write-back clock reads stale, one clock later
+// it does not.
+TEST(Pe, AccumulateClocksAreWhereStepActs) {
+  for (const bool fused : {false, true}) {
+    SCOPED_TRACE(fused ? "fused" : "split");
+    PeConfig cfg = small_cfg();
+    cfg.use_fused_mac = fused;
+    constexpr long kIssue = 2;
+    const ProcessingElement::AccumulateClocks at =
+        ProcessingElement(cfg).accumulate_clocks(kIssue);
+    EXPECT_EQ(at.issue, kIssue);
+    EXPECT_LE(at.read, at.entry);
+    EXPECT_LT(at.entry, at.writeback);
+    const ProcessingElement::MacIssue mac{enc(2.0), enc(3.0), 0};
+    for (long s = 0; s <= at.writeback + 1; ++s) {
+      SCOPED_TRACE("strike after clock " + std::to_string(s));
+      ProcessingElement pe(cfg);
+      RowZeroStrike strike;
+      strike.cycle = s;
+      strike.word = enc(5.0);
+      pe.set_storage_observer(&strike);
+      pe.set_acc(0, enc(1.0));
+      long entry = -1;
+      for (long t = 0; t <= at.writeback + 2; ++t) {
+        pe.step(t == kIssue ? std::optional(mac) : std::nullopt);
+        if (!fused && t == kIssue) {
+          EXPECT_TRUE(pe.multiplier().latches()[0].valid);
+        }
+        if (entry < 0 && pe.accumulator_unit().latches()[0].valid) entry = t;
+      }
+      EXPECT_EQ(entry, at.entry);
+      EXPECT_EQ(dec(pe.acc(0)), s < at.read ? 11.0 : s < at.writeback ? 7.0
+                                                                      : 5.0);
+    }
+    for (const long late : {0L, 1L}) {
+      ProcessingElement pe(cfg);
+      const long second = at.writeback + late - (at.read - at.issue);
+      ASSERT_GT(second, kIssue);
+      ASSERT_EQ(pe.accumulate_clocks(second).read, at.writeback + late);
+      for (long t = 0; t <= second + pe.total_latency(); ++t) {
+        pe.step(t == kIssue || t == second ? std::optional(mac)
+                                           : std::nullopt);
+      }
+      EXPECT_EQ(pe.hazards() == 0, ProcessingElement::read_sees(
+                                       at.writeback + late, at.writeback));
+      EXPECT_EQ(pe.hazards() == 0, late == 1);
+    }
+  }
 }
 
 // A state saved mid-run and loaded into another PE continues exactly as

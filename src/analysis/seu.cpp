@@ -244,9 +244,10 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
 
   // The whole fault list is drawn before any trial runs: the determinism
   // anchor. Every trial is a pure function of (fault, golden, workload).
+  const fault::ProfileSites sites(clean.profile);
   fault::CampaignSpec draw_spec;
   draw_spec.source = fault::CampaignSpec::Source::kRandom;
-  draw_spec.profile = &clean.profile;
+  draw_spec.sites = &sites;
   draw_spec.horizon = horizon;
   draw_spec.count = camp.faults;
   draw_spec.seed = camp.seed + 1;
@@ -864,6 +865,9 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
       array.pe(0).multiplier(), 24, camp.seed + 2);
   const fault::LatchProfile add_profile =
       fault::profile_unit_latches(array.pe(0).adder(), 24, camp.seed + 3);
+  // Flattened once here: every draw below samples one fault from them.
+  const fault::ProfileSites mult_sites(mult_profile);
+  const fault::ProfileSites add_sites(add_profile);
 
   // Pre-draw the complete fault list before any trial runs (the
   // determinism anchor for the parallel trial loop below).
@@ -892,7 +896,7 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
           redraw_until_nonempty(rng, [&](std::uint64_t seed) {
             fault::CampaignSpec latch_spec;
             latch_spec.source = fault::CampaignSpec::Source::kRandom;
-            latch_spec.profile = mult ? &mult_profile : &add_profile;
+            latch_spec.sites = mult ? &mult_sites : &add_sites;
             latch_spec.horizon = horizon;
             latch_spec.count = 1;
             latch_spec.seed = seed;
@@ -930,7 +934,7 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
         redraw_until_nonempty(rng, [&](std::uint64_t seed) {
           fault::CampaignSpec config_spec;
           config_spec.source = fault::CampaignSpec::Source::kCram;
-          config_spec.profile = mult ? &mult_profile : &add_profile;
+          config_spec.sites = mult ? &mult_sites : &add_sites;
           config_spec.horizon = horizon;
           config_spec.count = 1;
           config_spec.seed = seed;

@@ -13,10 +13,11 @@ namespace flopsim::fault {
 
 namespace {
 
-// Deterministic helpers on top of mt19937_64: the standard distributions
-// are implementation-defined, so campaigns roll their own to keep a seed
-// reproducible across toolchains.
-std::uint64_t draw_below(std::mt19937_64& rng, std::uint64_t n) {
+// Deterministic helpers on top of mt19937_64 (or its seeded prefix): the
+// standard distributions are implementation-defined, so campaigns roll
+// their own to keep a seed reproducible across toolchains.
+template <typename Rng>
+std::uint64_t draw_below(Rng& rng, std::uint64_t n) {
   return n == 0 ? 0 : rng() % n;
 }
 
@@ -135,16 +136,9 @@ std::vector<units::UnitInput> campaign_workload(units::UnitKind kind,
 
 namespace {
 
-// Flatten the profile's occupied bits into (stage, lane, bit) triples so
-// uniform sampling is an index draw: per stage, its data bits by lane and
-// bit, then (unless `data_only`) the valid and flag pseudo-sites the
-// profile includes.
-struct BitSite {
-  int stage;
-  int lane;
-  int bit;
-};
-
+// Flatten the profile's occupied bits into sites: per stage, its data bits
+// by lane and bit, then (unless `data_only`) the valid and flag
+// pseudo-sites the profile includes.
 std::vector<BitSite> flatten(const LatchProfile& profile, bool data_only) {
   const bool valid = !data_only && profile.include_valid;
   const bool flags = !data_only && profile.include_flags;
@@ -175,9 +169,9 @@ std::vector<BitSite> flatten(const LatchProfile& profile, bool data_only) {
   return sites;
 }
 
-std::vector<Fault> place_faults(const LatchProfile& profile, long horizon,
-                                long count, std::mt19937_64& rng) {
-  const std::vector<BitSite> sites = flatten(profile, /*data_only=*/false);
+template <typename Rng>
+std::vector<Fault> place_faults(const std::vector<BitSite>& sites,
+                                long horizon, long count, Rng& rng) {
   std::vector<Fault> faults;
   if (sites.empty() || horizon <= 0) return faults;
   faults.reserve(static_cast<std::size_t>(count));
@@ -201,11 +195,12 @@ std::vector<Fault> place_faults(const LatchProfile& profile, long horizon,
 // already covered by kStageLatch). The stuck mask spans `mask_bits`
 // occupied bits upward from the struck one; repair lands on the first
 // scrub boundary after the strike.
-std::vector<Fault> place_config_faults(const LatchProfile& profile,
+template <typename Rng>
+std::vector<Fault> place_config_faults(const ProfileSites& profile_sites,
                                        long horizon, long count,
                                        long scrub_period_cycles, int mask_bits,
-                                       std::mt19937_64& rng) {
-  const std::vector<BitSite> sites = flatten(profile, /*data_only=*/true);
+                                       Rng& rng) {
+  const std::vector<BitSite>& sites = profile_sites.data();
   std::vector<Fault> faults;
   if (sites.empty() || horizon <= 0) return faults;
   faults.reserve(static_cast<std::size_t>(count));
@@ -213,8 +208,9 @@ std::vector<Fault> place_config_faults(const LatchProfile& profile,
     const BitSite& site =
         sites[static_cast<std::size_t>(draw_below(rng, sites.size()))];
     const fp::u64 occupied =
-        profile.occupied[static_cast<std::size_t>(site.stage)]
-                        [static_cast<std::size_t>(site.lane)];
+        profile_sites.profile()
+            .occupied[static_cast<std::size_t>(site.stage)]
+                     [static_cast<std::size_t>(site.lane)];
     const int width = mask_bits < 1 ? 1 : mask_bits;
     fp::u64 span = width >= 64 ? ~fp::u64{0}
                                : ((fp::u64{1} << width) - 1) << site.bit;
@@ -236,14 +232,86 @@ std::vector<Fault> place_config_faults(const LatchProfile& profile,
   return faults;
 }
 
-const LatchProfile& require_profile(const CampaignSpec& spec) {
-  if (spec.profile == nullptr) {
+template <typename Rng>
+std::vector<Fault> place_accumulator_faults(const CampaignSpec& spec,
+                                            Rng& rng) {
+  std::vector<Fault> faults;
+  faults.reserve(static_cast<std::size_t>(spec.count));
+  for (int i = 0; i < spec.count; ++i) {
+    Fault f;
+    f.site = FaultSite::kAccumulator;
+    f.cycle = static_cast<long>(draw_below(
+        rng, static_cast<std::uint64_t>(spec.horizon > 0 ? spec.horizon : 1)));
+    f.index = static_cast<int>(
+        draw_below(rng, static_cast<std::uint64_t>(spec.rows)));
+    f.bit = static_cast<int>(
+        draw_below(rng, static_cast<std::uint64_t>(spec.word_bits)));
+    faults.push_back(f);
+  }
+  return faults;
+}
+
+/// `draw(rng)` with the generator a draw of `count` faults from `seed`
+/// reads: the seeded prefix for one fault, the whole engine for more.
+template <typename Draw>
+std::vector<Fault> with_rng(std::uint64_t seed, long count, const Draw& draw) {
+  if (count == 1) {
+    Mt19937_64Prefix rng(seed);
+    return draw(rng);
+  }
+  std::mt19937_64 rng(seed);
+  return draw(rng);
+}
+
+const ProfileSites& require_sites(const CampaignSpec& spec) {
+  if (spec.sites == nullptr) {
     throw std::invalid_argument("CampaignSpec: this source needs a profile");
   }
-  return *spec.profile;
+  return *spec.sites;
 }
 
 }  // namespace
+
+ProfileSites::ProfileSites(const LatchProfile& profile)
+    : profile_(&profile),
+      has_pseudo_(profile.include_valid || profile.include_flags),
+      latch_(flatten(profile, /*data_only=*/false)),
+      data_(has_pseudo_ ? flatten(profile, /*data_only=*/true)
+                        : std::vector<BitSite>{}) {}
+
+Mt19937_64Prefix::Mt19937_64Prefix(std::uint64_t seed) {
+  // std::mt19937_64's parameters (w = 64, n = 312, m = 156, r = 31).
+  constexpr int kShift = 156;
+  constexpr std::uint64_t kMatrix = 0xb5026f5aa96619e9;
+  constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+  // Seeded words 0..kOutputs and kShift..kShift + kOutputs - 1: all a
+  // twist of the first kOutputs words reads (it writes in index order, so
+  // each still holds its seeded value when read).
+  std::array<std::uint64_t, kOutputs + 1> low{};
+  std::array<std::uint64_t, kOutputs> high{};
+  std::uint64_t x = seed;
+  for (int i = 0; i < kShift + kOutputs; ++i) {
+    if (i > 0) x = 6364136223846793005 * (x ^ (x >> 62)) + i;
+    if (i <= kOutputs) low[static_cast<std::size_t>(i)] = x;
+    if (i >= kShift) high[static_cast<std::size_t>(i - kShift)] = x;
+  }
+  for (std::size_t k = 0; k < kOutputs; ++k) {
+    const std::uint64_t y = (low[k] & kUpper) | (low[k + 1] & ~kUpper);
+    std::uint64_t z = high[k] ^ (y >> 1) ^ ((y & 1) != 0 ? kMatrix : 0);
+    z ^= (z >> 29) & 0x5555555555555555;
+    z ^= (z << 17) & 0x71d67fffeda60000;
+    z ^= (z << 37) & 0xfff7eee000000000;
+    z ^= z >> 43;
+    out_[k] = z;
+  }
+}
+
+std::uint64_t Mt19937_64Prefix::operator()() {
+  if (next_ >= kOutputs) {
+    throw std::logic_error("Mt19937_64Prefix: past its seeded prefix");
+  }
+  return out_[static_cast<std::size_t>(next_++)];
+}
 
 FaultCampaign FaultCampaign::make(const CampaignSpec& spec) {
   FaultCampaign c = make_impl(spec);
@@ -266,22 +334,23 @@ FaultCampaign FaultCampaign::make_impl(const CampaignSpec& spec) {
       c.faults_ = spec.faults;
       return c;
     case Source::kRandom: {
-      std::mt19937_64 rng(spec.seed);
-      c.faults_ =
-          place_faults(require_profile(spec), spec.horizon, spec.count, rng);
+      const ProfileSites& sites = require_sites(spec);
+      c.faults_ = with_rng(spec.seed, spec.count, [&](auto& rng) {
+        return place_faults(sites.latch(), spec.horizon, spec.count, rng);
+      });
       return c;
     }
     case Source::kPoisson: {
       if (spec.rate < 0.0) {
         throw std::invalid_argument("FaultCampaign: negative upset rate");
       }
-      const LatchProfile& profile = require_profile(spec);
+      const ProfileSites& sites = require_sites(spec);
       std::mt19937_64 rng(spec.seed);
       const double mean = spec.rate *
-                          static_cast<double>(profile.total_bits()) *
+                          static_cast<double>(sites.profile().total_bits()) *
                           static_cast<double>(spec.horizon);
       const long count = draw_poisson(rng, mean);
-      c.faults_ = place_faults(profile, spec.horizon, count, rng);
+      c.faults_ = place_faults(sites.latch(), spec.horizon, count, rng);
       return c;
     }
     case Source::kAccumulator: {
@@ -289,27 +358,18 @@ FaultCampaign FaultCampaign::make_impl(const CampaignSpec& spec) {
           spec.word_bits > kSecdedWordBits) {
         throw std::invalid_argument("FaultCampaign: bad accumulator geometry");
       }
-      std::mt19937_64 rng(spec.seed);
-      c.faults_.reserve(static_cast<std::size_t>(spec.count));
-      for (int i = 0; i < spec.count; ++i) {
-        Fault f;
-        f.site = FaultSite::kAccumulator;
-        f.cycle = static_cast<long>(draw_below(
-            rng,
-            static_cast<std::uint64_t>(spec.horizon > 0 ? spec.horizon : 1)));
-        f.index = static_cast<int>(
-            draw_below(rng, static_cast<std::uint64_t>(spec.rows)));
-        f.bit = static_cast<int>(
-            draw_below(rng, static_cast<std::uint64_t>(spec.word_bits)));
-        c.faults_.push_back(f);
-      }
+      c.faults_ = with_rng(spec.seed, spec.count, [&](auto& rng) {
+        return place_accumulator_faults(spec, rng);
+      });
       return c;
     }
     case Source::kCram: {
-      std::mt19937_64 rng(spec.seed);
-      c.faults_ = place_config_faults(require_profile(spec), spec.horizon,
-                                      spec.count, spec.scrub_period_cycles,
-                                      spec.mask_bits, rng);
+      const ProfileSites& sites = require_sites(spec);
+      c.faults_ = with_rng(spec.seed, spec.count, [&](auto& rng) {
+        return place_config_faults(sites, spec.horizon, spec.count,
+                                   spec.scrub_period_cycles, spec.mask_bits,
+                                   rng);
+      });
       return c;
     }
   }

@@ -9,7 +9,8 @@
 // memory (persistent stuck-logic faults bounded by a scrub period).
 // Everything is driven by one std::mt19937_64 with an explicit algorithm
 // on top, so the same seed yields the same fault list on every platform
-// and every run.
+// and every run (a single-fault draw reads the same words from
+// Mt19937_64Prefix, which seeds only the state they need).
 //
 // All sources funnel through one declarative description, CampaignSpec,
 // and a single constructor, FaultCampaign::make(spec); cram_test pins the
@@ -79,12 +80,65 @@ std::vector<units::UnitInput> campaign_workload(units::UnitKind kind,
                                                 fp::FpFormat fmt, int count,
                                                 std::uint64_t seed);
 
+/// One latch fault site of a profile: a stage, a data lane (or kValidLane
+/// / kFlagsLane) and a bit.
+struct BitSite {
+  int stage;
+  int lane;
+  int bit;
+};
+
+/// A profile's occupied bits flattened into sites, so uniform sampling is
+/// an index draw: per stage, its data bits by lane and bit, then the valid
+/// and flag pseudo-sites the profile includes. Built eagerly and immutable,
+/// so concurrent make() calls may share one; a caller drawing many
+/// campaigns from one profile flattens it once, not once per make().
+class ProfileSites {
+ public:
+  /// Borrows `profile`, which must outlive this list and stay unchanged.
+  explicit ProfileSites(const LatchProfile& profile);
+
+  const LatchProfile& profile() const { return *profile_; }
+  /// Every site, pseudo-sites included (kRandom / kPoisson).
+  const std::vector<BitSite>& latch() const { return latch_; }
+  /// Data bits only (kCram): the same list when there are no
+  /// pseudo-sites.
+  const std::vector<BitSite>& data() const {
+    return has_pseudo_ ? data_ : latch_;
+  }
+
+ private:
+  const LatchProfile* profile_;
+  bool has_pseudo_;
+  std::vector<BitSite> latch_;
+  std::vector<BitSite> data_;  ///< empty unless has_pseudo_
+};
+
+/// The first kOutputs outputs of std::mt19937_64(seed), bit for bit. Output
+/// k reads seeded state words k, k + 1 and k + 156, so this seeds only the
+/// first 156 + kOutputs words, where the engine seeds all 312 and twists
+/// them before its first output. kOutputs is what a single-fault draw
+/// reads at most.
+class Mt19937_64Prefix {
+ public:
+  static constexpr int kOutputs = 3;
+
+  explicit Mt19937_64Prefix(std::uint64_t seed);
+
+  /// The next output; std::logic_error past kOutputs.
+  std::uint64_t operator()();
+
+ private:
+  std::array<std::uint64_t, kOutputs> out_{};
+  int next_ = 0;
+};
+
 /// Declarative campaign description: pick a source, fill the fields that
 /// source reads (the others are ignored), hand it to FaultCampaign::make.
 struct CampaignSpec {
   enum class Source {
     kList,         ///< the explicit `faults` list, verbatim
-    kRandom,       ///< `count` uniform draws over `profile` x horizon
+    kRandom,       ///< `count` uniform draws over `sites` x horizon
     kPoisson,      ///< Poisson(`rate` x profile bits x horizon) draws
     kAccumulator,  ///< `count` single-bit accumulator upsets
     kCram,         ///< `count` persistent configuration upsets
@@ -98,9 +152,10 @@ struct CampaignSpec {
 
   std::vector<Fault> faults;  ///< kList only
 
-  /// Occupied-bit sample space (kRandom / kPoisson / kCram). Borrowed, not
-  /// owned: must outlive the make() call (not the campaign).
-  const LatchProfile* profile = nullptr;
+  /// Occupied-bit sample space (kRandom / kPoisson / kCram): a profile's
+  /// flattened sites. Borrowed, not owned: they and their profile must
+  /// outlive the make() call (not the campaign).
+  const ProfileSites* sites = nullptr;
 
   int count = 0;      ///< kRandom / kAccumulator / kCram: faults to place
   double rate = 0.0;  ///< kPoisson: upsets per bit-cycle
@@ -119,7 +174,11 @@ struct CampaignSpec {
 
 class FaultCampaign {
  public:
-  /// The one constructor: build the fault list `spec` describes.
+  /// The one constructor: build the fault list `spec` describes. Every
+  /// random source draws from std::mt19937_64(spec.seed); a draw of one
+  /// fault (`count` == 1: kRandom, kAccumulator, kCram) reads its two or
+  /// three words from a Mt19937_64Prefix, the same words at a fraction of
+  /// the seeding.
   ///  * kRandom: `count` faults uniform over the profile's occupied bits
   ///    x stages x [0, horizon) cycles.
   ///  * kPoisson: the number of faults is Poisson-distributed with mean

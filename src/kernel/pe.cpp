@@ -23,6 +23,20 @@ bool is_prefix(const std::vector<T>& part, const std::vector<T>& whole) {
          std::equal(part.begin(), part.end(), whole.begin());
 }
 
+/// The row tag of the bundle a unit just emitted. A valid-lane upset that
+/// revives a bubble emits one with no accumulate in flight: the run is
+/// broken, as a run whose PE never drains is.
+int pop_row(std::deque<int>& rows) {
+  if (rows.empty()) {
+    throw std::logic_error(
+        "ProcessingElement: a unit emitted a result with no accumulate in "
+        "flight");
+  }
+  const int row = rows.front();
+  rows.pop_front();
+  return row;
+}
+
 }  // namespace
 
 units::UnitConfig PeConfig::adder_config() const {
@@ -191,8 +205,7 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
       mac_->step(std::nullopt);
     }
     if (const auto out = mac_->output()) {
-      const int row = adder_rows_.front();
-      adder_rows_.pop_front();
+      const int row = pop_row(adder_rows_);
       write_acc(row, out->result);
       flags_ |= out->flags;
       --pending_writes_[static_cast<std::size_t>(row)];
@@ -227,8 +240,7 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
   adder_.step(add_stage_reg_);
   add_stage_reg_.reset();
   if (const auto prod = mult_.output()) {
-    const int row = mult_rows_.front();
-    mult_rows_.pop_front();
+    const int row = pop_row(mult_rows_);
     if (pending_writes_[static_cast<std::size_t>(row)] > 0) ++hazards_;
     add_stage_reg_ = units::UnitInput{prod->result, read_acc(row), false};
     flags_ |= prod->flags;
@@ -238,8 +250,7 @@ void ProcessingElement::step(const std::optional<MacIssue>& issue) {
 
   // Writeback.
   if (const auto sum = adder_.output()) {
-    const int row = adder_rows_.front();
-    adder_rows_.pop_front();
+    const int row = pop_row(adder_rows_);
     write_acc(row, sum->result);
     flags_ |= sum->flags;
     --pending_writes_[static_cast<std::size_t>(row)];

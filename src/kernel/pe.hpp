@@ -219,6 +219,9 @@ class ProcessingElement {
   /// Mutable access for fault-hook attachment (FpUnit::set_latch_observer).
   units::FpUnit& adder() { return adder_; }
   units::FpUnit& multiplier() { return mult_; }
+  units::FpUnit& accumulator_unit() {
+    return mac_.has_value() ? *mac_ : adder_;
+  }
 
  private:
   /// A PE of `cfg` around already-built units (the constructor and

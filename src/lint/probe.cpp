@@ -1,7 +1,8 @@
 #include "lint/probe.hpp"
 
 #include <algorithm>
-#include <set>
+#include <cstdint>
+#include <vector>
 
 #include "fp/bits.hpp"
 
@@ -12,40 +13,61 @@ using fp::u64;
 using rtl::kMaxSignals;
 using rtl::SignalSet;
 
-/// Records the lanes one eval touches, with out-of-range capture.
-class AccessRecorder final : public rtl::LaneAccessListener {
+/// Records the lanes the evals it runs touch, through the thread's
+/// LaneAccessLog, with out-of-range capture.
+class AccessRecorder {
  public:
-  void on_access(int lane, bool mutable_access) override {
-    any_ = true;
-    if (lane < 0 || lane >= kMaxSignals) {
-      out_of_range_.insert(lane);
-      return;
+  AccessRecorder() : out_of_range_(16) { attach_storage(); }
+
+  /// Evaluates `piece` on `state` with the log attached. An eval that met
+  /// more distinct out-of-range lanes than the storage holds runs again on
+  /// a copy of its input with more storage; `state` keeps the first run's
+  /// output.
+  void eval(const rtl::Piece& piece, SignalSet& state) {
+    const SignalSet in = state;
+    {
+      const rtl::ScopedLaneAccessLog attach(&log_);
+      piece.eval(state);
     }
-    (mutable_access ? mutable_ : const_)[static_cast<std::size_t>(lane)] =
-        true;
+    while (log_.out_of_range_full) {
+      out_of_range_.resize(out_of_range_.size() * 4);
+      attach_storage();
+      SignalSet again = in;
+      const rtl::ScopedLaneAccessLog attach(&log_);
+      piece.eval(again);
+    }
   }
 
   void reset() {
-    mutable_.fill(false);
-    const_.fill(false);
-    out_of_range_.clear();
-    any_ = false;
+    log_.mutable_lanes = 0;
+    log_.const_lanes = 0;
+    log_.out_of_range_count = 0;
   }
 
-  const std::array<bool, kMaxSignals>& mutable_accessed() const {
-    return mutable_;
+  /// Bit l: lane l accessed through the non-const / const operator[].
+  std::uint32_t mutable_lanes() const { return log_.mutable_lanes; }
+  std::uint32_t const_lanes() const { return log_.const_lanes; }
+  /// Distinct out-of-range indices, ascending.
+  std::vector<int> out_of_range() const {
+    std::vector<int> oob(out_of_range_.begin(),
+                         out_of_range_.begin() + log_.out_of_range_count);
+    std::sort(oob.begin(), oob.end());
+    return oob;
   }
-  const std::array<bool, kMaxSignals>& const_accessed() const {
-    return const_;
+  bool any() const {
+    return (log_.mutable_lanes | log_.const_lanes) != 0 ||
+           log_.out_of_range_count > 0;
   }
-  const std::set<int>& out_of_range() const { return out_of_range_; }
-  bool any() const { return any_; }
 
  private:
-  std::array<bool, kMaxSignals> mutable_{};
-  std::array<bool, kMaxSignals> const_{};
-  std::set<int> out_of_range_;
-  bool any_ = false;
+  void attach_storage() {
+    log_.out_of_range = out_of_range_.data();
+    log_.out_of_range_capacity = static_cast<int>(out_of_range_.size());
+    log_.out_of_range_full = false;
+  }
+
+  rtl::LaneAccessLog log_;
+  std::vector<int> out_of_range_;
 };
 
 bool states_equal(const SignalSet& a, const SignalSet& b) {
@@ -162,24 +184,21 @@ ChainAccess infer_chain_access(const rtl::PieceChain& chain,
       PieceAccess& pa = access.piece[p];
       const SignalSet pre = state;
 
-      // The listener stays attached across the rerun and the perturbation
-      // trials too: it is the bounds check, and a chain under lint may be
+      // The rerun and the perturbation trials evaluate with the log
+      // attached too: it is the bounds check, and a chain under lint may be
       // exactly the kind that indexes out of range (DL103).
       recorder.reset();
-      rtl::ScopedLaneListener attach(&recorder);
-      chain[p].eval(state);
+      recorder.eval(chain[p], state);
       pa.touched = pa.touched || recorder.any();
       // Snapshot the baseline run's access sets — the trials below may take
       // different branches and touch lanes the baseline did not.
-      const std::array<bool, kMaxSignals> baseline_const =
-          recorder.const_accessed();
-      const std::array<bool, kMaxSignals> baseline_mutable =
-          recorder.mutable_accessed();
+      const std::uint32_t baseline_const = recorder.const_lanes();
+      const std::uint32_t baseline_mutable = recorder.mutable_lanes();
 
       // Determinism: an identical rerun must reproduce the output.
       if (!pa.nondeterministic) {
         SignalSet rerun = pre;
-        chain[p].eval(rerun);
+        recorder.eval(chain[p], rerun);
         if (!states_equal(rerun, state)) pa.nondeterministic = true;
       }
 
@@ -193,19 +212,19 @@ ChainAccess infer_chain_access(const rtl::PieceChain& chain,
         const bool changed = state.lane[idx] != pre.lane[idx];
         if (changed) pa.write_any[idx] = true;
         if (!changed) pa.write_always[idx] = false;
-        if (baseline_const[idx]) pa.read[idx] = true;
+        if ((baseline_const >> l & 1) != 0) pa.read[idx] = true;
       }
 
       // Reads among the mutably-accessed lanes, by input perturbation.
       for (int l = 0; l < kMaxSignals; ++l) {
         const auto idx = static_cast<std::size_t>(l);
-        if (!baseline_mutable[idx]) continue;
+        if ((baseline_mutable >> l & 1) == 0) continue;
         const bool written_here = state.lane[idx] != pre.lane[idx];
         if (pa.read[idx]) continue;
         SignalSet trial = pre;
         trial.lane[idx] = perturb(pre.lane[idx]);
         const u64 perturbed_value = trial.lane[idx];
-        chain[p].eval(trial);
+        recorder.eval(chain[p], trial);
         if (output_depends_on_lane(state, trial, perturbed_value, l,
                                    written_here)) {
           pa.read[idx] = true;
@@ -249,10 +268,10 @@ ChainGuards infer_chain_guards(const rtl::PieceChain& chain,
                                const Options& opts) {
   // The baseline walk and the identical rerun of infer_chain_access, from
   // the same entry states, without its perturbation and width passes and
-  // without a lane listener: nothing the guards need reads the probe's
+  // without a lane access log: nothing the guards need reads the probe's
   // out-of-range capture, a campaign's clean run has already evaluated
-  // every piece without a listener, and the lint zoo gate (DL103) still
-  // runs the listened probe on every unit chain.
+  // every piece without a log, and the lint zoo gate (DL103) still runs
+  // the logged probe on every unit chain.
   ChainGuards guards;
   std::vector<char> diverged(chain.size(), 0);
   for (std::size_t v = 0; v < contract.stimuli.size(); ++v) {

@@ -2,7 +2,7 @@
 //
 // Pieces are opaque `std::function<void(SignalSet&)>` blobs, so their
 // read/write sets cannot be gathered syntactically. Instead the chain is
-// executed on a handful of stimulus vectors with a LaneAccessListener
+// executed on a handful of stimulus vectors with a LaneAccessLog
 // attached (rtl/signals.hpp), and every mutable access is classified by
 // observation:
 //

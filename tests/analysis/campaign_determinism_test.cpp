@@ -71,6 +71,29 @@ struct MatmulGolden {
   int config_injected, config_silent;
 };
 
+/// The PE and campaign the pinned matmul legs run: perfbench's PE, n = 8.
+kernel::PeConfig pinned_pe() {
+  kernel::PeConfig pe;
+  pe.fmt = fp::FpFormat::binary32();
+  pe.adder_stages = 5;
+  pe.mult_stages = 4;
+  return pe;
+}
+
+MatmulSeuConfig pinned_matmul(fault::Scheme scheme, double config_fraction,
+                              long scrub, int threads) {
+  MatmulSeuConfig c;
+  c.n = 8;
+  c.faults = 64;
+  c.seed = 0x5eed30;
+  c.scheme = scheme;
+  c.config_fraction = config_fraction;
+  c.scrub_period_cycles = scrub;
+  c.threads = threads;
+  c.backend = rtl::EvalBackend::kBitsliced;
+  return c;
+}
+
 void expect_matmul_golden(int adder_stages, int mult_stages, int faults,
                           double config_fraction, long scrub,
                           fault::Scheme scheme, const MatmulGolden& g) {
@@ -97,6 +120,49 @@ void expect_matmul_golden(int adder_stages, int mult_stages, int faults,
     EXPECT_EQ(r.latch_silent, g.latch_silent);
     EXPECT_EQ(r.config_injected, g.config_injected);
     EXPECT_EQ(r.config_silent, g.config_silent);
+  }
+}
+
+// One fast-path campaign per perfbench matmul leg (none, ECC, config
+// upsets unscrubbed and scrubbed), n = 8, its tallies pinned at every
+// thread count. Every fault of a matmul campaign is a single-fault draw
+// from its own seed, so these pin the draw along with the trials.
+TEST(CampaignDeterminism, MatmulLegsMatchTheirPinnedTallies) {
+  struct Leg {
+    fault::Scheme scheme;
+    double config_fraction;
+    long scrub;
+    MatmulGolden g;
+  };
+  const Leg legs[] = {
+      {fault::Scheme::kNone, 0.0, 0, {64, 52, 0, 0, 12, 32, 7, 32, 5, 0, 0}},
+      {fault::Scheme::kEcc, 0.0, 0, {64, 49, 0, 10, 5, 32, 0, 32, 5, 0, 0}},
+      {fault::Scheme::kNone, 0.25, 0, {80, 65, 0, 0, 15, 32, 7, 32, 5, 16, 3}},
+      {fault::Scheme::kNone, 0.25, 8, {80, 66, 0, 0, 14, 32, 7, 32, 5, 16, 2}},
+  };
+  for (const Leg& leg : legs) {
+    for (const int threads : kThreadCounts) {
+      const MatmulSeuResult r =
+          run_matmul_campaign(pinned_pe(), pinned_matmul(leg.scheme,
+                                                         leg.config_fraction,
+                                                         leg.scrub, threads));
+      SCOPED_TRACE("scheme=" + std::to_string(static_cast<int>(leg.scheme)) +
+                   " config=" + std::to_string(leg.config_fraction) +
+                   " scrub=" + std::to_string(leg.scrub) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_EQ(r.injected, leg.g.injected);
+      EXPECT_EQ(r.masked, leg.g.masked);
+      EXPECT_EQ(r.detected, leg.g.detected);
+      EXPECT_EQ(r.corrected, leg.g.corrected);
+      EXPECT_EQ(r.silent, leg.g.silent);
+      EXPECT_EQ(r.acc_injected, leg.g.acc_injected);
+      EXPECT_EQ(r.acc_silent, leg.g.acc_silent);
+      EXPECT_EQ(r.latch_injected, leg.g.latch_injected);
+      EXPECT_EQ(r.latch_silent, leg.g.latch_silent);
+      EXPECT_EQ(r.config_injected, leg.g.config_injected);
+      EXPECT_EQ(r.config_silent, leg.g.config_silent);
+      EXPECT_EQ(r.draws_exhausted, 0);
+    }
   }
 }
 
@@ -221,6 +287,23 @@ TEST(CampaignDeterminism, CheckpointSidecarsAreByteIdenticalAcrossThreads) {
       EXPECT_EQ(files, reference);
     }
   }
+}
+
+// The sidecar file stem is the campaign's spec key, which folds every
+// drawn fault: pinned for the scrubbed config leg, whose faults carry
+// masks, stuck values and repair clocks.
+TEST(CampaignDeterminism, MatmulSidecarStemIsPinned) {
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "matmul_sidecar_stem")
+          .string();
+  std::filesystem::remove_all(dir);
+  CampaignRunControl ctl;
+  ctl.checkpoint_dir = dir;
+  run_matmul_campaign(pinned_pe(),
+                      pinned_matmul(fault::Scheme::kNone, 0.25, 8, 2), ctl);
+  const std::map<std::string, std::string> files = sidecars_of(dir);
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files.begin()->first, "f27f5591d405132d.ckpt");
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
 // Configuration-memory upset model: persistent stuck-until-repair faults,
-// deterministic CRAM campaigns, the CampaignSpec unification contract, and
-// the essential-bit / scrub-window arithmetic.
+// deterministic CRAM campaigns, the CampaignSpec unification contract
+// (single-fault draws from the seeded prefix included), and the
+// essential-bit / scrub-window arithmetic.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "fault/campaign.hpp"
@@ -91,11 +96,11 @@ LatchProfile adder_profile(std::uint64_t seed) {
   return profile_unit_latches(unit, 16, seed);
 }
 
-CampaignSpec cram_spec(const LatchProfile& profile, long horizon, int count,
+CampaignSpec cram_spec(const ProfileSites& sites, long horizon, int count,
                        std::uint64_t seed, long scrub_period_cycles = 0) {
   CampaignSpec spec;
   spec.source = CampaignSpec::Source::kCram;
-  spec.profile = &profile;
+  spec.sites = &sites;
   spec.horizon = horizon;
   spec.count = count;
   spec.seed = seed;
@@ -105,8 +110,9 @@ CampaignSpec cram_spec(const LatchProfile& profile, long horizon, int count,
 
 TEST(Cram, CramCampaignIsDeterministicAndWellFormed) {
   const LatchProfile profile = adder_profile(7);
-  const FaultCampaign a = FaultCampaign::make(cram_spec(profile, 100, 12, 42, 16));
-  const FaultCampaign b = FaultCampaign::make(cram_spec(profile, 100, 12, 42, 16));
+  const ProfileSites sites(profile);
+  const FaultCampaign a = FaultCampaign::make(cram_spec(sites, 100, 12, 42, 16));
+  const FaultCampaign b = FaultCampaign::make(cram_spec(sites, 100, 12, 42, 16));
   ASSERT_EQ(a.size(), 12u);
   EXPECT_EQ(a.faults(), b.faults());
 
@@ -124,11 +130,11 @@ TEST(Cram, CramCampaignIsDeterministicAndWellFormed) {
   }
 
   // No scrub period: the upset persists for the whole mission.
-  const FaultCampaign never = FaultCampaign::make(cram_spec(profile, 100, 4, 42));
+  const FaultCampaign never = FaultCampaign::make(cram_spec(sites, 100, 4, 42));
   for (const Fault& f : never.faults()) EXPECT_EQ(f.repair_cycle, -1);
 
   // Different seeds draw different campaigns.
-  const FaultCampaign c = FaultCampaign::make(cram_spec(profile, 100, 12, 43, 16));
+  const FaultCampaign c = FaultCampaign::make(cram_spec(sites, 100, 12, 43, 16));
   EXPECT_NE(a.faults(), c.faults());
 }
 
@@ -142,9 +148,10 @@ TEST(Cram, CampaignSpecReproducesLegacyFactories) {
     return Fault{cycle, FaultSite::kStageLatch, stage, lane, bit};
   };
 
+  const ProfileSites sites(profile);
   CampaignSpec spec;
   spec.source = CampaignSpec::Source::kRandom;
-  spec.profile = &profile;
+  spec.sites = &sites;
   spec.horizon = 200;
   spec.count = 10;
   spec.seed = 77;
@@ -208,9 +215,10 @@ TEST(Cram, CampaignSpecReproducesLegacyFactories) {
   pseudo.include_valid = true;
   pseudo.include_flags = true;
   ASSERT_EQ(pseudo.total_bits(), 626);
+  const ProfileSites pseudo_sites(pseudo);
   CampaignSpec with_pseudo;
   with_pseudo.source = CampaignSpec::Source::kRandom;
-  with_pseudo.profile = &pseudo;
+  with_pseudo.sites = &pseudo_sites;
   with_pseudo.horizon = 200;
   with_pseudo.count = 24;
   with_pseudo.seed = 5;
@@ -267,6 +275,60 @@ TEST(Cram, CampaignSpecReproducesLegacyFactories) {
   EXPECT_TRUE(check_byte_hit);
   acc.word_bits = 73;
   EXPECT_THROW(FaultCampaign::make(acc), std::invalid_argument);
+}
+
+// A single-fault draw reads its words from Mt19937_64Prefix, which must
+// serve exactly std::mt19937_64's outputs, whatever the seed.
+TEST(Cram, SeededPrefixEqualsTheEngine) {
+  std::mt19937_64 seeds(2024);
+  for (int i = 0; i < 100000; ++i) {
+    // The edges first: 0, all ones, the engine's default seed.
+    const std::uint64_t seed = i == 0   ? 0
+                               : i == 1 ? ~std::uint64_t{0}
+                               : i == 2 ? std::mt19937_64::default_seed
+                                        : seeds();
+    std::mt19937_64 engine(seed);
+    Mt19937_64Prefix prefix(seed);
+    for (int k = 0; k < Mt19937_64Prefix::kOutputs; ++k) {
+      ASSERT_EQ(prefix(), engine()) << "seed " << seed << " output " << k;
+    }
+  }
+  Mt19937_64Prefix prefix(7);
+  for (int k = 0; k < Mt19937_64Prefix::kOutputs; ++k) prefix();
+  EXPECT_THROW(prefix(), std::logic_error);
+}
+
+// A one-fault draw (the seeded prefix) is the first fault of a longer
+// draw from the same seed (the engine), for every single-fault source.
+TEST(Cram, SingleFaultDrawIsTheFirstOfALongerOne) {
+  LatchProfile pseudo = adder_profile(9);
+  pseudo.include_valid = true;
+  pseudo.include_flags = true;
+  const LatchProfile plain = adder_profile(9);
+  for (const LatchProfile* profile : {&plain, &std::as_const(pseudo)}) {
+    const ProfileSites sites(*profile);
+    for (const CampaignSpec::Source source :
+         {CampaignSpec::Source::kRandom, CampaignSpec::Source::kCram,
+          CampaignSpec::Source::kAccumulator}) {
+      for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+        CampaignSpec spec;
+        spec.source = source;
+        spec.sites = &sites;
+        spec.horizon = 150 + static_cast<long>(seed % 7);
+        spec.rows = 8;
+        spec.word_bits = 40;
+        spec.scrub_period_cycles = seed % 3 == 0 ? 0 : 32;
+        spec.seed = seed * 0x9E3779B97F4A7C15;
+        spec.count = 5;
+        const std::vector<Fault> longer = FaultCampaign::make(spec).faults();
+        ASSERT_EQ(longer.size(), 5u);
+        spec.count = 1;
+        ASSERT_EQ(FaultCampaign::make(spec).faults(),
+                  std::vector<Fault>{longer.front()})
+            << "source " << static_cast<int>(source) << " seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(Cram, EssentialBitsScaleWithFootprint) {

@@ -24,11 +24,11 @@ LatchProfile profile_of(units::UnitKind kind, fp::FpFormat fmt, int stages) {
   return profile_unit_latches(unit, 24, 0x5eed);
 }
 
-CampaignSpec random_spec(const LatchProfile& profile, long horizon, int count,
+CampaignSpec random_spec(const ProfileSites& sites, long horizon, int count,
                          std::uint64_t seed) {
   CampaignSpec spec;
   spec.source = CampaignSpec::Source::kRandom;
-  spec.profile = &profile;
+  spec.sites = &sites;
   spec.horizon = horizon;
   spec.count = count;
   spec.seed = seed;
@@ -38,12 +38,13 @@ CampaignSpec random_spec(const LatchProfile& profile, long horizon, int count,
 TEST(FaultCampaign, SameSeedSameRandomFaultList) {
   const LatchProfile profile =
       profile_of(units::UnitKind::kAdder, fp::FpFormat::binary32(), 6);
-  const FaultCampaign a = FaultCampaign::make(random_spec(profile, 40, 32, 0x5eed));
-  const FaultCampaign b = FaultCampaign::make(random_spec(profile, 40, 32, 0x5eed));
+  const ProfileSites sites(profile);
+  const FaultCampaign a = FaultCampaign::make(random_spec(sites, 40, 32, 0x5eed));
+  const FaultCampaign b = FaultCampaign::make(random_spec(sites, 40, 32, 0x5eed));
   ASSERT_EQ(a.size(), 32u);
   EXPECT_EQ(a.faults(), b.faults());
 
-  const FaultCampaign c = FaultCampaign::make(random_spec(profile, 40, 32, 0x5eee));
+  const FaultCampaign c = FaultCampaign::make(random_spec(sites, 40, 32, 0x5eee));
   EXPECT_NE(a.faults(), c.faults());
 }
 
@@ -52,9 +53,10 @@ TEST(FaultCampaign, SameSeedSamePoissonFaultList) {
       profile_of(units::UnitKind::kMultiplier, fp::FpFormat::binary32(), 5);
   // Rate chosen so the expected count is a handful of faults.
   const double rate = 8.0 / (static_cast<double>(profile.total_bits()) * 40.0);
+  const ProfileSites sites(profile);
   CampaignSpec spec;
   spec.source = CampaignSpec::Source::kPoisson;
-  spec.profile = &profile;
+  spec.sites = &sites;
   spec.horizon = 40;
   spec.rate = rate;
   spec.seed = 7;
@@ -79,7 +81,8 @@ TEST(FaultCampaign, WorkloadIsDeterministic) {
 TEST(FaultCampaign, RandomFaultsLandInsideTheProfile) {
   const LatchProfile profile =
       profile_of(units::UnitKind::kAdder, fp::FpFormat::binary64(), 8);
-  const FaultCampaign camp = FaultCampaign::make(random_spec(profile, 50, 64, 1));
+  const ProfileSites sites(profile);
+  const FaultCampaign camp = FaultCampaign::make(random_spec(sites, 50, 64, 1));
   for (const Fault& f : camp.faults()) {
     EXPECT_EQ(f.site, FaultSite::kStageLatch);
     EXPECT_GE(f.cycle, 0);

@@ -296,9 +296,10 @@ TEST(MatmulReplay, ConfigFaultsPersistentAndRepairedOnABoundary) {
   ReplayBench bench(8, pe_config());
   const fault::LatchProfile profile =
       fault::profile_unit_latches(bench.pe(0).adder(), 24, 0x5eed);
+  const fault::ProfileSites sites(profile);
   fault::CampaignSpec spec;
   spec.source = fault::CampaignSpec::Source::kCram;
-  spec.profile = &profile;
+  spec.sites = &sites;
   spec.horizon = bench.cycles();
   spec.count = 8;
   spec.seed = 7;
@@ -372,16 +373,18 @@ TEST(MatmulReplay, DrawnFaultsMatchFullRuns) {
                  std::to_string(bc.ecc) + " fused=" + std::to_string(bc.fused) +
                  " " + bc.fmt.name());
     ReplayBench bench(bc.n, pe_config(bc.ecc, bc.fused), bc.fmt);
-    const fault::LatchProfile mult =
+    const fault::LatchProfile mult_profile =
         fault::profile_unit_latches(bench.pe(0).multiplier(), 24, 3);
-    const fault::LatchProfile add =
+    const fault::LatchProfile add_profile =
         fault::profile_unit_latches(bench.pe(0).adder(), 24, 4);
+    const fault::ProfileSites mult(mult_profile);
+    const fault::ProfileSites add(add_profile);
     std::mt19937_64 rng(99);
     const auto draw = [&](fault::CampaignSpec::Source source,
-                          const fault::LatchProfile* profile, long scrub) {
+                          const fault::ProfileSites* sites, long scrub) {
       fault::CampaignSpec spec;
       spec.source = source;
-      spec.profile = profile;
+      spec.sites = sites;
       spec.horizon = bench.cycles();
       spec.count = 12;
       spec.seed = rng();
@@ -446,16 +449,18 @@ TEST(MatmulFinisher, DrawnUpsetsMatchFullRuns) {
     if (bc.pad >= 0) {
       EXPECT_GT(bench.clean().hazards, 0) << "the override must bite";
     }
-    const fault::LatchProfile mult =
+    const fault::LatchProfile mult_profile =
         fault::profile_unit_latches(bench.pe(0).multiplier(), 24, 5);
-    const fault::LatchProfile add =
+    const fault::LatchProfile add_profile =
         fault::profile_unit_latches(bench.pe(0).adder(), 24, 6);
+    const fault::ProfileSites mult(mult_profile);
+    const fault::ProfileSites add(add_profile);
     std::mt19937_64 rng(2024);
     const auto draw = [&](fault::CampaignSpec::Source source,
-                          const fault::LatchProfile* profile, long scrub) {
+                          const fault::ProfileSites* sites, long scrub) {
       fault::CampaignSpec spec;
       spec.source = source;
-      spec.profile = profile;
+      spec.sites = sites;
       spec.horizon = bench.cycles();
       spec.count = 8;
       spec.seed = rng();
@@ -829,9 +834,10 @@ TEST(MatmulFinisher, ConfigUpsetScrubbedWhileAnAccumulateIsInTheStage) {
   ReplayBench bench(8, pe_config(/*ecc=*/true));
   const fault::LatchProfile profile =
       fault::profile_unit_latches(bench.pe(0).adder(), 24, 0x5eed);
+  const fault::ProfileSites sites(profile);
   fault::CampaignSpec spec;
   spec.source = fault::CampaignSpec::Source::kCram;
-  spec.profile = &profile;
+  spec.sites = &sites;
   spec.horizon = bench.cycles();
   spec.count = 4;
   spec.seed = 11;
@@ -865,6 +871,44 @@ TEST(MatmulReplay, ValidLaneFlipThatDropsAnAccumulateEndsAsTheFullRun) {
   for (const Target target : {Target::kMult, Target::kAdd}) {
     EXPECT_THROW(bench.reference(2, target, dropped), std::logic_error);
     EXPECT_THROW(bench.unit(2, target, dropped), std::logic_error);
+  }
+}
+
+// A valid-lane flip that revives a bubble makes a unit emit a result with
+// no accumulate in flight. Struck on the unit's first stage one clock
+// after PE 0's last accumulate entered it, the bubble comes out after
+// every real result, with no row tag left: the PE throws std::logic_error
+// there, as a run whose PE never drains does. The front of an empty
+// row-tag queue is undefined behaviour that a release build may still
+// carry to "pipeline not drained", so the test checks the PE's message.
+TEST(MatmulReplay, ValidLaneFlipThatRevivesABubbleThrows) {
+  constexpr int kN = 4;
+  const Matrix a = operand(kN, fp::FpFormat::binary32(), 11);
+  const Matrix b = operand(kN, fp::FpFormat::binary32(), 12);
+  for (const bool fused : {false, true}) {
+    LinearArrayMatmul array(kN, pe_config(false, fused));
+    const MatmulRun clean = array.run(a, b);
+    ProcessingElement& pe = array.pe(0);
+    const ProcessingElement::AccumulateClocks last =
+        pe.accumulate_clocks(array.schedule().issues_per_pe() - 1);
+    std::vector<std::pair<units::FpUnit*, long>> struck = {
+        {&pe.accumulator_unit(), last.entry + 1}};
+    if (!fused) struck.push_back({&pe.multiplier(), last.issue + 1});
+    for (const auto& [unit, clock] : struck) {
+      SCOPED_TRACE(std::string(fused ? "fused " : "split ") + unit->name());
+      fault::FaultInjector injector({lane_fault(0, clock, fault::kValidLane, 0)});
+      unit->set_latch_observer(&injector);
+      try {
+        array.run(a, b);
+        ADD_FAILURE() << "the revived bubble was not caught";
+      } catch (const std::logic_error& e) {
+        EXPECT_NE(std::string(e.what()).find("no accumulate in flight"),
+                  std::string::npos)
+            << e.what();
+      }
+      unit->set_latch_observer(nullptr);
+      EXPECT_EQ(array.run(a, b).c.bits, clean.c.bits);
+    }
   }
 }
 

@@ -185,17 +185,72 @@ TEST(LintRules, DL102DeadWrite) {
   EXPECT_EQ(hits[0].severity, Severity::kWarning);
 }
 
+/// `lane`, hidden from the optimizer: the DL103 pieces index out of range
+/// on purpose, which only the probe's attached access log makes safe.
+int opaque(int lane) {
+  volatile int v = lane;
+  return v;
+}
+
+// A const access is a definite read, even one no output depends on, so
+// the write it reads stays live: the probe keeps const and mutable
+// accesses apart (perturbation alone would call this write dead).
+TEST(LintRules, DL102ConstReadKeepsAWriteLive) {
+  rtl::PieceChain chain = toy_chain();
+  chain[0].eval = [](rtl::SignalSet& s) {
+    s[2] = s[0] + s[1];
+    s[4] = s[0] * 3;  // read downstream only through a const access
+  };
+  chain[1].eval = [](rtl::SignalSet& s) {
+    const rtl::SignalSet& read_only = s;
+    s[3] = s[2] ^ (s[2] >> 7) ^ (read_only[4] & 0);
+  };
+  const Report r = lint_chain(chain, toy_contract());
+  EXPECT_TRUE(r.with_rule("DL102").empty()) << rendered(r);
+}
+
 TEST(LintRules, DL103OutOfRangeLane) {
   rtl::PieceChain chain = toy_chain();
   chain[1].eval = [](rtl::SignalSet& s) {
     s[3] = s[2] ^ (s[2] >> 7);
-    s[25] = 1;  // past kMaxSignals; the listener is the bounds check
+    s[opaque(25)] = 1;  // past kMaxSignals; the access log is the bounds check
+    s[opaque(-4)] = s[opaque(25)] + 1;  // a negative index, and 25 again
+    const rtl::SignalSet& read_only = s;
+    s[3] ^= read_only[opaque(rtl::kMaxSignals)] & 0;  // const, first past
+    s[opaque(25)] = s[opaque(-4)];                     // both repeated
   };
   const Report r = lint_chain(chain, toy_contract());
   const auto hits = r.with_rule("DL103");
-  ASSERT_EQ(hits.size(), 1u) << rendered(r);
-  EXPECT_EQ(hits[0].lane, 25);
-  EXPECT_EQ(hits[0].severity, Severity::kError);
+  // Each distinct index once, ascending, however often it was accessed.
+  ASSERT_EQ(hits.size(), 3u) << rendered(r);
+  const int lanes[] = {-4, rtl::kMaxSignals, 25};
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].lane, lanes[i]);
+    EXPECT_EQ(hits[i].piece, 1);
+    EXPECT_EQ(hits[i].severity, Severity::kError);
+  }
+}
+
+// More distinct out-of-range lanes in one eval than the probe first has
+// room for: it makes room and evaluates again, and every index is still
+// reported once, ascending.
+TEST(LintRules, DL103ReportsEveryDistinctOutOfRangeLane) {
+  constexpr int kEach = 40;
+  rtl::PieceChain chain = toy_chain();
+  chain[1].eval = [](rtl::SignalSet& s) {
+    s[3] = s[2] ^ (s[2] >> 7);
+    for (int k = 0; k < kEach; ++k) {
+      s[opaque(rtl::kMaxSignals + kEach - 1 - k)] = s[opaque(-1 - k)];
+    }
+  };
+  const Report r = lint_chain(chain, toy_contract());
+  const auto hits = r.with_rule("DL103");
+  ASSERT_EQ(hits.size(), 2u * kEach) << rendered(r);
+  for (int k = 0; k < kEach; ++k) {
+    EXPECT_EQ(hits[static_cast<std::size_t>(k)].lane, -kEach + k);
+    EXPECT_EQ(hits[static_cast<std::size_t>(kEach + k)].lane,
+              rtl::kMaxSignals + k);
+  }
 }
 
 TEST(LintRules, DL104NondeterministicEval) {

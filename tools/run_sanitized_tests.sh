@@ -8,9 +8,9 @@
 # thread is special-cased: TSan only pays off on code that actually runs
 # threads, and the full suite under it is painfully slow — so it builds the
 # tree with -fsanitize=thread but runs only the `tsan`-labelled suites (the
-# exec pool, the campaign determinism and backend equivalence suites, and
-# the threaded obs and serve suites) with enough workers to exercise the
-# parallel trial loops.
+# exec pool, the campaign determinism and backend equivalence suites, the
+# threaded obs and serve suites, and lints on several pool workers at once)
+# with enough workers to exercise the parallel trial loops.
 #
 # Uses a separate build directory (build-$SAN) so the normal build stays
 # untouched.

@@ -4,10 +4,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <map>
-#include <memory>
+#include <functional>
 #include <optional>
 #include <random>
+#include <span>
 #include <stdexcept>
 
 #include "exec/parallel.hpp"
@@ -28,40 +28,30 @@ bool same_output(const std::optional<units::UnitOutput>& a,
   return a->result == b->result && a->flags == b->flags;
 }
 
-/// Per-trial verdict of one unit-campaign fault, filled by whichever
-/// worker owns the trial and reduced in fault-list order afterwards.
-struct UnitTrial {
-  bool corrupted = false;         // copy 0's own output vs golden
-  bool hardened_differs = false;  // post-voter output vs golden
-  bool mismatch = false;          // checker fired at any cycle
-};
+// A trial's verdict is one byte, written by whichever worker owns the
+// trial into the campaign's slot vector and reduced in fault-list order
+// afterwards. The slots ARE the sidecar bytes: changing these bits
+// invalidates existing sidecars (bump the spec-hash salt below if they
+// ever have to change).
+constexpr std::uint8_t kCorrupted = 1;        // output differs from golden
+constexpr std::uint8_t kHardenedDiffers = 2;  // unit: post-voter one too
+constexpr std::uint8_t kMismatch = 4;         // unit: a checker fired
+constexpr std::uint8_t kEccDetected = 2;      // kernel: ECC flagged it
+constexpr std::uint8_t kEccCorrected = 4;     // kernel: ECC repaired it
 
-// --- checkpoint plumbing shared by the campaign drivers ----------------
-
-/// One trial verdict <-> one sidecar byte. Bits: 0 corrupted,
-/// 1 hardened_differs, 2 mismatch. The byte IS the checkpoint format for
-/// unit campaigns; changing it invalidates existing sidecars (bump the
-/// spec-hash salt below if it ever has to change).
-std::uint8_t encode_unit_trial(const UnitTrial& t) {
-  return static_cast<std::uint8_t>((t.corrupted ? 1 : 0) |
-                                   (t.hardened_differs ? 2 : 0) |
-                                   (t.mismatch ? 4 : 0));
-}
-
-UnitTrial decode_unit_trial(std::uint8_t b) {
-  UnitTrial t;
-  t.corrupted = (b & 1) != 0;
-  t.hardened_differs = (b & 2) != 0;
-  t.mismatch = (b & 4) != 0;
-  return t;
+/// kCorrupted plus the campaign's two flags (unit: kHardenedDiffers,
+/// kMismatch; kernel: kEccDetected, kEccCorrected).
+std::uint8_t verdict(bool corrupted, bool flag2, bool flag4) {
+  return static_cast<std::uint8_t>((corrupted ? kCorrupted : 0) |
+                                   (flag2 ? 2 : 0) | (flag4 ? 4 : 0));
 }
 
 /// Whether a unit trial reduces to "silent" under the campaign's scheme —
 /// factored out so the running convergence tally cannot drift from the
 /// final ordered reduction.
-bool unit_trial_silent(const UnitTrial& t, fault::Scheme scheme) {
-  if (scheme == fault::Scheme::kTmr) return t.hardened_differs;
-  return t.corrupted && !t.mismatch;
+bool unit_trial_silent(std::uint8_t v, fault::Scheme scheme) {
+  if (scheme == fault::Scheme::kTmr) return (v & kHardenedDiffers) != 0;
+  return (v & kCorrupted) != 0 && (v & kMismatch) == 0;
 }
 
 // --- upset-replay fast path ---------------------------------------------
@@ -96,33 +86,30 @@ bool fast_path_covers(const std::vector<fault::Fault>& faults,
 ///  * kTmr          — the voter outvotes the single struck copy, so the
 ///                    hardened output never differs; disagreement shows up
 ///                    as a mismatch.
-UnitTrial map_fast_trial(const rtl::UpsetTrial& t, fault::Scheme scheme,
-                         fp::u64 clean_result, fp::u64 frac_mask) {
-  UnitTrial u;
-  u.corrupted = t.corrupted;
+std::uint8_t map_fast_trial(const rtl::UpsetTrial& t, fault::Scheme scheme,
+                            fp::u64 clean_result, fp::u64 frac_mask) {
+  bool hardened_differs = t.corrupted;
+  bool mismatch = false;
   switch (scheme) {
     case fault::Scheme::kNone:
     case fault::Scheme::kEcc:
-      u.hardened_differs = t.corrupted;
       break;
     case fault::Scheme::kParity:
-      u.hardened_differs = t.corrupted;
-      u.mismatch = true;
+      mismatch = true;
       break;
     case fault::Scheme::kResidue:
-      u.hardened_differs = t.corrupted;
-      u.mismatch = t.struck && t.valid &&
-                   ((t.result ^ clean_result) & frac_mask) != 0;
+      mismatch = t.struck && t.valid &&
+                 ((t.result ^ clean_result) & frac_mask) != 0;
       break;
     case fault::Scheme::kDuplicate:
-      u.hardened_differs = t.corrupted;
-      u.mismatch = t.corrupted;
+      mismatch = t.corrupted;
       break;
     case fault::Scheme::kTmr:
-      u.mismatch = t.corrupted;
+      hardened_differs = false;
+      mismatch = t.corrupted;
       break;
   }
-  return u;
+  return verdict(t.corrupted, hardened_differs, mismatch);
 }
 
 void fold_fault(fault::SpecHash& h, const fault::Fault& f) {
@@ -136,55 +123,132 @@ void fold_fault(fault::SpecHash& h, const fault::Fault& f) {
       .i64(f.repair_cycle);
 }
 
-/// A campaign's live checkpoint: the skip set restored from the sidecar
-/// plus the writer the remaining chunks append to. Inactive (no writer, no
-/// skips) when the control has no checkpoint directory.
-struct CheckpointSession {
-  std::vector<char> skip;  ///< per-chunk; empty when nothing restored
-  std::unique_ptr<fault::CheckpointWriter> writer;
-  long restored = 0;
+/// The campaign-specific half of a checkpointed grid run: the grid's
+/// shape, the sidecar key, and how to read a slot for the convergence
+/// stop. Every grid position owns `slot_bytes` bytes of the driver's slot
+/// vector, and those bytes are its sidecar bytes.
+struct CheckpointedGrid {
+  std::size_t count = 0;        ///< grid positions (trials, or depths)
+  std::size_t chunk = 1;        ///< positions per grid chunk
+  std::size_t slot_bytes = 1;   ///< sidecar bytes per position
+  long trials_per_position = 1;  ///< what one position charges the budget
+  int threads = 0;
+  const char* progress = nullptr;  ///< progress label; nullptr = none
+  /// The campaign spec's hash: called only when a sidecar opens, so a
+  /// campaign without a checkpoint directory never pays for it.
+  std::function<std::uint64_t()> spec_key;
+  /// Whether a trial's byte is silent, and the half-width of `silent` out
+  /// of `trials` in the units of stop_half_width. Unset: no early stop.
+  std::function<bool(std::uint8_t)> silent;
+  std::function<double(long silent, long trials)> half_width;
 };
 
-/// Open (and on resume, restore) the sidecar for the spec `spec_key()`
-/// hashes. The key is hashed only here, once a sidecar opens: a campaign
-/// without a checkpoint directory never pays for it.
-/// `restore_chunk(index, bytes)` decodes one stored chunk back into the
-/// caller's slots and returns false to reject it (bad size). The sidecar
-/// is rewritten via a temp file so a pre-existing torn tail can never
-/// swallow this run's appends.
-CheckpointSession open_checkpoint_session(
-    const CampaignRunControl& ctl,
-    const std::function<std::uint64_t()>& spec_key, std::size_t count,
-    std::size_t chunk, std::size_t nchunks,
-    const std::function<bool(std::size_t, const std::vector<std::uint8_t>&)>&
-        restore_chunk) {
-  CheckpointSession s;
-  if (ctl.checkpoint_dir.empty() || count == 0) return s;
-  const std::uint64_t key = spec_key();
-  const std::string path = fault::checkpoint_path(ctl.checkpoint_dir, key);
-  std::map<std::size_t, std::vector<std::uint8_t>> keep;
-  if (ctl.resume) {
-    const fault::CheckpointLoad load = fault::load_checkpoint(path);
-    if (load.found) {
-      if (load.spec_hash != key || load.count != count ||
-          load.chunk != chunk) {
+/// Run `body` over the grid under the control's checkpoint, cancellation,
+/// trial budget and convergence stop: open (and on resume restore) the
+/// sidecar, skip the restored chunks, append each finished chunk's slots,
+/// and fill `status` plus the campaign.chunks.* / campaign.interrupted
+/// counters. Restored slots are filled before the grid runs; `body` fills
+/// the rest. A sidecar whose header names another campaign throws.
+exec::GridResult run_checkpointed_grid(const CampaignRunControl& ctl,
+                                       const CheckpointedGrid& g,
+                                       std::vector<std::uint8_t>& slots,
+                                       const exec::ThreadPool::ChunkFn& body,
+                                       CampaignRunStatus& status) {
+  const std::size_t nchunks = exec::grid_chunk_count(g.count, 1, g.chunk);
+  const bool converge = ctl.stop_half_width > 0.0 && g.silent != nullptr;
+  // Convergence tallies run over every accounted trial — restored chunks
+  // included, so a resumed campaign's early stop sees the full sample.
+  long done_trials = 0;
+  long done_silent = 0;
+  const auto tally = [&](std::size_t begin, std::size_t end) {
+    done_trials += static_cast<long>(end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      if (g.silent(slots[i])) ++done_silent;
+    }
+  };
+
+  std::vector<char> skip(nchunks, 0);
+  long restored = 0;
+  long restored_positions = 0;
+  std::optional<fault::CheckpointWriter> writer;
+  if (!ctl.checkpoint_dir.empty() && g.count > 0) {
+    const std::uint64_t key = g.spec_key();
+    const std::string path = fault::checkpoint_path(ctl.checkpoint_dir, key);
+    fault::CheckpointLoad load;
+    if (ctl.resume) {
+      load = fault::load_checkpoint(path, g.slot_bytes);
+      if (load.found && (load.spec_hash != key || load.count != g.count ||
+                         load.chunk != g.chunk)) {
         throw std::runtime_error(
             "checkpoint " + path +
             " was written by a different campaign (spec/count/chunk "
             "mismatch); refusing to mix tallies");
       }
-      s.skip.assign(nchunks, 0);
       for (const auto& [index, data] : load.chunks) {
-        if (!restore_chunk(index, data)) continue;
-        s.skip[index] = 1;
-        ++s.restored;
-        keep.emplace(index, data);
+        const std::size_t begin = index * g.chunk;
+        const std::size_t end = std::min(g.count, begin + g.chunk);
+        std::copy(data.begin(), data.end(),
+                  slots.begin() +
+                      static_cast<std::ptrdiff_t>(begin * g.slot_bytes));
+        if (converge) tally(begin, end);
+        skip[index] = 1;
+        ++restored;
+        restored_positions += static_cast<long>(end - begin);
       }
     }
+    // Appends go after the restored lines; anything past them is cut.
+    writer.emplace(path, key, g.count, g.chunk, ctl.fsync_interval, load);
   }
-  s.writer = fault::rewrite_checkpoint(path, key, count, chunk,
-                                       ctl.fsync_interval, keep);
-  return s;
+
+  exec::CancelToken local_token;
+  exec::CancelToken* cancel =
+      ctl.cancel != nullptr ? ctl.cancel : &local_token;
+  std::optional<obs::ProgressReporter> progress;
+  if (g.progress != nullptr) {
+    progress.emplace(g.progress, static_cast<long>(g.count));
+    // Restored trials count as already-done progress.
+    if (restored_positions > 0) progress->tick(restored_positions);
+  }
+
+  long executed = 0;
+  exec::GridOptions opts;
+  opts.chunk = g.chunk;
+  opts.skip = &skip;
+  opts.cancel = cancel;
+  opts.on_chunk_done = [&](std::size_t c, std::size_t begin,
+                           std::size_t end) {
+    executed += static_cast<long>(end - begin) * g.trials_per_position;
+    if (progress) progress->tick(static_cast<long>(end - begin));
+    if (converge) tally(begin, end);
+    if (writer) {
+      writer->append(c, std::span<const std::uint8_t>(slots).subspan(
+                            begin * g.slot_bytes,
+                            (end - begin) * g.slot_bytes));
+    }
+    if (ctl.trial_budget > 0 && executed >= ctl.trial_budget) {
+      cancel->request(exec::CancelToken::Reason::kTrialBudget);
+    }
+    if (converge &&
+        g.half_width(done_silent, done_trials) <= ctl.stop_half_width) {
+      cancel->request(exec::CancelToken::Reason::kConverged);
+    }
+  };
+  const exec::GridResult grid =
+      exec::parallel_for_grid(g.count, g.threads, body, opts);
+  writer.reset();  // write what is still held, fsync, close
+
+  status.chunks_total = static_cast<long>(grid.chunks);
+  status.chunks_completed = static_cast<long>(grid.completed);
+  status.chunks_restored = restored;
+  status.trials_executed = executed;
+  status.interrupted = !grid.complete();
+  status.stop_reason = cancel->reason();
+  obs::Registry& reg = obs::Registry::global();
+  reg.counter("campaign.chunks.completed")
+      .add(static_cast<long>(grid.completed));
+  reg.counter("campaign.chunks.restored").add(restored);
+  if (status.interrupted) reg.counter("campaign.interrupted").inc();
+  return grid;
 }
 
 }  // namespace
@@ -253,7 +317,7 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   draw_spec.seed = camp.seed + 1;
   const fault::FaultCampaign campaign = fault::FaultCampaign::make(draw_spec);
   const std::vector<fault::Fault>& faults = campaign.faults();
-  std::vector<UnitTrial> trials(faults.size());
+  std::vector<std::uint8_t> slots(faults.size());  // sidecar byte per trial
   draw_span.end();
 
   // A profile with no occupied sites yields a short (or empty) fault list:
@@ -295,14 +359,14 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
 
   // Static checkpoint grid: boundaries depend only on (count, chunk), so
   // a resume at a different thread count re-runs the same chunks.
-  const std::size_t count = faults.size();
-  const std::size_t chunk =
-      control.chunk_trials > 0 ? control.chunk_trials : 16;
-  const std::size_t nchunks = exec::grid_chunk_count(count, 1, chunk);
-
+  CheckpointedGrid grid_spec;
+  grid_spec.count = faults.size();
+  grid_spec.chunk = control.chunk_trials > 0 ? control.chunk_trials : 16;
+  grid_spec.threads = exec::resolve_threads(camp.threads);
+  grid_spec.progress = "unit campaign";
   // Campaign identity: everything the trial outcomes are a function of,
   // including the drawn fault list itself (the strongest possible key).
-  const auto spec_key = [&] {
+  grid_spec.spec_key = [&] {
     fault::SpecHash spec;
     spec.str("unit_campaign v1");
     spec.str(units::to_string(kind)).str(fmt.name());
@@ -313,76 +377,24 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
         .i64(static_cast<long long>(cfg.objective))
         .i64(cfg.ieee_mode ? 1 : 0)
         .i64(cfg.use_embedded_multipliers ? 1 : 0);
-    spec.i64(static_cast<long long>(chunk));
-    spec.i64(static_cast<long long>(count));
+    spec.i64(static_cast<long long>(grid_spec.chunk));
+    spec.i64(static_cast<long long>(grid_spec.count));
     for (const fault::Fault& f : faults) fold_fault(spec, f);
     return spec.value();
   };
+  grid_spec.silent = [&](std::uint8_t v) {
+    return unit_trial_silent(v, camp.scheme);
+  };
+  grid_spec.half_width = [&](long silent, long trials) {
+    return control.rate.fit(res.pipeline_ffs,
+                            proportion_half_width(silent, trials));
+  };
 
-  // Convergence tallies run over every accounted trial — restored chunks
-  // included, so a resumed campaign's early stop sees the full sample.
-  long done_trials = 0;
-  long done_silent = 0;
-  CheckpointSession ckpt = open_checkpoint_session(
-      control, spec_key, count, chunk, nchunks,
-      [&](std::size_t index, const std::vector<std::uint8_t>& data) {
-        const std::size_t begin = index * chunk;
-        const std::size_t end = std::min(count, begin + chunk);
-        if (data.size() != end - begin) return false;
-        for (std::size_t i = begin; i < end; ++i) {
-          trials[i] = decode_unit_trial(data[i - begin]);
-          if (unit_trial_silent(trials[i], camp.scheme)) ++done_silent;
-        }
-        done_trials += static_cast<long>(end - begin);
-        return true;
-      });
-
-  exec::CancelToken local_token;
-  exec::CancelToken* cancel =
-      control.cancel != nullptr ? control.cancel : &local_token;
-
-  obs::ProgressReporter progress("unit campaign", static_cast<long>(count));
-  // Restored trials count as already-done progress.
-  if (done_trials > 0) progress.tick(done_trials);
   auto inject_span = tracer.span("inject", "campaign");
   // The hardened copies step only on the interpreted path; the
   // upset-replay engine runs every trial without them.
   std::optional<fault::HardenedUnit> proto;
   if (!fast) proto.emplace(kind, fmt, cfg, camp.scheme);
-
-  long executed = 0;
-  exec::GridOptions grid_opts;
-  grid_opts.chunk = chunk;
-  grid_opts.skip = ckpt.skip.empty() ? nullptr : &ckpt.skip;
-  grid_opts.cancel = cancel;
-  grid_opts.on_chunk_done = [&](std::size_t c, std::size_t begin,
-                                std::size_t end) {
-    const long nt = static_cast<long>(end - begin);
-    executed += nt;
-    done_trials += nt;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (unit_trial_silent(trials[i], camp.scheme)) ++done_silent;
-    }
-    if (ckpt.writer != nullptr) {
-      std::vector<std::uint8_t> data;
-      data.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        data.push_back(encode_unit_trial(trials[i]));
-      }
-      ckpt.writer->append(c, data);
-    }
-    if (control.trial_budget > 0 && executed >= control.trial_budget) {
-      cancel->request(exec::CancelToken::Reason::kTrialBudget);
-    }
-    if (control.stop_half_width > 0.0) {
-      const double hw = control.rate.fit(
-          res.pipeline_ffs, proportion_half_width(done_silent, done_trials));
-      if (hw <= control.stop_half_width) {
-        cancel->request(exec::CancelToken::Reason::kConverged);
-      }
-    }
-  };
-
   const fp::u64 frac_mask = fmt.frac_mask();
   // Compiled / bitsliced fast path: one engine, shared by every worker.
   std::optional<rtl::Evaluator> engine;
@@ -390,8 +402,8 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
     engine.emplace(probe.pieces(), probe.plan(), units::detail::kLaneResult,
                    clean.clean);
   }
-  const exec::GridResult grid = exec::parallel_for_grid(
-      count, exec::resolve_threads(camp.threads),
+  const exec::GridResult grid = run_checkpointed_grid(
+      control, grid_spec, slots,
       [&](int, std::size_t begin, std::size_t end) {
         if (fast) {
           const rtl::CleanRun& run = *clean.clean;
@@ -405,17 +417,15 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
                                      run.stages - 1)
                                .lane[units::detail::kLaneResult]
                          : 0;
-            trials[i] =
-                map_fast_trial(v, camp.scheme, clean_result, frac_mask);
+            slots[i] = map_fast_trial(v, camp.scheme, clean_result, frac_mask);
           }
-          progress.tick(static_cast<long>(end - begin));
           return;
         }
         fault::HardenedUnit hardened = proto->clone();
         for (std::size_t i = begin; i < end; ++i) {
           hardened.reset();
           hardened.arm(fault::FaultCampaign::from_list({faults[i]}));
-          UnitTrial& trial = trials[i];
+          std::uint8_t& v = slots[i];
           for (int t = 0; t < horizon; ++t) {
             const fault::HardenedUnit::Output out = hardened.step(
                 t < camp.vectors ? std::optional<units::UnitInput>(
@@ -423,24 +433,14 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
                                  : std::nullopt);
             const std::optional<units::UnitOutput>& g =
                 clean.golden[static_cast<std::size_t>(t)];
-            trial.corrupted |= !same_output(out.raw, g);
-            trial.hardened_differs |= !same_output(out.out, g);
-            trial.mismatch |= out.mismatch;
+            v |= verdict(!same_output(out.raw, g), !same_output(out.out, g),
+                         out.mismatch);
           }
           hardened.disarm();
-          progress.tick();
         }
       },
-      grid_opts);
+      res.run);
   inject_span.end();
-  if (ckpt.writer != nullptr) ckpt.writer->flush();
-
-  res.run.chunks_total = static_cast<long>(grid.chunks);
-  res.run.chunks_completed = static_cast<long>(grid.completed);
-  res.run.chunks_restored = ckpt.restored;
-  res.run.trials_executed = executed;
-  res.run.interrupted = !grid.complete();
-  res.run.stop_reason = cancel->reason();
 
   // Ordered reduction: fault-list order, never worker-arrival order. Only
   // accounted (run or restored) chunks contribute — with every chunk done
@@ -448,28 +448,25 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   auto reduce_span = tracer.span("reduce", "campaign");
   for (std::size_t c = 0; c < grid.chunks; ++c) {
     if (grid.done[c] == 0) continue;
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(count, begin + chunk);
+    const std::size_t begin = c * grid_spec.chunk;
+    const std::size_t end =
+        std::min(grid_spec.count, begin + grid_spec.chunk);
     for (std::size_t i = begin; i < end; ++i) {
-      const UnitTrial& trial = trials[i];
+      const std::uint8_t v = slots[i];
       ++res.injected;
-      if (trial.corrupted) ++res.corrupted;
-      if (camp.scheme == fault::Scheme::kTmr) {
-        if (trial.hardened_differs) {
-          ++res.silent;
-        } else if (trial.corrupted) {
+      if ((v & kCorrupted) != 0) ++res.corrupted;
+      if (unit_trial_silent(v, camp.scheme)) {
+        ++res.silent;
+      } else if (camp.scheme == fault::Scheme::kTmr) {
+        if ((v & kCorrupted) != 0) {
           ++res.corrected;
         } else {
           ++res.masked;
         }
+      } else if ((v & kMismatch) != 0) {
+        ++res.detected;
       } else {
-        if (trial.corrupted && !trial.mismatch) {
-          ++res.silent;
-        } else if (trial.mismatch) {
-          ++res.detected;
-        } else {
-          ++res.masked;
-        }
+        ++res.masked;
       }
     }
   }
@@ -481,10 +478,6 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   reg.counter("campaign.unit.detected").add(res.detected);
   reg.counter("campaign.unit.corrected").add(res.corrected);
   reg.counter("campaign.unit.silent").add(res.silent);
-  reg.counter("campaign.chunks.completed")
-      .add(static_cast<long>(grid.completed));
-  reg.counter("campaign.chunks.restored").add(ckpt.restored);
-  if (res.run.interrupted) reg.counter("campaign.interrupted").inc();
   return res;
 }
 
@@ -501,9 +494,11 @@ namespace {
 
 // A finished depth point is the sweep's checkpoint unit: 8 little-endian
 // 64-bit words (ints widened, doubles bit-cast), so restore is exact.
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+constexpr std::size_t kDepthPointBytes = 64;
+
+void put_u64(std::uint8_t* out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xffu));
+    out[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xffu);
   }
 }
 
@@ -515,23 +510,20 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   return v;
 }
 
-std::vector<std::uint8_t> encode_depth_point(const SeuDepthPoint& p) {
-  std::vector<std::uint8_t> out;
-  out.reserve(64);
+void encode_depth_point(const SeuDepthPoint& p, std::uint8_t* out) {
   put_u64(out, static_cast<std::uint64_t>(static_cast<std::int64_t>(p.stages)));
-  put_u64(out, std::bit_cast<std::uint64_t>(p.freq_mhz));
-  put_u64(out, static_cast<std::uint64_t>(
-                   static_cast<std::int64_t>(p.pipeline_ffs)));
-  put_u64(out, static_cast<std::uint64_t>(
-                   static_cast<std::int64_t>(p.occupied_bits)));
-  put_u64(out, std::bit_cast<std::uint64_t>(p.avf));
-  put_u64(out, std::bit_cast<std::uint64_t>(p.sdc_fraction));
-  put_u64(out, std::bit_cast<std::uint64_t>(p.sdc_fit));
-  put_u64(out, std::bit_cast<std::uint64_t>(p.tmr_area_x));
-  return out;
+  put_u64(out + 8, std::bit_cast<std::uint64_t>(p.freq_mhz));
+  put_u64(out + 16, static_cast<std::uint64_t>(
+                        static_cast<std::int64_t>(p.pipeline_ffs)));
+  put_u64(out + 24, static_cast<std::uint64_t>(
+                        static_cast<std::int64_t>(p.occupied_bits)));
+  put_u64(out + 32, std::bit_cast<std::uint64_t>(p.avf));
+  put_u64(out + 40, std::bit_cast<std::uint64_t>(p.sdc_fraction));
+  put_u64(out + 48, std::bit_cast<std::uint64_t>(p.sdc_fit));
+  put_u64(out + 56, std::bit_cast<std::uint64_t>(p.tmr_area_x));
 }
 
-SeuDepthPoint decode_depth_point(const std::vector<std::uint8_t>& data) {
+SeuDepthPoint decode_depth_point(const std::uint8_t* data) {
   SeuDepthPoint p;
   p.stages = static_cast<int>(static_cast<std::int64_t>(get_u64(&data[0])));
   p.freq_mhz = std::bit_cast<double>(get_u64(&data[8]));
@@ -555,53 +547,32 @@ SeuSweepRun seu_depth_sweep(units::UnitKind kind, fp::FpFormat fmt,
                             const CampaignRunControl& control) {
   auto sweep_span =
       obs::Tracer::global().span("seu_depth_sweep", "campaign");
-  SeuSweepRun out;
-  out.points.assign(depths.size(), SeuDepthPoint{});
-  const std::size_t count = depths.size();
-  const std::size_t chunk = 1;  // one depth = one recoverable unit
-  const std::size_t nchunks = count;
-
-  const auto spec_key = [&] {
+  CheckpointedGrid grid_spec;
+  grid_spec.count = depths.size();
+  grid_spec.chunk = 1;  // one depth = one recoverable unit
+  grid_spec.slot_bytes = kDepthPointBytes;
+  grid_spec.trials_per_position = camp.faults;
+  grid_spec.threads = camp.threads;
+  grid_spec.spec_key = [&] {
     fault::SpecHash spec;
     spec.str("seu_depth_sweep v1");
     spec.str(units::to_string(kind)).str(fmt.name());
     spec.i64(camp.vectors).i64(camp.faults).u64(camp.seed);
     spec.f64(rate.fit_per_mbit);
-    spec.i64(static_cast<long long>(count));
+    spec.i64(static_cast<long long>(grid_spec.count));
     for (const int d : depths) spec.i64(d);
     return spec.value();
   };
 
-  CheckpointSession ckpt = open_checkpoint_session(
-      control, spec_key, count, chunk, nchunks,
-      [&](std::size_t index, const std::vector<std::uint8_t>& data) {
-        if (data.size() != 64) return false;
-        out.points[index] = decode_depth_point(data);
-        return true;
-      });
-
-  exec::CancelToken local_token;
-  exec::CancelToken* cancel =
-      control.cancel != nullptr ? control.cancel : &local_token;
-
-  long executed = 0;  // inner-campaign trials, camp.faults per depth
-  exec::GridOptions grid_opts;
-  grid_opts.chunk = chunk;
-  grid_opts.skip = ckpt.skip.empty() ? nullptr : &ckpt.skip;
-  grid_opts.cancel = cancel;
-  grid_opts.on_chunk_done = [&](std::size_t c, std::size_t /*begin*/,
-                                std::size_t /*end*/) {
-    executed += camp.faults;
-    if (ckpt.writer != nullptr) {
-      ckpt.writer->append(c, encode_depth_point(out.points[c]));
-    }
-    if (control.trial_budget > 0 && executed >= control.trial_budget) {
-      cancel->request(exec::CancelToken::Reason::kTrialBudget);
-    }
-  };
-
-  const exec::GridResult grid = exec::parallel_for_grid(
-      count, camp.threads,
+  // Every slot starts as an unfinished (zeroed) point and stays one
+  // unless its depth is restored or computed.
+  std::vector<std::uint8_t> slots(depths.size() * kDepthPointBytes);
+  for (std::size_t i = 0; i < depths.size(); ++i) {
+    encode_depth_point(SeuDepthPoint{}, &slots[i * kDepthPointBytes]);
+  }
+  SeuSweepRun out;
+  const exec::GridResult grid = run_checkpointed_grid(
+      control, grid_spec, slots,
       [&](int /*worker*/, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           units::UnitConfig cfg;
@@ -621,24 +592,14 @@ SeuSweepRun seu_depth_sweep(units::UnitKind kind, fp::FpFormat fmt,
           p.sdc_fit = rate.fit(r.pipeline_ffs, r.avf());
           p.tmr_area_x =
               fault::hardening_cost(unit, fault::Scheme::kTmr).area_factor;
-          out.points[i] = p;
+          encode_depth_point(p, &slots[i * kDepthPointBytes]);
         }
       },
-      grid_opts);
-  if (ckpt.writer != nullptr) ckpt.writer->flush();
-
+      out.run);
+  for (std::size_t i = 0; i < depths.size(); ++i) {
+    out.points.push_back(decode_depth_point(&slots[i * kDepthPointBytes]));
+  }
   out.done = grid.done;
-  out.run.chunks_total = static_cast<long>(grid.chunks);
-  out.run.chunks_completed = static_cast<long>(grid.completed);
-  out.run.chunks_restored = ckpt.restored;
-  out.run.trials_executed = executed;
-  out.run.interrupted = !grid.complete();
-  out.run.stop_reason = cancel->reason();
-  obs::Registry& reg = obs::Registry::global();
-  reg.counter("campaign.chunks.completed")
-      .add(static_cast<long>(grid.completed));
-  reg.counter("campaign.chunks.restored").add(ckpt.restored);
-  if (out.run.interrupted) reg.counter("campaign.interrupted").inc();
   return out;
 }
 
@@ -751,13 +712,6 @@ void attach_fault(kernel::ProcessingElement& pe, PeFault::Target target,
   }
 }
 
-/// Per-trial verdict of one kernel-campaign fault.
-struct KernelTrial {
-  bool corrupted = false;
-  bool ecc_detected = false;   // pe.ecc_detections() > 0 after the run
-  bool ecc_corrected = false;  // pe.ecc_corrections() > 0 after the run
-};
-
 // A single-fault draw can come back empty (the sampled profile exposes no
 // occupied site for that source); the legacy loop silently dropped the
 // trial, so the campaign ran fewer than camp.faults faults and the
@@ -783,26 +737,6 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
                                     const MatmulSeuConfig& camp) {
   return run_matmul_campaign(cfg, camp, CampaignRunControl{});
 }
-
-namespace {
-
-/// Kernel-trial sidecar byte: bit 0 corrupted, 1 ecc_detected,
-/// 2 ecc_corrected.
-std::uint8_t encode_kernel_trial(const KernelTrial& t) {
-  return static_cast<std::uint8_t>((t.corrupted ? 1 : 0) |
-                                   (t.ecc_detected ? 2 : 0) |
-                                   (t.ecc_corrected ? 4 : 0));
-}
-
-KernelTrial decode_kernel_trial(std::uint8_t b) {
-  KernelTrial t;
-  t.corrupted = (b & 1) != 0;
-  t.ecc_detected = (b & 2) != 0;
-  t.ecc_corrected = (b & 4) != 0;
-  return t;
-}
-
-}  // namespace
 
 MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
                                     const MatmulSeuConfig& camp,
@@ -959,13 +893,12 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   // Static checkpoint grid over the pre-drawn fault list (see the unit
   // campaign above for the scheme; the key folds the drawn faults so two
   // campaigns with different draws can never share a sidecar).
-  const std::size_t count = faults.size();
-  const std::size_t chunk =
-      control.chunk_trials > 0 ? control.chunk_trials : 16;
-  const std::size_t nchunks = exec::grid_chunk_count(count, 1, chunk);
-  std::vector<KernelTrial> trials(count);
-
-  const auto spec_key = [&] {
+  CheckpointedGrid grid_spec;
+  grid_spec.count = faults.size();
+  grid_spec.chunk = control.chunk_trials > 0 ? control.chunk_trials : 16;
+  grid_spec.threads = threads;
+  grid_spec.progress = "matmul campaign";
+  grid_spec.spec_key = [&] {
     fault::SpecHash spec;
     spec.str("matmul_campaign v1");
     spec.i64(camp.n).str(cfg.fmt.name());
@@ -974,34 +907,19 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
     spec.i64(static_cast<long long>(camp.scheme));
     spec.i64(camp.scrub_period_cycles).i64(horizon);
     spec.i64(cfg.mult_config().stages).i64(cfg.adder_config().stages);
-    spec.i64(static_cast<long long>(chunk));
-    spec.i64(static_cast<long long>(count));
+    spec.i64(static_cast<long long>(grid_spec.chunk));
+    spec.i64(static_cast<long long>(grid_spec.count));
     for (const PeFault& pf : faults) {
       spec.i64(pf.pe).i64(static_cast<long long>(pf.target));
       fold_fault(spec, pf.fault);
     }
     return spec.value();
   };
-
-  long done_trials = 0;
-  long done_silent = 0;
-  CheckpointSession ckpt = open_checkpoint_session(
-      control, spec_key, count, chunk, nchunks,
-      [&](std::size_t index, const std::vector<std::uint8_t>& data) {
-        const std::size_t begin = index * chunk;
-        const std::size_t end = std::min(count, begin + chunk);
-        if (data.size() != end - begin) return false;
-        for (std::size_t i = begin; i < end; ++i) {
-          trials[i] = decode_kernel_trial(data[i - begin]);
-          if (trials[i].corrupted && !trials[i].ecc_detected) ++done_silent;
-        }
-        done_trials += static_cast<long>(end - begin);
-        return true;
-      });
-
-  exec::CancelToken local_token;
-  exec::CancelToken* cancel =
-      control.cancel != nullptr ? control.cancel : &local_token;
+  grid_spec.silent = [](std::uint8_t v) {
+    return (v & kCorrupted) != 0 && (v & kEccDetected) == 0;
+  };
+  grid_spec.half_width = proportion_half_width;
+  std::vector<std::uint8_t> slots(faults.size());  // sidecar byte per trial
 
   // Trial loop. The fast path answers an upset by walking the golden
   // accumulates it reaches through the fault's injector: an accumulator
@@ -1013,52 +931,17 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   // one array), cloned on the worker's first chunk and kept for the
   // campaign; worker 0's replica is the golden array. Verdicts land in
   // per-fault slots.
-  obs::ProgressReporter progress("matmul campaign",
-                                 static_cast<long>(count));
-  for (long i = 0; i < done_trials; ++i) progress.tick();
   auto inject_span = tracer.span("inject", "campaign");
-
-  long executed = 0;
-  exec::GridOptions grid_opts;
-  grid_opts.chunk = chunk;
-  grid_opts.skip = ckpt.skip.empty() ? nullptr : &ckpt.skip;
-  grid_opts.cancel = cancel;
-  grid_opts.on_chunk_done = [&](std::size_t c, std::size_t begin,
-                                std::size_t end) {
-    const long nt = static_cast<long>(end - begin);
-    executed += nt;
-    done_trials += nt;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (trials[i].corrupted && !trials[i].ecc_detected) ++done_silent;
-    }
-    if (ckpt.writer != nullptr) {
-      std::vector<std::uint8_t> data;
-      data.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        data.push_back(encode_kernel_trial(trials[i]));
-      }
-      ckpt.writer->append(c, data);
-    }
-    if (control.trial_budget > 0 && executed >= control.trial_budget) {
-      cancel->request(exec::CancelToken::Reason::kTrialBudget);
-    }
-    if (control.stop_half_width > 0.0 &&
-        proportion_half_width(done_silent, done_trials) <=
-            control.stop_half_width) {
-      cancel->request(exec::CancelToken::Reason::kConverged);
-    }
-  };
-
-  const auto slots = static_cast<std::size_t>(threads);
-  std::vector<std::optional<kernel::LinearArrayMatmul>> replicas(slots);
-  const exec::GridResult grid = exec::parallel_for_grid(
-      count, threads,
+  std::vector<std::optional<kernel::LinearArrayMatmul>> replicas(
+      static_cast<std::size_t>(threads));
+  const exec::GridResult grid = run_checkpointed_grid(
+      control, grid_spec, slots,
       [&](int worker, std::size_t begin, std::size_t end) {
-        const std::size_t slot = static_cast<std::size_t>(worker);
+        std::optional<kernel::LinearArrayMatmul>& replica =
+            replicas[static_cast<std::size_t>(worker)];
         for (std::size_t i = begin; i < end; ++i) {
           const PeFault& pf = faults[i];
           fault::FaultInjector injector({pf.fault});
-          KernelTrial& trial = trials[i];
           if (replay) {
             const kernel::MatmulReplay::Verdict v =
                 pf.target == PeFault::kAccumulator
@@ -1068,52 +951,40 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
                                          pf.fault.cycle,
                                          fault::last_active_cycle(pf.fault),
                                          injector);
-            trial.corrupted = v.corrupted;
-            trial.ecc_detected = v.ecc_detections > 0;
-            trial.ecc_corrected = v.ecc_corrections > 0;
+            slots[i] = verdict(v.corrupted, v.ecc_detections > 0,
+                               v.ecc_corrections > 0);
           } else {
-            if (worker != 0 && !replicas[slot]) {
-              replicas[slot].emplace(array.clone());
-            }
+            if (worker != 0 && !replica) replica.emplace(array.clone());
             kernel::LinearArrayMatmul& worker_array =
-                worker == 0 ? array : *replicas[slot];
+                worker == 0 ? array : *replica;
             kernel::ProcessingElement& pe = worker_array.pe(pf.pe);
             attach_fault(pe, pf.target, &injector);
             const kernel::MatmulRun faulty = worker_array.run(a, b);
             attach_fault(pe, pf.target, nullptr);
-            trial.corrupted =
-                faulty.c.bits != clean.c.bits || faulty.flags != clean.flags;
-            trial.ecc_detected = pe.ecc_detections() > 0;
-            trial.ecc_corrected = pe.ecc_corrections() > 0;
+            slots[i] = verdict(
+                faulty.c.bits != clean.c.bits || faulty.flags != clean.flags,
+                pe.ecc_detections() > 0, pe.ecc_corrections() > 0);
           }
-          progress.tick();
         }
       },
-      grid_opts);
+      res.run);
   // Free the worker replicas and the golden logs here, where the inject
   // span accounts for the cost.
   replicas.clear();
   replay.reset();
   inject_span.end();
-  if (ckpt.writer != nullptr) ckpt.writer->flush();
-
-  res.run.chunks_total = static_cast<long>(grid.chunks);
-  res.run.chunks_completed = static_cast<long>(grid.completed);
-  res.run.chunks_restored = ckpt.restored;
-  res.run.trials_executed = executed;
-  res.run.interrupted = !grid.complete();
-  res.run.stop_reason = cancel->reason();
 
   // Ordered reduction over the pre-drawn fault list; only accounted (run
   // or restored) chunks contribute.
   auto reduce_span = tracer.span("reduce", "campaign");
   for (std::size_t c = 0; c < grid.chunks; ++c) {
     if (grid.done[c] == 0) continue;
-    const std::size_t cbegin = c * chunk;
-    const std::size_t cend = std::min(count, cbegin + chunk);
+    const std::size_t cbegin = c * grid_spec.chunk;
+    const std::size_t cend =
+        std::min(grid_spec.count, cbegin + grid_spec.chunk);
     for (std::size_t i = cbegin; i < cend; ++i) {
       const PeFault& pf = faults[i];
-      const KernelTrial& trial = trials[i];
+      const std::uint8_t v = slots[i];
       ++res.injected;
       const bool acc_site = pf.target == PeFault::kAccumulator;
       const bool config_site = pf.target == PeFault::kConfigMult ||
@@ -1122,9 +993,9 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
       else if (config_site) ++res.config_injected;
       else ++res.latch_injected;
 
-      if (trial.corrupted) {
+      if ((v & kCorrupted) != 0) {
         // ECC can still flag what it cannot fix (double errors).
-        if (trial.ecc_detected) {
+        if ((v & kEccDetected) != 0) {
           ++res.detected;
         } else {
           ++res.silent;
@@ -1132,7 +1003,7 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
           else if (config_site) ++res.config_silent;
           else ++res.latch_silent;
         }
-      } else if (trial.ecc_corrected) {
+      } else if ((v & kEccCorrected) != 0) {
         ++res.corrected;  // the upset reached storage; SECDED repaired it
       } else {
         ++res.masked;
@@ -1152,10 +1023,6 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   reg.counter("campaign.matmul.latch_silent").add(res.latch_silent);
   reg.counter("campaign.matmul.config_injected").add(res.config_injected);
   reg.counter("campaign.matmul.config_silent").add(res.config_silent);
-  reg.counter("campaign.chunks.completed")
-      .add(static_cast<long>(grid.completed));
-  reg.counter("campaign.chunks.restored").add(ckpt.restored);
-  if (res.run.interrupted) reg.counter("campaign.interrupted").inc();
   return res;
 }
 

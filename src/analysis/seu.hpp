@@ -110,13 +110,16 @@ struct SeuRateModel {
 
 // --- resilient execution -----------------------------------------------
 //
-// Campaigns run on exec::parallel_for_grid: a static chunk grid whose
-// boundaries depend only on (trial count, chunk_trials), never on the
-// thread count. Each finished chunk's verdict bytes are journalled to a
-// fault::CheckpointWriter sidecar keyed by a content hash of the campaign
-// spec (unit, precision, depth, hardening, seeds, trial count, chunking).
-// Resume restores finished chunks into their slots, skips them, runs the
-// rest, and replays the ordered reduction — bit-identical to an
+// The unit campaign, the matmul campaign and the depth sweep share one
+// checkpointed grid: exec::parallel_for_grid over a static chunk grid
+// whose boundaries depend only on (trial count, chunk_trials), never on
+// the thread count. Every trial's verdict lives in a slot that holds its
+// sidecar bytes (one byte per unit or matmul trial, 64 per depth point),
+// and each finished chunk's slots are appended to a fault::CheckpointWriter
+// sidecar keyed by a content hash of the campaign spec (unit, precision,
+// depth, hardening, seeds, trial count, chunking). Resume reopens the
+// sidecar in place, restores its chunks into their slots, skips them, runs
+// the rest, and replays the ordered reduction — bit-identical to an
 // uninterrupted run at any thread count. Cancellation (signals, budgets,
 // convergence) is polled between chunks; in-flight chunks always finish
 // and are checkpointed before return.

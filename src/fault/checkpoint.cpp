@@ -2,14 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
-#include <filesystem>
-
-#ifndef _WIN32
-#include <unistd.h>  // fsync, fileno
-#endif
 
 #include "obs/metrics.hpp"
 
@@ -31,6 +24,26 @@ int hex_nibble(char c) {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
   return -1;
+}
+
+std::size_t chunk_count(std::uint64_t count, std::uint64_t chunk) {
+  return chunk == 0 ? 0 : count / chunk + (count % chunk != 0 ? 1 : 0);
+}
+
+std::string header_line(std::uint64_t spec_hash, std::size_t count,
+                        std::size_t chunk) {
+  return std::string(kHeaderTag) + " spec=" + hex16(spec_hash) +
+         " count=" + std::to_string(count) + " chunk=" +
+         std::to_string(chunk) + "\n";
+}
+
+/// The bytes of `resume` to keep for the campaign (spec_hash, count,
+/// chunk): all it loaded when its header names that campaign, else none.
+std::size_t kept_bytes(const CheckpointLoad& resume, std::uint64_t spec_hash,
+                       std::size_t count, std::size_t chunk) {
+  const bool same = resume.found && resume.spec_hash == spec_hash &&
+                    resume.count == count && resume.chunk == chunk;
+  return same ? resume.bytes : 0;
 }
 
 }  // namespace
@@ -56,130 +69,81 @@ SpecHash& SpecHash::str(std::string_view s) {
   return u64(s.size());
 }
 
-std::string SpecHash::hex() const {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h_));
-  return buf;
-}
-
 std::string checkpoint_path(const std::string& dir,
                             std::uint64_t spec_hash) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(spec_hash));
-  return dir + "/" + buf + ".ckpt";
+  return dir + "/" + hex16(spec_hash) + ".ckpt";
 }
 
-CheckpointLoad load_checkpoint(const std::string& path) {
+CheckpointLoad load_checkpoint(const std::string& path,
+                               std::size_t slot_bytes) {
   CheckpointLoad load;
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return load;
-
-  char line[1 << 16];
+  std::size_t nchunks = 0;
   // Header: "flopsim-checkpoint v1 spec=<hex> count=<n> chunk=<n>".
-  if (std::fgets(line, sizeof line, f) == nullptr) {
-    std::fclose(f);
-    return load;
-  }
-  unsigned long long spec = 0, count = 0, chunk = 0;
-  char tag[32] = {0}, version[8] = {0};
-  if (std::sscanf(line, "%31s %7s spec=%llx count=%llu chunk=%llu", tag,
-                  version, &spec, &count, &chunk) != 5 ||
-      std::string(tag) + " " + version != kHeaderTag || chunk == 0) {
-    std::fclose(f);
-    return load;
-  }
-  load.found = true;
-  load.spec_hash = spec;
-  load.count = count;
-  load.chunk = chunk;
-  const std::size_t nchunks =
-      count == 0 ? 0 : (count + chunk - 1) / chunk;
-
-  // Chunk records: "c <index> <hex>". Stop at the first malformed line —
-  // a crash mid-append tears at most the tail, and everything after a
-  // tear is unaccounted for anyway. The record length is whatever the
+  const auto header = [&](std::string_view line) {
+    std::uint64_t spec = 0, count = 0, chunk = 0;
+    if (!take(line, kHeaderTag) || !take(line, " spec=") ||
+        !take_hex16(line, &spec) || !take(line, " count=") ||
+        !take_u64(line, &count) || !take(line, " chunk=") ||
+        !take_u64(line, &chunk) || !line.empty() || chunk == 0) {
+      return false;
+    }
+    load.found = true;
+    load.spec_hash = spec;
+    load.count = count;
+    load.chunk = chunk;
+    nchunks = chunk_count(count, chunk);
+    return true;
+  };
+  // Chunk records: "c <index> <hex>". The record length is whatever the
   // writer appended (1 byte/trial for campaigns, a fixed struct for depth
-  // sweeps); the caller's restore path validates it against its own
-  // expected size, so the loader only insists on well-formed hex.
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    unsigned long long index = 0;
-    int hex_at = -1;
-    if (std::sscanf(line, "c %llu %n", &index, &hex_at) != 1 || hex_at < 0) {
-      break;
+  // sweeps); the caller names it as `slot_bytes`, else any is accepted.
+  const auto record = [&](std::string_view line) {
+    std::uint64_t index = 0;
+    if (!take(line, "c ") || !take_u64(line, &index) || !take(line, " ") ||
+        index >= nchunks || load.chunks.count(index) != 0 || line.empty() ||
+        line.size() % 2 != 0) {
+      return false;
     }
-    if (index >= nchunks) break;
-    std::vector<std::uint8_t> data;
-    const char* p = line + hex_at;
-    bool good = true;
-    while (*p != '\n' && *p != '\0') {
-      const int hi = hex_nibble(p[0]);
-      const int lo = hi < 0 ? -1 : hex_nibble(p[1]);
-      if (lo < 0) {
-        good = false;
-        break;
-      }
-      data.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-      p += 2;
+    std::vector<std::uint8_t> data(line.size() / 2);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      const int hi = hex_nibble(line[2 * i]);
+      const int lo = hex_nibble(line[2 * i + 1]);
+      if (hi < 0 || lo < 0) return false;
+      data[i] = static_cast<std::uint8_t>((hi << 4) | lo);
     }
-    if (!good || data.empty()) break;
-    load.chunks[index] = std::move(data);
-  }
-  std::fclose(f);
+    const std::size_t trials =
+        std::min(load.chunk, load.count - index * load.chunk);
+    if (slot_bytes > 0 && (data.size() % slot_bytes != 0 ||
+                           data.size() / slot_bytes != trials)) {
+      return false;
+    }
+    load.chunks.emplace(index, std::move(data));
+    return true;
+  };
+  load.bytes = Journal::read(path, header, record);
   return load;
 }
 
 CheckpointWriter::CheckpointWriter(std::string path, std::uint64_t spec_hash,
                                    std::size_t count, std::size_t chunk,
-                                   long fsync_interval, bool fresh)
-    : path_(std::move(path)),
-      fsync_interval_(fsync_interval),
-      written_(chunk == 0 ? 0 : (count + chunk - 1) / chunk, 0) {
-  std::error_code ec;  // best-effort; open failure is reported below
-  const std::filesystem::path parent =
-      std::filesystem::path(path_).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  file_ = std::fopen(path_.c_str(), fresh ? "w" : "a");
-  if (file_ == nullptr) {
-    std::fprintf(stderr,
-                 "warning: checkpoint disabled: cannot open %s (%s)\n",
-                 path_.c_str(), std::strerror(errno));
-    return;
+                                   long fsync_interval,
+                                   const CheckpointLoad& resume)
+    : journal_(std::move(path), kept_bytes(resume, spec_hash, count, chunk),
+               header_line(spec_hash, count, chunk), fsync_interval,
+               &obs::Registry::global().counter("checkpoint.fsyncs")),
+      written_(chunk_count(count, chunk), 0) {
+  if (kept_bytes(resume, spec_hash, count, chunk) == 0) return;
+  for (const auto& [index, data] : resume.chunks) {
+    if (index < written_.size()) written_[index] = 1;
   }
-  if (fresh) {
-    if (std::fprintf(file_, "%s spec=%016llx count=%llu chunk=%llu\n",
-                     kHeaderTag,
-                     static_cast<unsigned long long>(spec_hash),
-                     static_cast<unsigned long long>(count),
-                     static_cast<unsigned long long>(chunk)) < 0) {
-      fail("write header");
-      return;
-    }
-    dirty_ = true;
-    sync();  // a resumable file exists before any trial runs
-  }
-}
-
-CheckpointWriter::~CheckpointWriter() {
-  if (file_ != nullptr) {
-    flush();
-    std::fclose(file_);
-  }
-}
-
-void CheckpointWriter::fail(const char* what) {
-  std::fprintf(stderr, "warning: checkpoint disabled: %s failed for %s\n",
-               what, path_.c_str());
-  if (file_ != nullptr) std::fclose(file_);
-  file_ = nullptr;
+  while (next_ < written_.size() && written_[next_] != 0) ++next_;
 }
 
 void CheckpointWriter::append(std::size_t chunk_index,
-                              const std::vector<std::uint8_t>& data) {
-  if (file_ == nullptr) return;
+                              std::span<const std::uint8_t> data) {
+  if (!ok()) return;
   if (chunk_index != next_) {
-    held_[chunk_index] = data;
+    held_[chunk_index].assign(data.begin(), data.end());
     return;
   }
   write(chunk_index, data);
@@ -197,8 +161,7 @@ void CheckpointWriter::append(std::size_t chunk_index,
 }
 
 void CheckpointWriter::write(std::size_t chunk_index,
-                             const std::vector<std::uint8_t>& data) {
-  if (file_ == nullptr) return;
+                             std::span<const std::uint8_t> data) {
   const auto t0 = std::chrono::steady_clock::now();
   std::string record = "c " + std::to_string(chunk_index) + " ";
   record.reserve(record.size() + 2 * data.size() + 1);
@@ -208,17 +171,9 @@ void CheckpointWriter::write(std::size_t chunk_index,
     record += kHex[b & 0xf];
   }
   record += '\n';
-  if (std::fwrite(record.data(), 1, record.size(), file_) != record.size()) {
-    fail("append");
-    return;
-  }
+  if (!journal_.append(record)) return;
   if (chunk_index < written_.size()) written_[chunk_index] = 1;
   if (chunk_index == next_) ++next_;
-  dirty_ = true;
-  ++appends_since_sync_;
-  if (fsync_interval_ > 0 && appends_since_sync_ >= fsync_interval_) {
-    sync();
-  }
   obs::Registry& reg = obs::Registry::global();
   reg.counter("checkpoint.appends").inc();
   reg.counter("checkpoint.bytes").add(static_cast<long>(record.size()));
@@ -233,48 +188,7 @@ void CheckpointWriter::flush() {
   // order, gaps and all (the gaps are the chunks a resume re-runs).
   for (const auto& [index, data] : held_) write(index, data);
   held_.clear();
-  sync();
-}
-
-void CheckpointWriter::sync() {
-  if (file_ == nullptr || !dirty_) return;
-  if (std::fflush(file_) != 0) {
-    fail("flush");
-    return;
-  }
-#ifndef _WIN32
-  if (fsync(fileno(file_)) != 0) {
-    fail("fsync");
-    return;
-  }
-#endif
-  appends_since_sync_ = 0;
-  dirty_ = false;
-  obs::Registry::global().counter("checkpoint.fsyncs").inc();
-}
-
-std::unique_ptr<CheckpointWriter> rewrite_checkpoint(
-    const std::string& path, std::uint64_t spec_hash, std::size_t count,
-    std::size_t chunk, long fsync_interval,
-    const std::map<std::size_t, std::vector<std::uint8_t>>& chunks) {
-  const std::string tmp = path + ".tmp";
-  auto writer = std::make_unique<CheckpointWriter>(
-      tmp, spec_hash, count, chunk, fsync_interval, /*fresh=*/true);
-  for (const auto& [index, data] : chunks) writer->append(index, data);
-  writer->flush();
-  if (writer->ok()) {
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-      // The open FILE* follows the inode, so appends keep landing in the
-      // .tmp file — recoverable by hand, but resume won't find it.
-      std::fprintf(stderr,
-                   "warning: checkpoint rename %s -> %s failed (%s); "
-                   "checkpoint continues under the .tmp name\n",
-                   tmp.c_str(), path.c_str(), ec.message().c_str());
-    }
-  }
-  return writer;
+  journal_.sync();
 }
 
 }  // namespace flopsim::fault

@@ -17,31 +17,33 @@
 // file whose key disagrees is refused: silently mixing two campaigns'
 // tallies is the one corruption this layer exists to prevent.
 //
-// File format (line-oriented text, append-only, torn-tail tolerant):
+// File format (a fault::Journal, so line-oriented, append-only and torn-
+// tail tolerant, with the durability described there):
 //
 //   flopsim-checkpoint v1 spec=<16 hex> count=<trials> chunk=<size>
 //   c <chunk-index> <hex verdict bytes>
 //   ...
 //
-// A crash can only tear the final line; the loader stops at the first
-// malformed line and keeps everything before it. Chunk lines go out in
-// grid order whatever order the workers finish in: the writer holds a
-// finished chunk until every lower chunk has been written (or restored),
-// and writes whatever it still holds, in index order, at flush and close.
-// So a sidecar's bytes do not depend on the thread count. Written lines
-// are fsync'd every `fsync_interval` chunks (and at close), trading
-// durability window against write latency — the obs registry records
-// both the append latency histogram and the fsync count. A held chunk is
-// not on disk yet: a run killed with chunks held redoes them on resume.
+// A resumed campaign reopens its sidecar in place: the file is cut after
+// the last line the load kept, so a torn tail never swallows the chunks
+// appended after it. Chunk lines go out in grid order whatever order the
+// workers finish in: the writer holds a finished chunk until every lower
+// chunk has been written (or restored), and writes whatever it still
+// holds, in index order, at flush and close. So an uninterrupted run's
+// sidecar does not depend on the thread count, and a resumed one keeps
+// its lines in the order they were appended. A held chunk is not written
+// yet: a run killed with chunks held redoes them on resume. The obs
+// registry records the append latency histogram and the fsync count.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
-#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "fault/journal.hpp"
 
 namespace flopsim::fault {
 
@@ -57,7 +59,7 @@ class SpecHash {
 
   std::uint64_t value() const { return h_; }
   /// 16 lowercase hex digits — the sidecar key and filename stem.
-  std::string hex() const;
+  std::string hex() const { return hex16(h_); }
 
  private:
   std::uint64_t h_ = 0xcbf29ce484222325ull;  // FNV offset basis
@@ -73,12 +75,16 @@ struct CheckpointLoad {
   std::size_t count = 0;  ///< trial count the grid was built over
   std::size_t chunk = 0;  ///< grid chunk size
   std::map<std::size_t, std::vector<std::uint8_t>> chunks;
+  std::size_t bytes = 0;  ///< file prefix kept: header plus chunk lines
 };
 
-/// Read a sidecar. Missing file => found=false. A malformed line (the
-/// torn tail of a crashed append) ends the scan; chunks before it are
-/// kept. Chunk indices at or beyond the grid are dropped.
-CheckpointLoad load_checkpoint(const std::string& path);
+/// Read a sidecar. Missing file => found=false. The first malformed line
+/// (the torn tail of a crashed append) ends the scan; chunks before it are
+/// kept. A chunk line is malformed when its index is off the grid or
+/// repeats, or, with `slot_bytes` > 0, when it does not hold exactly
+/// `slot_bytes` per trial of its chunk.
+CheckpointLoad load_checkpoint(const std::string& path,
+                               std::size_t slot_bytes = 0);
 
 /// Append-only sidecar writer, in grid order. Thread-compatible, not
 /// thread-safe: the grid engine serializes on_chunk_done callbacks, which
@@ -87,52 +93,36 @@ CheckpointLoad load_checkpoint(const std::string& path);
 /// never lose the run).
 class CheckpointWriter {
  public:
-  /// Open `path` for appending. When `fresh`, truncate and write a new
-  /// header; otherwise the file is expected to carry a valid header
-  /// already (the resume path). fsync_interval <= 0 syncs only at close.
+  /// Open the sidecar at `path` for the campaign (spec_hash, count,
+  /// chunk). `resume` is what load_checkpoint read from it: when its
+  /// header names this campaign, the lines it kept stay, the rest is cut,
+  /// and its chunks count as written; otherwise the file starts over with
+  /// a fresh header. fsync_interval <= 0 syncs only at close.
   CheckpointWriter(std::string path, std::uint64_t spec_hash,
                    std::size_t count, std::size_t chunk, long fsync_interval,
-                   bool fresh);
-  ~CheckpointWriter();
+                   const CheckpointLoad& resume = {});
+  ~CheckpointWriter() { flush(); }
   CheckpointWriter(const CheckpointWriter&) = delete;
   CheckpointWriter& operator=(const CheckpointWriter&) = delete;
 
-  bool ok() const { return file_ != nullptr; }
+  bool ok() const { return journal_.ok(); }
 
   /// Hand over one finished chunk's encoded verdicts. It is written (and
   /// maybe fsync'd) once every lower chunk has been written; until then
   /// it is held.
-  void append(std::size_t chunk_index, const std::vector<std::uint8_t>& data);
+  void append(std::size_t chunk_index, std::span<const std::uint8_t> data);
 
-  /// Write every held chunk in index order, then fflush + fsync (also
-  /// called by the destructor).
+  /// Write every held chunk in index order, then fsync (also called by
+  /// the destructor).
   void flush();
 
  private:
-  void write(std::size_t chunk_index, const std::vector<std::uint8_t>& data);
-  void sync();
-  void fail(const char* what);
+  void write(std::size_t chunk_index, std::span<const std::uint8_t> data);
 
-  std::string path_;
-  std::FILE* file_ = nullptr;
-  long fsync_interval_;
-  long appends_since_sync_ = 0;
-  bool dirty_ = false;
-  std::size_t next_ = 0;            ///< lowest chunk not yet written
-  std::vector<char> written_;       ///< per grid chunk
+  Journal journal_;
+  std::size_t next_ = 0;       ///< lowest chunk not yet written
+  std::vector<char> written_;  ///< per grid chunk
   std::map<std::size_t, std::vector<std::uint8_t>> held_;
 };
-
-/// Atomically (re)write the sidecar at `path`: a fresh header plus
-/// `chunks` go to `path + ".tmp"`, which is fsync'd and renamed over
-/// `path`; the returned writer keeps appending to the renamed file. This
-/// is how campaigns open their sidecar — a fresh run passes no chunks, a
-/// resume passes the restored ones — so a crash during the rewrite leaves
-/// the previous sidecar intact, and a pre-existing torn tail (which the
-/// loader stops at) can never swallow appends made after it.
-std::unique_ptr<CheckpointWriter> rewrite_checkpoint(
-    const std::string& path, std::uint64_t spec_hash, std::size_t count,
-    std::size_t chunk, long fsync_interval,
-    const std::map<std::size_t, std::vector<std::uint8_t>>& chunks);
 
 }  // namespace flopsim::fault

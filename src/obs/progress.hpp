@@ -6,10 +6,11 @@
 // TTY (so CI logs and test output stay clean); FLOPSIM_PROGRESS=1 forces
 // it on, FLOPSIM_PROGRESS=0 forces it off.
 //
-// tick() is what campaign workers call once per trial: one relaxed atomic
-// increment plus, at most every ~200 ms, a compare-exchange-guarded
-// fprintf from whichever worker crossed the interval. The trial work
-// itself is never synchronized, and the global trial counter it feeds
+// tick(n) is what a campaign calls as each chunk of n trials finishes:
+// one relaxed atomic increment plus, at most every ~200 ms, a
+// compare-exchange-guarded fprintf from whichever caller crossed the
+// interval. The trial work itself is never synchronized, and the global
+// trial counter it feeds
 // (`campaign.trials_completed` in the registry) is an exact integer sum —
 // determinism untouched.
 #pragma once

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 
@@ -13,30 +12,6 @@ namespace flopsim::serve {
 namespace {
 
 constexpr char kShardHeader[] = "flopsim-cache v1";
-
-bool parse_hex16(const std::string& tok, std::uint64_t* out) {
-  if (tok.size() != 16) return false;
-  std::uint64_t v = 0;
-  for (char c : tok) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') {
-      v |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-  }
-  *out = v;
-  return true;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 }  // namespace
 
@@ -122,71 +97,62 @@ int ResultCache::shard_of(std::uint64_t key) const {
 
 std::string ResultCache::shard_path(const std::string& dir, int shard,
                                     int shards) {
-  std::ostringstream path;
-  path << dir << "/cache-" << shard << "of" << shards << ".jsonl";
-  return path.str();
+  return dir + "/cache-" + std::to_string(shard) + "of" +
+         std::to_string(shards) + ".jsonl";
 }
 
 // Shard line format (one entry per line, append-only):
 //   flopsim-cache v1 shard=<i> of=<n>
 //   e <16 hex key> <body byte count> <body>
-// The byte count makes a torn tail detectable: a truncated final line
-// fails the length check and is dropped, everything before it loads.
-std::size_t ResultCache::load_disk_tier() {
+// The byte count makes a torn tail detectable even where the tear leaves
+// a '\n' behind: a line whose body disagrees with it ends the load.
+void ResultCache::load_disk_tier() {
+  std::lock_guard<std::mutex> lock(m_);
   std::size_t loaded = 0;
-  for (int s = 0; s < cfg_.shards; ++s) {
-    std::ifstream in(shard_path(cfg_.dir, s, cfg_.shards));
-    if (!in) continue;
-    std::string line;
-    if (!std::getline(in, line) ||
-        line.rfind(kShardHeader, 0) != 0) {
+  shard_kept_.assign(static_cast<std::size_t>(cfg_.shards), 0);
+  shard_files_.resize(shard_kept_.size());
+  for (std::size_t s = 0; s < shard_kept_.size(); ++s) {
+    const std::string path =
+        shard_path(cfg_.dir, static_cast<int>(s), cfg_.shards);
+    shard_kept_[s] = fault::Journal::read(
+        path,
+        [](std::string_view line) { return line.starts_with(kShardHeader); },
+        [&](std::string_view line) {
+          std::uint64_t key = 0;
+          std::uint64_t len = 0;
+          if (!fault::take(line, "e ") || !fault::take_hex16(line, &key) ||
+              !fault::take(line, " ") || !fault::take_u64(line, &len) ||
+              !fault::take(line, " ") || line.size() != len) {
+            return false;
+          }
+          insert_locked(key, std::string(line), /*durable=*/false);
+          ++loaded;
+          return true;
+        });
+    std::error_code ec;
+    if (shard_kept_[s] == 0 && std::filesystem::file_size(path, ec) > 0 &&
+        !ec) {
       std::fprintf(stderr,
-                   "warning: serve cache: shard %d has no valid header; "
-                   "ignoring file\n",
+                   "warning: serve cache: shard %zu has no valid header; "
+                   "its next insert replaces the file\n",
                    s);
-      continue;
-    }
-    while (std::getline(in, line)) {
-      if (line.rfind("e ", 0) != 0) break;  // torn tail or foreign line
-      const std::size_t key_end = line.find(' ', 2);
-      if (key_end == std::string::npos) break;
-      const std::size_t len_end = line.find(' ', key_end + 1);
-      if (len_end == std::string::npos) break;
-      std::uint64_t key = 0;
-      if (!parse_hex16(line.substr(2, key_end - 2), &key)) break;
-      const std::string len_tok = line.substr(key_end + 1,
-                                              len_end - key_end - 1);
-      if (len_tok.empty() ||
-          len_tok.find_first_not_of("0123456789") != std::string::npos) {
-        break;
-      }
-      const std::size_t len =
-          static_cast<std::size_t>(std::stoull(len_tok));
-      const std::string body = line.substr(len_end + 1);
-      if (body.size() != len) break;  // torn tail
-      std::lock_guard<std::mutex> lock(m_);
-      insert_locked(key, body, /*durable=*/false);
-      ++loaded;
     }
   }
   disk_loaded_->add(static_cast<long>(loaded));
-  return loaded;
 }
 
 void ResultCache::append_shard(std::uint64_t key, const std::string& body) {
-  const std::string path = shard_path(cfg_.dir, shard_of(key), cfg_.shards);
-  const bool fresh = !std::ifstream(path).good();
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    std::fprintf(stderr, "warning: serve cache: could not append to %s\n",
-                 path.c_str());
-    return;
+  const int shard = shard_of(key);
+  const auto s = static_cast<std::size_t>(shard);
+  if (shard_files_[s] == nullptr) {
+    shard_files_[s] = std::make_unique<fault::Journal>(
+        shard_path(cfg_.dir, shard, cfg_.shards), shard_kept_[s],
+        std::string(kShardHeader) + " shard=" + std::to_string(shard) +
+            " of=" + std::to_string(cfg_.shards) + "\n",
+        /*fsync_interval=*/0);
   }
-  if (fresh) {
-    out << kShardHeader << " shard=" << shard_of(key) << " of="
-        << cfg_.shards << "\n";
-  }
-  out << "e " << hex16(key) << " " << body.size() << " " << body << "\n";
+  shard_files_[s]->append("e " + fault::hex16(key) + " " +
+                          std::to_string(body.size()) + " " + body + "\n");
 }
 
 }  // namespace flopsim::serve

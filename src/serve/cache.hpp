@@ -21,9 +21,13 @@
 //    directory, an entry's shard chosen by its key's top bits — so N
 //    server instances can each own a disjoint slice of the same
 //    directory, or one instance can be split later without rehashing.
-//    The format is line-oriented and torn-tail tolerant like the
-//    checkpoint sidecars: a crash can only lose the final append. Memory
-//    eviction never touches disk — the disk tier is the durable
+//    Each shard is a fault::Journal, like the checkpoint sidecars: the
+//    load reads every shard once and stops at its first malformed line;
+//    a shard's first insert opens it, cuts what the load did not keep (a
+//    torn tail, or a whole file with no valid header) and appends after
+//    it, one fwrite + fflush per entry, fsync only at close. A crash can
+//    only lose the final append, and never the ones made after it.
+//    Memory eviction never touches disk — the disk tier is the durable
 //    design-point library; the LRU bounds only RAM.
 //
 // Thread safety: one mutex around the map+list; the serve workers' unit
@@ -32,11 +36,14 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "fault/journal.hpp"
 
 namespace flopsim::obs {
 class Registry;
@@ -72,7 +79,7 @@ class ResultCache {
   /// File a freshly computed response body. A key already present only
   /// refreshes recency (the body is content-addressed: same key, same
   /// bytes). New entries append to their disk shard when the disk tier
-  /// is on; `durable` false skips the append (used by the loader).
+  /// is on.
   void insert(std::uint64_t key, const std::string& body);
 
   std::size_t size() const;
@@ -88,7 +95,8 @@ class ResultCache {
                                 int shards);
 
  private:
-  std::size_t load_disk_tier();
+  void load_disk_tier();
+  /// `durable` false skips the shard append (used by the loader).
   void insert_locked(std::uint64_t key, const std::string& body,
                      bool durable);
   void append_shard(std::uint64_t key, const std::string& body);
@@ -98,6 +106,10 @@ class ResultCache {
   /// MRU at front. unordered_map points into the list.
   std::list<std::pair<std::uint64_t, std::string>> lru_;
   std::unordered_map<std::uint64_t, decltype(lru_)::iterator> index_;
+  /// Per shard (disk tier only): the bytes its load kept, and its append
+  /// handle, opened at the shard's first insert.
+  std::vector<std::size_t> shard_kept_;
+  std::vector<std::unique_ptr<fault::Journal>> shard_files_;
 
   // Looked up once in the ctor (obs::Registry references are stable for
   // the registry's lifetime); hot paths never take the registry mutex.

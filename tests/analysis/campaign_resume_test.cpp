@@ -7,6 +7,8 @@
 
 #include <csignal>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -302,8 +304,7 @@ TEST(CampaignResume, ForeignSidecarIsRefused) {
   const std::uint64_t spec =
       std::stoull(std::filesystem::path(path).stem().string(), nullptr, 16);
   {
-    fault::CheckpointWriter bad(path, spec, /*count=*/99, /*chunk=*/8, 0,
-                                /*fresh=*/true);
+    fault::CheckpointWriter bad(path, spec, /*count=*/99, /*chunk=*/8, 0);
     ASSERT_TRUE(bad.ok());
   }
   CampaignRunControl resume;
@@ -312,6 +313,50 @@ TEST(CampaignResume, ForeignSidecarIsRefused) {
   resume.chunk_trials = 8;
   EXPECT_THROW(run_unit_campaign(kind, fmt, unit_cfg(), unit_camp(1), resume),
                std::runtime_error);
+}
+
+std::string only_file(const std::string& dir) {
+  std::string path;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    path = entry.path().string();
+  }
+  return path;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(CampaignResume, HeaderOnlySidecarResumesLikeNone) {
+  // A header holds no records: resuming from one must give the tallies
+  // and the sidecar bytes of resuming from no sidecar at all.
+  const auto kind = units::UnitKind::kAdder;
+  const fp::FpFormat fmt = fp::FpFormat::binary32();
+  CampaignRunControl control;
+  control.resume = true;
+  control.chunk_trials = 8;
+  control.checkpoint_dir = fresh_dir("resume_from_none");
+  const UnitSeuResult from_none =
+      run_unit_campaign(kind, fmt, unit_cfg(), unit_camp(2), control);
+  const std::string sidecar = read_file(only_file(control.checkpoint_dir));
+  ASSERT_NE(sidecar.find('\n'), std::string::npos);
+
+  const std::string dir = fresh_dir("resume_from_header");
+  const std::string path =
+      dir + "/" +
+      std::filesystem::path(only_file(control.checkpoint_dir))
+          .filename()
+          .string();
+  std::ofstream(path, std::ios::binary)
+      << sidecar.substr(0, sidecar.find('\n') + 1);
+  control.checkpoint_dir = dir;
+  const UnitSeuResult from_header =
+      run_unit_campaign(kind, fmt, unit_cfg(), unit_camp(2), control);
+  expect_same_unit(from_none, from_header);
+  EXPECT_EQ(from_header.run.chunks_restored, 0);
+  EXPECT_EQ(from_header.run.trials_executed, from_none.run.trials_executed);
+  EXPECT_EQ(read_file(path), sidecar);
 }
 
 TEST(CampaignResume, ConvergenceEarlyStopReportsConverged) {

@@ -38,7 +38,8 @@ TEST(Grid, BoundariesAreIndependentOfThreadCount) {
     std::set<std::pair<std::size_t, std::size_t>> spans;
     std::vector<int> hits(count, 0);
     std::mutex m;
-    const GridOptions opts{.chunk = 8};
+    const GridOptions opts{
+        .chunk = 8, .skip = nullptr, .cancel = nullptr, .on_chunk_done = {}};
     const GridResult r = parallel_for_grid(
         count, threads,
         [&](int worker, std::size_t begin, std::size_t end) {

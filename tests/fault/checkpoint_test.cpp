@@ -1,6 +1,6 @@
 // The crash-safe checkpoint sidecar: content-hash keying, append/load
 // roundtrips, torn-tail tolerance (the one corruption a crash can cause),
-// and the atomic rewrite that keeps a previously-torn file from ever
+// and the in-place cut that keeps a previously-torn file from ever
 // swallowing new appends.
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "fault/checkpoint.hpp"
+#include "obs/metrics.hpp"
 
 namespace flopsim::fault {
 namespace {
@@ -69,7 +70,7 @@ TEST(Checkpoint, WriterLoaderRoundtrip) {
   const std::string path = temp_file("roundtrip.ckpt");
   std::filesystem::remove(path);
   {
-    CheckpointWriter w(path, 0xabcdULL, 64, 16, 2, /*fresh=*/true);
+    CheckpointWriter w(path, 0xabcdULL, 64, 16, 2);
     ASSERT_TRUE(w.ok());
     w.append(0, bytes({0, 1, 2}));
     w.append(2, bytes({0xff, 0x00, 0x7f}));
@@ -95,7 +96,7 @@ TEST(Checkpoint, TornTailKeepsEverythingBeforeIt) {
   const std::string path = temp_file("torn.ckpt");
   std::filesystem::remove(path);
   {
-    CheckpointWriter w(path, 0x1ULL, 32, 8, 0, /*fresh=*/true);
+    CheckpointWriter w(path, 0x1ULL, 32, 8, 0);
     w.append(0, bytes({1}));
     w.append(1, bytes({2}));
     w.flush();
@@ -107,19 +108,19 @@ TEST(Checkpoint, TornTailKeepsEverythingBeforeIt) {
   }
   const CheckpointLoad load = load_checkpoint(path);
   ASSERT_TRUE(load.found);
-  // The tail tore on a byte boundary, so it still parses as hex — the
-  // loader keeps it and the campaign's restore path rejects it by size.
-  ASSERT_EQ(load.chunks.size(), 3u);
+  // The tail tore on a byte boundary, so it would still parse as hex; it
+  // is dropped because it lacks its newline — keeping it would let the
+  // next append glue onto it.
+  ASSERT_EQ(load.chunks.size(), 2u);
   EXPECT_EQ(load.chunks.at(0), bytes({1}));
   EXPECT_EQ(load.chunks.at(1), bytes({2}));
-  EXPECT_EQ(load.chunks.at(2), bytes({0x0a, 0x0b}));
 }
 
 TEST(Checkpoint, GarbageTailIsDropped) {
   const std::string path = temp_file("garbage.ckpt");
   std::filesystem::remove(path);
   {
-    CheckpointWriter w(path, 0x1ULL, 32, 8, 0, /*fresh=*/true);
+    CheckpointWriter w(path, 0x1ULL, 32, 8, 0);
     w.append(0, bytes({1}));
     w.flush();
   }
@@ -138,7 +139,7 @@ TEST(Checkpoint, OutOfGridChunkIndicesAreDropped) {
   std::filesystem::remove(path);
   {
     // count=32, chunk=8 -> 4 grid chunks; index 4 is off the grid.
-    CheckpointWriter w(path, 0x1ULL, 32, 8, 0, /*fresh=*/true);
+    CheckpointWriter w(path, 0x1ULL, 32, 8, 0);
     w.append(3, bytes({1}));
     w.append(4, bytes({2}));
     w.flush();
@@ -153,7 +154,7 @@ TEST(Checkpoint, RewriteHealsATornFileAndKeepsAppending) {
   const std::string path = temp_file("rewrite.ckpt");
   std::filesystem::remove(path);
   {
-    CheckpointWriter w(path, 0x2ULL, 48, 8, 0, /*fresh=*/true);
+    CheckpointWriter w(path, 0x2ULL, 48, 8, 0);
     w.append(0, bytes({10}));
     w.append(1, bytes({11}));
     w.flush();
@@ -165,15 +166,14 @@ TEST(Checkpoint, RewriteHealsATornFileAndKeepsAppending) {
   const CheckpointLoad before = load_checkpoint(path);
   ASSERT_EQ(before.chunks.size(), 2u) << "loader stops at the broken line";
 
-  // The resume path: rewrite with the recovered chunks, then append new
-  // ones through the returned writer — all must be visible afterwards.
+  // The resume path: reopen through the writer with the recovered chunks
+  // (the file is cut after them), then append new ones — all must be
+  // visible afterwards.
   {
-    std::unique_ptr<CheckpointWriter> w =
-        rewrite_checkpoint(path, 0x2ULL, 48, 8, 0, before.chunks);
-    ASSERT_TRUE(w != nullptr);
-    ASSERT_TRUE(w->ok());
-    w->append(4, bytes({14}));
-    w->flush();
+    CheckpointWriter w(path, 0x2ULL, 48, 8, 0, before);
+    ASSERT_TRUE(w.ok());
+    w.append(4, bytes({14}));
+    w.flush();
   }
   const CheckpointLoad after = load_checkpoint(path);
   ASSERT_TRUE(after.found);
@@ -182,22 +182,76 @@ TEST(Checkpoint, RewriteHealsATornFileAndKeepsAppending) {
   EXPECT_EQ(after.chunks.at(0), bytes({10}));
   EXPECT_EQ(after.chunks.at(1), bytes({11}));
   EXPECT_EQ(after.chunks.at(4), bytes({14}));
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
-      << "the tmp file must be renamed away";
+}
+
+TEST(Checkpoint, ChunksLongerThanAnyLineBufferRestore) {
+  // CampaignRunControl::chunk_trials is the caller's choice, so a chunk
+  // line can run to 80 000 hex digits.
+  const std::string path = temp_file("long_chunks.ckpt");
+  std::filesystem::remove(path);
+  const std::vector<std::uint8_t> a(40000, 0x5a);
+  const std::vector<std::uint8_t> b(40000, 0xa5);
+  {
+    CheckpointWriter w(path, 0x4ULL, 80000, 40000, 0);
+    w.append(0, a);
+    w.append(1, b);
+  }
+  const CheckpointLoad load = load_checkpoint(path, 1);
+  ASSERT_TRUE(load.found);
+  ASSERT_EQ(load.chunks.size(), 2u);
+  EXPECT_EQ(load.chunks.at(0), a);
+  EXPECT_EQ(load.chunks.at(1), b);
+}
+
+long fsyncs() {
+  return obs::Registry::global().counter("checkpoint.fsyncs").value();
+}
+
+std::size_t chunk_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::size_t n = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("c ", 0) == 0) ++n;
+  }
+  return n;
+}
+
+TEST(Checkpoint, AppendsReachTheFileBeforeAnyFsync) {
+  const std::string path = temp_file("unsynced.ckpt");
+  std::filesystem::remove(path);
+  const long before = fsyncs();
+  CheckpointWriter w(path, 0x5ULL, 80, 8, /*fsync_interval=*/8);
+  for (std::size_t c = 0; c < 5; ++c) w.append(c, bytes({1, 2}));
+  EXPECT_EQ(fsyncs(), before);
+  // A process killed here keeps all five: they are in the OS already.
+  EXPECT_EQ(chunk_lines(path), 5u);
+}
+
+TEST(Checkpoint, FreshWriterFsyncsOnlyAtClose) {
+  const std::string path = temp_file("fsync_once.ckpt");
+  std::filesystem::remove(path);
+  const long before = fsyncs();
+  {
+    CheckpointWriter w(path, 0x6ULL, 80, 8, /*fsync_interval=*/8);
+    EXPECT_EQ(fsyncs(), before) << "a header holds nothing to make durable";
+    for (std::size_t c = 0; c < 3; ++c) w.append(c, bytes({3}));
+  }
+  EXPECT_EQ(fsyncs(), before + 1);
+  EXPECT_EQ(chunk_lines(path), 3u);
 }
 
 TEST(Checkpoint, MismatchedHeaderSurfacesInTheLoad) {
   const std::string path = temp_file("mismatch.ckpt");
   std::filesystem::remove(path);
   {
-    CheckpointWriter w(path, 0x3ULL, 100, 10, 0, /*fresh=*/true);
+    CheckpointWriter w(path, 0x3ULL, 100, 10, 0);
     w.append(0, bytes({1}));
     w.flush();
   }
   const CheckpointLoad load = load_checkpoint(path);
   ASSERT_TRUE(load.found);
-  // The caller (open_checkpoint_session) compares these against its own
-  // campaign; the loader just reports what the file claims.
+  // The caller (the campaign's checkpointed grid) compares these against
+  // its own campaign; the loader just reports what the file claims.
   EXPECT_EQ(load.spec_hash, 0x3ULL);
   EXPECT_EQ(load.count, 100u);
   EXPECT_EQ(load.chunk, 10u);

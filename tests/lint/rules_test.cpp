@@ -414,7 +414,9 @@ TEST(LintRules, FindingSeveritiesMatchRegistry) {
     ASSERT_NE(info, nullptr) << f.rule;
     // DL006's zero-width case downgrades to warning; everything else
     // fires at registry severity.
-    if (f.rule != "DL006") EXPECT_EQ(f.severity, info->severity) << f.rule;
+    if (f.rule != "DL006") {
+      EXPECT_EQ(f.severity, info->severity) << f.rule;
+    }
   }
 }
 

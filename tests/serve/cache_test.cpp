@@ -1,7 +1,8 @@
 // The content-addressed result cache: LRU semantics (recency bumps,
 // eviction order), the serve.cache.* counter family, and the on-disk
-// shard tier — round-trip across a process restart, torn-tail tolerance,
-// and the shard naming contract the CI smoke job relies on.
+// shard tier — round-trip across a process restart, torn-tail and torn-
+// header tolerance (later inserts survive either), malformed lines, and
+// the shard naming contract the CI smoke job relies on.
 #include "serve/cache.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -132,6 +135,81 @@ TEST(ResultCache, TornTailDropsOnlyTheFinalAppend) {
   EXPECT_EQ(counter_value(reg2, "serve.cache.disk_loaded"), 1);
   EXPECT_TRUE(reloaded.lookup(1).has_value());
   EXPECT_FALSE(reloaded.lookup(2).has_value());
+  fs::remove_all(dir);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(ResultCache, TornShardTailNeverSwallowsLaterInserts) {
+  const std::string dir = temp_dir("serve_cache_torn_then_insert");
+  {
+    obs::Registry reg;
+    ResultCache cache({.capacity = 16, .dir = dir, .shards = 1}, reg);
+    cache.insert(1, "first");
+    cache.insert(2, "second");
+  }
+  // Tear the last line, then restart and insert two entries.
+  const std::string path = ResultCache::shard_path(dir, 0, 1);
+  const std::string text = read_file(path);
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << text.substr(0, text.size() - 4);
+  {
+    obs::Registry reg;
+    ResultCache cache({.capacity = 16, .dir = dir, .shards = 1}, reg);
+    cache.insert(3, "third");
+    cache.insert(4, "fourth");
+  }
+  obs::Registry reg;
+  ResultCache reloaded({.capacity = 16, .dir = dir, .shards = 1}, reg);
+  EXPECT_EQ(counter_value(reg, "serve.cache.disk_loaded"), 3);
+  EXPECT_EQ(reloaded.lookup(1), "first");
+  EXPECT_FALSE(reloaded.lookup(2).has_value());
+  EXPECT_EQ(reloaded.lookup(3), "third");
+  EXPECT_EQ(reloaded.lookup(4), "fourth");
+  fs::remove_all(dir);
+}
+
+TEST(ResultCache, ShardWithATornHeaderIsReplacedOnFirstInsert) {
+  const std::string dir = temp_dir("serve_cache_torn_header");
+  fs::create_directories(dir);
+  const std::string path = ResultCache::shard_path(dir, 0, 1);
+  std::ofstream(path, std::ios::binary) << "flopsim-cache v1 sha";
+  {
+    obs::Registry reg;
+    ResultCache cache({.capacity = 16, .dir = dir, .shards = 1}, reg);
+    EXPECT_EQ(counter_value(reg, "serve.cache.disk_loaded"), 0);
+    cache.insert(1, "a");
+    cache.insert(2, "b");
+  }
+  EXPECT_EQ(read_file(path).rfind("flopsim-cache v1 shard=0 of=1\n", 0), 0u);
+  obs::Registry reg;
+  ResultCache reloaded({.capacity = 16, .dir = dir, .shards = 1}, reg);
+  EXPECT_EQ(counter_value(reg, "serve.cache.disk_loaded"), 2);
+  EXPECT_EQ(reloaded.lookup(1), "a");
+  EXPECT_EQ(reloaded.lookup(2), "b");
+  fs::remove_all(dir);
+}
+
+TEST(ResultCache, OverlongByteCountIsMalformed) {
+  // A 23-digit byte count overflows any integer: the line is malformed,
+  // the load stops there, and the entry before it stays.
+  const std::string dir = temp_dir("serve_cache_overlong_count");
+  fs::create_directories(dir);
+  std::ofstream(ResultCache::shard_path(dir, 0, 1), std::ios::binary)
+      << "flopsim-cache v1 shard=0 of=1\n"
+      << "e 0000000000000001 2 ok\n"
+      << "e 0000000000000002 12345678901234567890123 x\n";
+  obs::Registry reg;
+  std::unique_ptr<ResultCache> cache;
+  ASSERT_NO_THROW(cache = std::make_unique<ResultCache>(
+                      CacheConfig{.capacity = 16, .dir = dir, .shards = 1},
+                      reg));
+  EXPECT_EQ(counter_value(reg, "serve.cache.disk_loaded"), 1);
+  EXPECT_EQ(cache->lookup(1), "ok");
+  EXPECT_FALSE(cache->lookup(2).has_value());
   fs::remove_all(dir);
 }
 

@@ -533,7 +533,8 @@ TEST(Server, ShutdownRequestStopsTheServer) {
   Server server(ServerConfig{.unix_path = socket_path(),
                              .port = 0,
                              .workers = 2,
-                             .queue_capacity = 8},
+                             .queue_capacity = 8,
+                             .telemetry = {}},
                 service);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
@@ -575,7 +576,8 @@ TEST(Server, TcpLoopbackWorksToo) {
     Server server(ServerConfig{.unix_path = "",
                                .port = port,
                                .workers = 1,
-                               .queue_capacity = 8},
+                               .queue_capacity = 8,
+                               .telemetry = {}},
                   service);
     std::string error;
     if (!server.start(&error)) continue;

@@ -9,6 +9,7 @@
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "exec/parallel.hpp"
 #include "fault/checkpoint.hpp"
@@ -145,10 +146,12 @@ struct CheckpointedGrid {
 
 /// Run `body` over the grid under the control's checkpoint, cancellation,
 /// trial budget and convergence stop: open (and on resume restore) the
-/// sidecar, skip the restored chunks, append each finished chunk's slots,
-/// and fill `status` plus the campaign.chunks.* / campaign.interrupted
-/// counters. Restored slots are filled before the grid runs; `body` fills
-/// the rest. A sidecar whose header names another campaign throws.
+/// sidecar, skip the restored chunks, append the finished chunks in grid
+/// order, and fill `status` plus the campaign.chunks.* /
+/// campaign.interrupted counters. Restored slots are filled before the
+/// grid runs; `body` fills the rest. The returned done flags are the
+/// chunks the campaign tallies. A sidecar whose header names another
+/// campaign throws.
 exec::GridResult run_checkpointed_grid(const CampaignRunControl& ctl,
                                        const CheckpointedGrid& g,
                                        std::vector<std::uint8_t>& slots,
@@ -156,19 +159,22 @@ exec::GridResult run_checkpointed_grid(const CampaignRunControl& ctl,
                                        CampaignRunStatus& status) {
   const std::size_t nchunks = exec::grid_chunk_count(g.count, 1, g.chunk);
   const bool converge = ctl.stop_half_width > 0.0 && g.silent != nullptr;
-  // Convergence tallies run over every accounted trial — restored chunks
-  // included, so a resumed campaign's early stop sees the full sample.
-  long done_trials = 0;
-  long done_silent = 0;
-  const auto tally = [&](std::size_t begin, std::size_t end) {
-    done_trials += static_cast<long>(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      if (g.silent(slots[i])) ++done_silent;
-    }
+  const auto positions = [&](std::size_t c) {
+    return std::min(g.count, (c + 1) * g.chunk) - c * g.chunk;
   };
+  const auto silent_in = [&](std::size_t c) {
+    long silent = 0;
+    if (converge) {
+      for (std::size_t i = c * g.chunk; i < c * g.chunk + positions(c); ++i) {
+        if (g.silent(slots[i])) ++silent;
+      }
+    }
+    return silent;
+  };
+  ConvergenceStop stop(g.count, g.chunk, converge ? ctl.stop_half_width : 0.0,
+                       g.half_width);
 
-  std::vector<char> skip(nchunks, 0);
-  long restored = 0;
+  std::vector<char> restored(nchunks, 0);
   long restored_positions = 0;
   std::optional<fault::CheckpointWriter> writer;
   if (!ctl.checkpoint_dir.empty() && g.count > 0) {
@@ -185,24 +191,37 @@ exec::GridResult run_checkpointed_grid(const CampaignRunControl& ctl,
             "mismatch); refusing to mix tallies");
       }
       for (const auto& [index, data] : load.chunks) {
-        const std::size_t begin = index * g.chunk;
-        const std::size_t end = std::min(g.count, begin + g.chunk);
         std::copy(data.begin(), data.end(),
-                  slots.begin() +
-                      static_cast<std::ptrdiff_t>(begin * g.slot_bytes));
-        if (converge) tally(begin, end);
-        skip[index] = 1;
-        ++restored;
-        restored_positions += static_cast<long>(end - begin);
+                  slots.begin() + static_cast<std::ptrdiff_t>(
+                                      index * g.chunk * g.slot_bytes));
+        restored[index] = 1;
+        restored_positions += static_cast<long>(positions(index));
       }
     }
     // Appends go after the restored lines; anything past them is cut.
     writer.emplace(path, key, g.count, g.chunk, ctl.fsync_interval, load);
   }
+  // Restored chunks join the prefix first: a resumed campaign's stop sees
+  // the whole sample, and may fire before anything runs.
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    if (restored[c] != 0) stop.done(c, silent_in(c));
+  }
+  // The trial budget is the first not-restored chunks, in grid order,
+  // whose trials cover it.
+  std::size_t run_limit = nchunks;
+  if (ctl.trial_budget > 0) {
+    long covered = 0;
+    for (std::size_t c = 0; c < nchunks && covered < ctl.trial_budget; ++c) {
+      if (restored[c] != 0) continue;
+      covered += static_cast<long>(positions(c)) * g.trials_per_position;
+      run_limit = c + 1;
+    }
+  }
 
   exec::CancelToken local_token;
   exec::CancelToken* cancel =
       ctl.cancel != nullptr ? ctl.cancel : &local_token;
+  if (stop.fired()) cancel->request(exec::CancelToken::Reason::kConverged);
   std::optional<obs::ProgressReporter> progress;
   if (g.progress != nullptr) {
     progress.emplace(g.progress, static_cast<long>(g.count));
@@ -210,48 +229,96 @@ exec::GridResult run_checkpointed_grid(const CampaignRunControl& ctl,
     if (restored_positions > 0) progress->tick(restored_positions);
   }
 
-  long executed = 0;
+  // Chunks go to the sidecar as they join the prefix, so in grid order
+  // and never past a fired stop.
+  std::size_t handed = 0;
+  const auto append = [&](std::size_t c) {
+    if (writer && restored[c] == 0) {
+      writer->append(c, std::span<const std::uint8_t>(slots).subspan(
+                            c * g.chunk * g.slot_bytes,
+                            positions(c) * g.slot_bytes));
+    }
+  };
   exec::GridOptions opts;
   opts.chunk = g.chunk;
-  opts.skip = &skip;
+  opts.skip = &restored;
+  opts.run_limit = run_limit;
   opts.cancel = cancel;
   opts.on_chunk_done = [&](std::size_t c, std::size_t begin,
                            std::size_t end) {
-    executed += static_cast<long>(end - begin) * g.trials_per_position;
     if (progress) progress->tick(static_cast<long>(end - begin));
-    if (converge) tally(begin, end);
-    if (writer) {
-      writer->append(c, std::span<const std::uint8_t>(slots).subspan(
-                            begin * g.slot_bytes,
-                            (end - begin) * g.slot_bytes));
-    }
-    if (ctl.trial_budget > 0 && executed >= ctl.trial_budget) {
-      cancel->request(exec::CancelToken::Reason::kTrialBudget);
-    }
-    if (converge &&
-        g.half_width(done_silent, done_trials) <= ctl.stop_half_width) {
-      cancel->request(exec::CancelToken::Reason::kConverged);
-    }
+    stop.done(c, silent_in(c));
+    for (; handed < stop.prefix(); ++handed) append(handed);
+    if (stop.fired()) cancel->request(exec::CancelToken::Reason::kConverged);
   };
-  const exec::GridResult grid =
+  exec::GridResult grid =
       exec::parallel_for_grid(g.count, g.threads, body, opts);
-  writer.reset();  // write what is still held, fsync, close
+  if (stop.fired()) {
+    // Chunks past the stop that finished anyway are neither tallied nor
+    // written.
+    std::fill(grid.done.begin() + static_cast<std::ptrdiff_t>(stop.prefix()),
+              grid.done.end(), 0);
+  } else {
+    // A cancelled grid: the finished chunks past a gap, in index order
+    // (the gaps are the chunks a resume re-runs).
+    for (; handed < nchunks; ++handed) {
+      if (grid.done[handed] != 0) append(handed);
+    }
+  }
+  writer.reset();  // fsync and close
 
+  grid.completed = 0;
+  grid.skipped = 0;
+  long executed = 0;
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    if (grid.done[c] == 0) continue;
+    if (restored[c] != 0) {
+      ++grid.skipped;
+    } else {
+      ++grid.completed;
+      executed += static_cast<long>(positions(c)) * g.trials_per_position;
+    }
+  }
+  if (ctl.trial_budget > 0 && executed >= ctl.trial_budget) {
+    cancel->request(exec::CancelToken::Reason::kTrialBudget);
+  }
   status.chunks_total = static_cast<long>(grid.chunks);
   status.chunks_completed = static_cast<long>(grid.completed);
-  status.chunks_restored = restored;
+  status.chunks_restored = static_cast<long>(grid.skipped);
   status.trials_executed = executed;
   status.interrupted = !grid.complete();
   status.stop_reason = cancel->reason();
   obs::Registry& reg = obs::Registry::global();
   reg.counter("campaign.chunks.completed")
       .add(static_cast<long>(grid.completed));
-  reg.counter("campaign.chunks.restored").add(restored);
+  reg.counter("campaign.chunks.restored").add(status.chunks_restored);
   if (status.interrupted) reg.counter("campaign.interrupted").inc();
   return grid;
 }
 
 }  // namespace
+
+ConvergenceStop::ConvergenceStop(std::size_t count, std::size_t chunk,
+                                 double threshold, HalfWidth half_width)
+    : count_(count),
+      chunk_(chunk),
+      threshold_(threshold),
+      half_width_(std::move(half_width)),
+      done_(exec::grid_chunk_count(count, 1, chunk), 0),
+      silent_(done_.size(), 0) {}
+
+void ConvergenceStop::done(std::size_t c, long silent) {
+  done_.at(c) = 1;
+  silent_[c] = silent;
+  while (!fired_ && prefix_ < done_.size() && done_[prefix_] != 0) {
+    prefix_trials_ += static_cast<long>(
+        std::min(count_, (prefix_ + 1) * chunk_) - prefix_ * chunk_);
+    prefix_silent_ += silent_[prefix_];
+    ++prefix_;
+    fired_ = threshold_ > 0.0 &&
+             half_width_(prefix_silent_, prefix_trials_) <= threshold_;
+  }
+}
 
 double proportion_half_width(long successes, long n) {
   if (n <= 0) return 0.0;
@@ -747,9 +814,10 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   auto campaign_span = tracer.span("matmul_campaign", "campaign");
   const int n = camp.n;
   std::mt19937_64 rng(camp.seed);
-  // Compiled and bitsliced requests replay only the struck PE (the kernel
-  // fast path); kInterpreted re-runs the whole array per trial, the
-  // reference the fast path is checked against.
+  // Compiled and bitsliced requests walk only the accumulates an upset
+  // reaches (the kernel fast path); kInterpreted re-steps the struck PE
+  // through its whole schedule, the reference the fast path is checked
+  // against.
   const bool replay_pe =
       rtl::resolve_backend(camp.backend) != rtl::EvalBackend::kInterpreted;
   // Resolved once: the per-worker slots below are indexed by worker.
@@ -786,6 +854,18 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   }
   const kernel::MatmulRun clean = replay ? array.result() : array.run(a, b);
   const long horizon = clean.cycles;
+  // The reference compares a trial's PE against its golden column and,
+  // OR-ed with the other PEs' golden flags, against the golden flags: PE
+  // j reads only a(i, k), b(k, j) and its own state, and no fault site
+  // sits between PEs.
+  std::vector<std::uint8_t> other_flags(static_cast<std::size_t>(n), 0);
+  for (int j = 0; j < n; ++j) {
+    for (int k = 0; k < n; ++k) {
+      if (k != j) {
+        other_flags[static_cast<std::size_t>(j)] |= array.pe(k).flags();
+      }
+    }
+  }
   golden_span.end();
   // Per-PE MAC utilization + unit occupancy of the clean kernel run,
   // recorded before any trial perturbs the golden array's counters.
@@ -925,20 +1005,19 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   // accumulates it reaches through the fault's injector: an accumulator
   // upset strikes the golden bank (MatmulReplay::accumulator_upset), a
   // latch or configuration upset the accumulates' passes through its
-  // unit (MatmulReplay::unit_upset). The reference re-runs the whole
-  // kernel on the worker's own array replica (run() clears every PE
-  // first, so a replica's trial is bit-identical to the legacy reuse of
-  // one array), cloned on the worker's first chunk and kept for the
-  // campaign; worker 0's replica is the golden array. Verdicts land in
-  // per-fault slots.
+  // unit (MatmulReplay::unit_upset). The reference steps the struck PE
+  // through its whole schedule (LinearArrayMatmul::run_pe) on the
+  // worker's own clone of one of the array's PEs, cloned on the worker's
+  // first chunk and kept for the campaign (run_pe clears it first), and
+  // reads it out as result() does. Verdicts land in per-fault slots.
   auto inject_span = tracer.span("inject", "campaign");
-  std::vector<std::optional<kernel::LinearArrayMatmul>> replicas(
+  std::vector<std::optional<kernel::ProcessingElement>> worker_pes(
       static_cast<std::size_t>(threads));
   const exec::GridResult grid = run_checkpointed_grid(
       control, grid_spec, slots,
       [&](int worker, std::size_t begin, std::size_t end) {
-        std::optional<kernel::LinearArrayMatmul>& replica =
-            replicas[static_cast<std::size_t>(worker)];
+        std::optional<kernel::ProcessingElement>& pe =
+            worker_pes[static_cast<std::size_t>(worker)];
         for (std::size_t i = begin; i < end; ++i) {
           const PeFault& pf = faults[i];
           fault::FaultInjector injector({pf.fault});
@@ -954,23 +1033,28 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
             slots[i] = verdict(v.corrupted, v.ecc_detections > 0,
                                v.ecc_corrections > 0);
           } else {
-            if (worker != 0 && !replica) replica.emplace(array.clone());
-            kernel::LinearArrayMatmul& worker_array =
-                worker == 0 ? array : *replica;
-            kernel::ProcessingElement& pe = worker_array.pe(pf.pe);
-            attach_fault(pe, pf.target, &injector);
-            const kernel::MatmulRun faulty = worker_array.run(a, b);
-            attach_fault(pe, pf.target, nullptr);
-            slots[i] = verdict(
-                faulty.c.bits != clean.c.bits || faulty.flags != clean.flags,
-                pe.ecc_detections() > 0, pe.ecc_corrections() > 0);
+            if (!pe) pe.emplace(array.pe(0).clone());
+            attach_fault(*pe, pf.target, &injector);
+            array.run_pe(*pe, pf.pe, a, b);
+            attach_fault(*pe, pf.target, nullptr);
+            const kernel::LinearArrayMatmul::PeReadout out =
+                array.readout(*pe);
+            bool corrupted =
+                (out.flags | other_flags[static_cast<std::size_t>(pf.pe)]) !=
+                clean.flags;
+            for (int r = 0; r < n; ++r) {
+              corrupted |= out.column[static_cast<std::size_t>(r)] !=
+                           clean.c.at(r, pf.pe);
+            }
+            slots[i] = verdict(corrupted, pe->ecc_detections() > 0,
+                               pe->ecc_corrections() > 0);
           }
         }
       },
       res.run);
-  // Free the worker replicas and the golden logs here, where the inject
-  // span accounts for the cost.
-  replicas.clear();
+  // Free the worker PEs and the golden logs here, where the inject span
+  // accounts for the cost.
+  worker_pes.clear();
   replay.reset();
   inject_span.end();
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -120,9 +121,12 @@ struct SeuRateModel {
 // depth, hardening, seeds, trial count, chunking). Resume reopens the
 // sidecar in place, restores its chunks into their slots, skips them, runs
 // the rest, and replays the ordered reduction — bit-identical to an
-// uninterrupted run at any thread count. Cancellation (signals, budgets,
-// convergence) is polled between chunks; in-flight chunks always finish
-// and are checkpointed before return.
+// uninterrupted run at any thread count. A trial budget fixes the chunks
+// it covers before the grid runs, and the convergence stop keeps a
+// grid-order prefix of chunks, so budgeted and stopped runs are
+// bit-identical at any thread count too. Signals and time budgets are
+// polled between chunks; in-flight chunks always finish and are
+// checkpointed before return.
 
 struct CampaignRunControl {
   /// Polled at chunk boundaries; nullptr = campaign makes a private token
@@ -140,15 +144,58 @@ struct CampaignRunControl {
   /// Trials per grid chunk — the checkpoint granularity. Must match
   /// between the interrupted run and the resume.
   std::size_t chunk_trials = 16;
-  /// Stop after this many trials executed by THIS invocation (0 = off);
-  /// charged per chunk, so the overshoot is at most chunk_trials - 1.
+  /// Run at most this many trials in THIS invocation (0 = off): the first
+  /// not-restored chunks, in grid order, whose trials cover it, fixed
+  /// before the grid runs, so the overshoot is at most chunk_trials - 1
+  /// and the chunks that run do not depend on the thread count.
   long trial_budget = 0;
   /// Early-stop once the 95% confidence half-width of the campaign's
-  /// headline rate drops to or below this (0 = off). Unit campaigns
+  /// headline rate drops to or below this (0 = off), tested over the
+  /// grid-order prefix of finished chunks (ConvergenceStop), so a stopped
+  /// campaign's tallies do not depend on the thread count. Unit campaigns
   /// measure it in FIT via `rate`; matmul campaigns in SDC fraction.
   double stop_half_width = 0.0;
   /// Converts the unit-campaign SDC proportion to FIT for the early stop.
   SeuRateModel rate;
+};
+
+/// The convergence early stop of a campaign's chunk grid, as a function of
+/// which chunks are done and how many silent trials each holds, never of
+/// the order the workers finish them in. It looks only at the contiguous
+/// grid-order prefix of done chunks, restored ones included: each chunk
+/// that joins the prefix adds its trials and silent trials to the tally,
+/// and the stop fires at the first prefix whose half-width meets the
+/// threshold. A stopped campaign keeps that prefix and nothing after it.
+class ConvergenceStop {
+ public:
+  using HalfWidth = std::function<double(long silent, long trials)>;
+
+  /// A grid of `count` trials in chunks of `chunk`. `half_width` is in the
+  /// units of `threshold`; a threshold <= 0 never fires, and the prefix
+  /// still follows the done chunks in grid order.
+  ConvergenceStop(std::size_t count, std::size_t chunk, double threshold,
+                  HalfWidth half_width);
+
+  /// Chunk c is done with `silent` silent trials. The prefix extends over
+  /// the done chunks that now follow it, up to the first prefix that
+  /// meets the threshold, and stays there once the stop has fired.
+  void done(std::size_t c, long silent);
+
+  /// Leading chunks the prefix covers.
+  std::size_t prefix() const { return prefix_; }
+  bool fired() const { return fired_; }
+
+ private:
+  std::size_t count_;
+  std::size_t chunk_;
+  double threshold_;
+  HalfWidth half_width_;
+  std::vector<char> done_;
+  std::vector<long> silent_;
+  std::size_t prefix_ = 0;
+  long prefix_trials_ = 0;
+  long prefix_silent_ = 0;
+  bool fired_ = false;
 };
 
 /// run_unit_campaign with checkpoint/resume, budgets, and cancellation.
@@ -267,8 +314,8 @@ struct MatmulSeuConfig {
   /// piece repairs at the next scrub boundary. <= 0: persists all run.
   long scrub_period_cycles = 0;
   /// Worker threads for the golden pass (PEs split across workers) and
-  /// the per-fault loop, where each reference worker keeps one array
-  /// replica for the whole campaign. 0 = auto
+  /// the per-fault loop, where each reference worker keeps one clone of
+  /// the array's PE for the whole campaign. 0 = auto
   /// (FLOPSIM_THREADS, then hardware_concurrency); 1 = serial. Tallies
   /// reduce in fault-list order: bit-identical at any thread count.
   int threads = 0;
@@ -277,8 +324,10 @@ struct MatmulSeuConfig {
   /// (kernel::MatmulReplay), which steps no PE: the golden pass walks each
   /// accumulate through its units, and a trial re-walks only the
   /// accumulates its upset reaches, through the fault's injector.
-  /// kInterpreted re-runs the whole array per trial, the reference. Both
-  /// give bit-identical tallies and checkpoint bytes.
+  /// kInterpreted, the reference, re-steps only the struck PE through its
+  /// whole schedule, clock by clock: PE j owns column j of C and raises
+  /// its own flags, so the other PEs hold their golden state. Both give
+  /// bit-identical tallies and checkpoint bytes.
   rtl::EvalBackend backend = rtl::EvalBackend::kAuto;
 };
 

@@ -275,6 +275,7 @@ GridResult parallel_for_grid(std::size_t count, int threads,
         ++skipped;
         continue;
       }
+      if (c >= opts.run_limit) continue;
       if (opts.cancel != nullptr && opts.cancel->cancelled()) break;
       const std::size_t begin = c * chunk;
       const std::size_t end = std::min(count, begin + chunk);

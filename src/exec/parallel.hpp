@@ -41,6 +41,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -116,6 +117,10 @@ struct GridOptions {
   /// entries are not run but count as done. Must have at least
   /// grid_chunk_count entries when non-null.
   const std::vector<char>* skip = nullptr;
+  /// Chunks at or past this grid index do not run; a skipped one still
+  /// counts as done. A trial budget fixes the chunks it covers this way
+  /// before the grid runs, so which chunks run does not depend on timing.
+  std::size_t run_limit = std::numeric_limits<std::size_t>::max();
   /// Polled between chunks; once cancelled() no further chunks start
   /// (in-flight chunks always finish).
   CancelToken* cancel = nullptr;
@@ -134,7 +139,8 @@ struct GridResult {
   std::size_t skipped = 0;    ///< chunks skipped via GridOptions::skip
   std::vector<char> done;     ///< per-chunk: skipped or completed
 
-  /// Every chunk done (restored or run) — false means cancelled mid-run.
+  /// Every chunk done (restored or run) — false means cancelled mid-run
+  /// or cut by GridOptions::run_limit.
   bool complete() const { return completed + skipped == chunks; }
 };
 

@@ -130,38 +130,11 @@ CheckpointWriter::CheckpointWriter(std::string path, std::uint64_t spec_hash,
                                    const CheckpointLoad& resume)
     : journal_(std::move(path), kept_bytes(resume, spec_hash, count, chunk),
                header_line(spec_hash, count, chunk), fsync_interval,
-               &obs::Registry::global().counter("checkpoint.fsyncs")),
-      written_(chunk_count(count, chunk), 0) {
-  if (kept_bytes(resume, spec_hash, count, chunk) == 0) return;
-  for (const auto& [index, data] : resume.chunks) {
-    if (index < written_.size()) written_[index] = 1;
-  }
-  while (next_ < written_.size() && written_[next_] != 0) ++next_;
-}
+               &obs::Registry::global().counter("checkpoint.fsyncs")) {}
 
 void CheckpointWriter::append(std::size_t chunk_index,
                               std::span<const std::uint8_t> data) {
   if (!ok()) return;
-  if (chunk_index != next_) {
-    held_[chunk_index].assign(data.begin(), data.end());
-    return;
-  }
-  write(chunk_index, data);
-  // Write the held successors this chunk was waiting for.
-  while (next_ < written_.size()) {
-    if (written_[next_] != 0) {
-      ++next_;
-      continue;
-    }
-    const auto it = held_.find(next_);
-    if (it == held_.end()) break;
-    write(it->first, it->second);
-    held_.erase(it);
-  }
-}
-
-void CheckpointWriter::write(std::size_t chunk_index,
-                             std::span<const std::uint8_t> data) {
   const auto t0 = std::chrono::steady_clock::now();
   std::string record = "c " + std::to_string(chunk_index) + " ";
   record.reserve(record.size() + 2 * data.size() + 1);
@@ -172,8 +145,6 @@ void CheckpointWriter::write(std::size_t chunk_index,
   }
   record += '\n';
   if (!journal_.append(record)) return;
-  if (chunk_index < written_.size()) written_[chunk_index] = 1;
-  if (chunk_index == next_) ++next_;
   obs::Registry& reg = obs::Registry::global();
   reg.counter("checkpoint.appends").inc();
   reg.counter("checkpoint.bytes").add(static_cast<long>(record.size()));
@@ -181,14 +152,6 @@ void CheckpointWriter::write(std::size_t chunk_index,
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - t0)
           .count());
-}
-
-void CheckpointWriter::flush() {
-  // A cancelled or finished grid: what is still held goes out in index
-  // order, gaps and all (the gaps are the chunks a resume re-runs).
-  for (const auto& [index, data] : held_) write(index, data);
-  held_.clear();
-  journal_.sync();
 }
 
 }  // namespace flopsim::fault

@@ -26,13 +26,14 @@
 //
 // A resumed campaign reopens its sidecar in place: the file is cut after
 // the last line the load kept, so a torn tail never swallows the chunks
-// appended after it. Chunk lines go out in grid order whatever order the
-// workers finish in: the writer holds a finished chunk until every lower
-// chunk has been written (or restored), and writes whatever it still
-// holds, in index order, at flush and close. So an uninterrupted run's
-// sidecar does not depend on the thread count, and a resumed one keeps
-// its lines in the order they were appended. A held chunk is not written
-// yet: a run killed with chunks held redoes them on resume. The obs
+// appended after it. Chunk lines go out in the order they are appended,
+// which the campaign grid (analysis/seu.cpp) keeps to grid order whatever
+// order the workers finish in: it hands a finished chunk over once every
+// lower chunk has been handed over or restored, and after a cancellation
+// the finished chunks past a gap in index order. So a run's sidecar does
+// not depend on the thread count, and a resumed one keeps its lines in
+// the order they were appended. A chunk not yet handed over is not
+// written: a run killed with such chunks redoes them on resume. The obs
 // registry records the append latency histogram and the fsync count.
 #pragma once
 
@@ -86,9 +87,9 @@ struct CheckpointLoad {
 CheckpointLoad load_checkpoint(const std::string& path,
                                std::size_t slot_bytes = 0);
 
-/// Append-only sidecar writer, in grid order. Thread-compatible, not
-/// thread-safe: the grid engine serializes on_chunk_done callbacks, which
-/// is where appends happen. I/O errors warn once on stderr and latch
+/// Append-only sidecar writer. Thread-compatible, not thread-safe: the
+/// grid engine serializes on_chunk_done callbacks, which is where appends
+/// happen. I/O errors warn once on stderr and latch
 /// ok()==false; the campaign keeps running (losing the checkpoint must
 /// never lose the run).
 class CheckpointWriter {
@@ -107,22 +108,15 @@ class CheckpointWriter {
 
   bool ok() const { return journal_.ok(); }
 
-  /// Hand over one finished chunk's encoded verdicts. It is written (and
-  /// maybe fsync'd) once every lower chunk has been written; until then
-  /// it is held.
+  /// Write one finished chunk's encoded verdicts (fsync'd every
+  /// fsync_interval appends).
   void append(std::size_t chunk_index, std::span<const std::uint8_t> data);
 
-  /// Write every held chunk in index order, then fsync (also called by
-  /// the destructor).
-  void flush();
+  /// fsync (also called by the destructor).
+  void flush() { journal_.sync(); }
 
  private:
-  void write(std::size_t chunk_index, std::span<const std::uint8_t> data);
-
   Journal journal_;
-  std::size_t next_ = 0;       ///< lowest chunk not yet written
-  std::vector<char> written_;  ///< per grid chunk
-  std::map<std::size_t, std::vector<std::uint8_t>> held_;
 };
 
 }  // namespace flopsim::fault

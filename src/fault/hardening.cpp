@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "fault/secded.hpp"
 
@@ -140,9 +141,15 @@ bool same_output(const std::optional<units::UnitOutput>& a,
 
 HardenedUnit::HardenedUnit(units::UnitKind kind, fp::FpFormat fmt,
                            const units::UnitConfig& cfg, Scheme scheme)
+    : HardenedUnit(units::FpUnit(kind, fmt, cfg), scheme) {}
+
+HardenedUnit::HardenedUnit(units::FpUnit primary, Scheme scheme)
     : scheme_(scheme) {
   copies_.reserve(static_cast<std::size_t>(copy_count(scheme)));
-  for (int i = 0; i < copy_count(scheme); ++i) copies_.emplace_back(kind, fmt, cfg);
+  copies_.push_back(std::move(primary));
+  for (int i = 1; i < copy_count(scheme); ++i) {
+    copies_.push_back(copies_.front().clone());
+  }
 }
 
 FaultInjector& HardenedUnit::arm(const FaultCampaign& campaign) {

@@ -98,10 +98,11 @@ class HardenedUnit {
   void reset();
 
   /// A fresh (reset, disarmed) hardened unit with the same kind, format,
-  /// configuration and scheme — one per campaign worker.
+  /// configuration and scheme — one per campaign worker. Its copies are
+  /// clones of this unit's primary (units::FpUnit::clone), so no chain is
+  /// rebuilt.
   HardenedUnit clone() const {
-    return HardenedUnit(primary().kind(), primary().format(),
-                        primary().config(), scheme_);
+    return HardenedUnit(primary().clone(), scheme_);
   }
 
   Scheme scheme() const { return scheme_; }
@@ -110,6 +111,9 @@ class HardenedUnit {
   HardeningCost cost() const { return hardening_cost(primary(), scheme_); }
 
  private:
+  /// `primary` as copy 0, and clones of it as the other copies.
+  HardenedUnit(units::FpUnit primary, Scheme scheme);
+
   Scheme scheme_;
   std::vector<units::FpUnit> copies_;
   std::optional<FaultInjector> injector_;

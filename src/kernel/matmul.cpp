@@ -56,19 +56,10 @@ units::UnitOutput walked(const std::optional<units::UnitOutput>& out) {
 }  // namespace
 
 LinearArrayMatmul::LinearArrayMatmul(int n, const PeConfig& cfg)
-    : LinearArrayMatmul(n, cfg, first_pe(n, cfg)) {}
-
-LinearArrayMatmul::LinearArrayMatmul(int n, const PeConfig& cfg,
-                                     const ProcessingElement& proto)
     : n_(n), cfg_(cfg) {
+  const ProcessingElement proto = first_pe(n, cfg);
   pes_.reserve(static_cast<std::size_t>(n));
   for (int j = 0; j < n; ++j) pes_.push_back(proto.clone());
-}
-
-LinearArrayMatmul LinearArrayMatmul::clone() const {
-  LinearArrayMatmul copy(n_, cfg_, pes_[0]);
-  copy.pad_override_ = pad_override_;
-  return copy;
 }
 
 std::optional<ProcessingElement::MacIssue> scheduled_issue(
@@ -95,26 +86,39 @@ long LinearArrayMatmul::cycles() const {
 
 MatmulRun LinearArrayMatmul::run(const Matrix& a, const Matrix& b,
                                  const Matrix* c0) {
+  for (int j = 0; j < n_; ++j) {
+    run_pe(pes_[static_cast<std::size_t>(j)], j, a, b, c0);
+  }
+  return result();
+}
+
+void LinearArrayMatmul::run_pe(ProcessingElement& pe, int j, const Matrix& a,
+                               const Matrix& b, const Matrix* c0) const {
   if (a.n != n_ || b.n != n_ || (c0 != nullptr && c0->n != n_)) {
     throw std::invalid_argument("LinearArrayMatmul: operand size mismatch");
   }
+  pe.clear();
+  if (c0 != nullptr) {
+    for (int i = 0; i < n_; ++i) pe.set_acc(i, c0->at(i, j));
+  }
   const Schedule sched = schedule();
-  for (int j = 0; j < n_; ++j) {
-    pes_[static_cast<std::size_t>(j)].clear();
-    if (c0 != nullptr) {
-      for (int i = 0; i < n_; ++i) {
-        pes_[static_cast<std::size_t>(j)].set_acc(i, c0->at(i, j));
-      }
-    }
-  }
   const long total = cycles();
-  for (long t = 0; t < total; ++t) {
-    for (int j = 0; j < n_; ++j) {
-      pes_[static_cast<std::size_t>(j)].step(
-          scheduled_issue(sched, a, b, j, t));
-    }
+  for (long t = 0; t < total; ++t) pe.step(scheduled_issue(sched, a, b, j, t));
+}
+
+LinearArrayMatmul::PeReadout LinearArrayMatmul::readout(
+    const ProcessingElement& pe) const {
+  if (!pe.drained()) throw_not_drained();
+  if (pe.hazards() > 0 && !pad_overridden()) {
+    throw std::runtime_error(
+        "LinearArrayMatmul: RAW hazard despite default padding");
   }
-  return result();
+  PeReadout r;
+  r.column.reserve(static_cast<std::size_t>(n_));
+  for (int i = 0; i < n_; ++i) r.column.push_back(pe.acc(i));
+  r.flags = pe.flags();
+  r.hazards = pe.hazards();
+  return r;
 }
 
 MatmulRun LinearArrayMatmul::result() const {
@@ -125,15 +129,12 @@ MatmulRun LinearArrayMatmul::result() const {
   run.padded_issues = n_ * run.schedule.padded_issues_per_pe();
   run.c = Matrix::zero(n_, cfg_.fmt);
   for (int j = 0; j < n_; ++j) {
-    const ProcessingElement& pe = pes_[static_cast<std::size_t>(j)];
-    if (!pe.drained()) throw_not_drained();
-    run.hazards += pe.hazards();
-    run.flags |= pe.flags();
-    for (int i = 0; i < n_; ++i) run.c.at(i, j) = pe.acc(i);
-  }
-  if (run.hazards > 0 && !pad_overridden()) {
-    throw std::runtime_error(
-        "LinearArrayMatmul: RAW hazard despite default padding");
+    const PeReadout pe = readout(pes_[static_cast<std::size_t>(j)]);
+    run.hazards += pe.hazards;
+    run.flags |= pe.flags;
+    for (int i = 0; i < n_; ++i) {
+      run.c.at(i, j) = pe.column[static_cast<std::size_t>(i)];
+    }
   }
   return run;
 }

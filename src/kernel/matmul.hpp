@@ -39,7 +39,7 @@ struct MatmulRun {
 /// PE j's MAC issue at array cycle t: PE j runs j cycles behind PE 0 (the
 /// systolic skew) through the padded (k, i) loop, and rows i >= n issue
 /// zero operands. nullopt outside PE j's issue window. The one schedule
-/// definition LinearArrayMatmul::run and MatmulReplay both step PEs by.
+/// definition LinearArrayMatmul::run_pe and MatmulReplay both follow.
 std::optional<ProcessingElement::MacIssue> scheduled_issue(
     const Schedule& sched, const Matrix& a, const Matrix& b, int j, long t);
 
@@ -53,9 +53,19 @@ class LinearArrayMatmul {
   /// passing an accumulator matrix is how block decomposition chains block
   /// products. Throws std::runtime_error on a RAW hazard unless the
   /// schedule padding covers the latency (it always does with the default
-  /// threshold).
+  /// threshold). Each PE steps through its whole schedule in turn
+  /// (run_pe): PEs share no state, so this leaves every PE where stepping
+  /// them in lockstep does.
   MatmulRun run(const Matrix& a, const Matrix& b,
                 const Matrix* c0 = nullptr);
+
+  /// Step `pe` through PE j's whole schedule: cleared, loaded with column
+  /// j of C0 when one is given, then cycles() clocks of scheduled_issue.
+  /// `pe` is this array's PE j or a clone of one of its PEs
+  /// (ProcessingElement::clone): the SEU reference re-runs only the struck
+  /// PE this way, on its worker's own clone.
+  void run_pe(ProcessingElement& pe, int j, const Matrix& a, const Matrix& b,
+              const Matrix* c0 = nullptr) const;
 
   /// Override the padding threshold (default: PL = Lmul + Ladd, the paper's
   /// rule). Used by tests to demonstrate the hazard window.
@@ -69,14 +79,20 @@ class LinearArrayMatmul {
   /// pipeline drain.
   long cycles() const;
   /// The product as the PEs hold it once each has stepped its whole
-  /// schedule: C read out through each PE's ECC path, the flags OR-ed, and
-  /// run()'s drain and hazard guards applied.
+  /// schedule: each PE's readout() as column j of C, the flags OR-ed.
   MatmulRun result() const;
 
-  /// A fresh array with the same geometry and PE configuration (pad
-  /// override included) — one replica per campaign worker. Its PEs are
-  /// clones (ProcessingElement::clone), so no unit chain is rebuilt.
-  LinearArrayMatmul clone() const;
+  /// One PE's share of result(), once it has stepped a whole schedule:
+  /// its column read out through its ECC path (which counts what the
+  /// corrector repairs or detects), its flags and its hazards. Throws as
+  /// run() does when the PE has not drained, or on a RAW hazard without a
+  /// padding override.
+  struct PeReadout {
+    std::vector<fp::u64> column;
+    std::uint8_t flags = 0;
+    long hazards = 0;
+  };
+  PeReadout readout(const ProcessingElement& pe) const;
 
   int n() const { return n_; }
   const ProcessingElement& pe(int j) const {
@@ -86,9 +102,6 @@ class LinearArrayMatmul {
   ProcessingElement& pe(int j) { return pes_[static_cast<std::size_t>(j)]; }
 
  private:
-  /// n clones of `proto`.
-  LinearArrayMatmul(int n, const PeConfig& cfg, const ProcessingElement& proto);
-
   int n_;
   PeConfig cfg_;
   std::vector<ProcessingElement> pes_;

@@ -4,8 +4,8 @@
 // interrupted under one backend resumes under another), and kAuto
 // resolves through FLOPSIM_BACKEND. For matmul campaigns the fast
 // backends walk only the struck PE's accumulates an upset reaches, and
-// every result field and sidecar byte must equal the full-array reference
-// loop.
+// every result field and sidecar byte must equal the interpreted
+// reference, which steps the struck PE clock by clock.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -214,9 +214,10 @@ fault::CheckpointLoad only_sidecar(const std::string& dir) {
 }
 
 // The kernel fast path — walk only the accumulates of the struck PE that
-// an upset reaches, stepping no PE — against the
-// full-array reference loop: every result field and every sidecar byte,
-// at 1/2/8 threads. The cases span padded and unpadded sizes, both
+// an upset reaches, stepping no PE — against the interpreted reference,
+// which steps the struck PE clock by clock through its whole schedule
+// (itself pinned to full-array runs by matmul_replay_tests): every result
+// field and every sidecar byte, at 1/2/8 threads. The cases span padded and unpadded sizes, both
 // storage schemes, persistent and scrubbed config upsets, all-latch and
 // all-accumulator draws, fused-MAC PEs and both formats.
 TEST(BackendEquivalence, MatmulFastPathMatchesFullArrayReference) {

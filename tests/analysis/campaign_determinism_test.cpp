@@ -289,6 +289,154 @@ TEST(CampaignDeterminism, CheckpointSidecarsAreByteIdenticalAcrossThreads) {
   }
 }
 
+// The convergence stop reads only the grid-order prefix of done chunks:
+// chunk 1 finishing before chunk 0 (which a worker that has not started
+// chunk 0 yet makes happen) adds nothing until chunk 0 is done. The stop
+// then fires at the first prefix that meets it, and chunks done past
+// that prefix stay out.
+TEST(CampaignStop, FiresAtTheFirstGridOrderPrefix) {
+  // 8 trials with 0 silent: half-width 0.211; 16 trials: 0.131.
+  const double threshold = 0.2;
+  for (const bool chunk1_first : {true, false}) {
+    SCOPED_TRACE(chunk1_first ? "chunk 1 first" : "in grid order");
+    ConvergenceStop stop(32, 8, threshold, proportion_half_width);
+    if (chunk1_first) {
+      stop.done(1, 0);
+      EXPECT_EQ(stop.prefix(), 0u);
+      EXPECT_FALSE(stop.fired()) << "chunk 1 alone is no prefix";
+      stop.done(0, 0);
+    } else {
+      stop.done(0, 0);
+      EXPECT_EQ(stop.prefix(), 1u);
+      EXPECT_FALSE(stop.fired());
+      stop.done(1, 0);
+    }
+    EXPECT_TRUE(stop.fired());
+    EXPECT_EQ(stop.prefix(), 2u) << "fires at chunks 0 and 1";
+    stop.done(2, 0);
+    EXPECT_EQ(stop.prefix(), 2u) << "a fired stop keeps its prefix";
+  }
+
+  // Chunk 0 holds 8 silent trials: the prefix {0} is far from the
+  // threshold, {0, 1} still above it, and {0, 1, 2} meets it. Chunks 3
+  // and 2 finishing first change nothing about where it fires.
+  ConvergenceStop stop(64, 8, 0.2, proportion_half_width);
+  ASSERT_GT(proportion_half_width(8, 16), 0.2);
+  ASSERT_LE(proportion_half_width(8, 24), 0.2);
+  stop.done(3, 0);
+  stop.done(2, 0);
+  EXPECT_EQ(stop.prefix(), 0u);
+  stop.done(1, 0);
+  EXPECT_FALSE(stop.fired());
+  stop.done(0, 8);
+  EXPECT_TRUE(stop.fired());
+  EXPECT_EQ(stop.prefix(), 3u) << "chunk 3 is done but past the stop";
+
+  // Off (threshold 0): the prefix follows the done chunks to the end.
+  ConvergenceStop off(20, 8, 0.0, proportion_half_width);
+  off.done(2, 4);
+  off.done(1, 8);
+  EXPECT_EQ(off.prefix(), 0u);
+  off.done(0, 8);
+  EXPECT_FALSE(off.fired());
+  EXPECT_EQ(off.prefix(), 3u);
+}
+
+// Stopped and budgeted campaigns are bit-identical at every thread count:
+// the stop keeps a grid-order prefix and the budget fixes its chunks
+// before the grid runs, so tallies, run status and sidecars agree at 1, 2
+// and 8 threads.
+TEST(CampaignDeterminism, StoppedAndBudgetedCampaignsMatchAcrossThreads) {
+  struct Outcome {
+    std::vector<int> tallies;
+    std::vector<long> status;
+    std::map<std::string, std::string> sidecars;
+  };
+  const auto status_of = [](const CampaignRunStatus& r) {
+    return std::vector<long>{r.interrupted ? 1 : 0,
+                             static_cast<long>(r.stop_reason),
+                             r.chunks_total,
+                             r.chunks_completed,
+                             r.chunks_restored,
+                             r.trials_executed};
+  };
+  units::UnitConfig ucfg;
+  ucfg.stages = 5;
+  const double unit_stop =
+      SeuRateModel{}.fit(run_unit_campaign(units::UnitKind::kAdder,
+                                           fp::FpFormat::binary32(), ucfg,
+                                           SeuCampaignConfig{})
+                             .pipeline_ffs,
+                         0.15);
+  for (const bool budget : {false, true}) {
+    std::map<int, Outcome> by_threads;
+    for (const int threads : kThreadCounts) {
+      SCOPED_TRACE(std::string(budget ? "budget" : "stop") +
+                   " threads=" + std::to_string(threads));
+      const std::string dir =
+          (std::filesystem::path(::testing::TempDir()) /
+           ((budget ? "budget_" : "stop_") + std::to_string(threads)))
+              .string();
+      std::filesystem::remove_all(dir);
+      CampaignRunControl ctl;
+      ctl.checkpoint_dir = dir;
+      ctl.chunk_trials = 4;
+      Outcome& out = by_threads[threads];
+
+      SeuCampaignConfig unit;
+      unit.faults = 160;
+      unit.threads = threads;
+      unit.backend = rtl::EvalBackend::kBitsliced;
+      if (budget) {
+        ctl.trial_budget = 22;
+      } else {
+        ctl.stop_half_width = unit_stop;
+      }
+      const UnitSeuResult u = run_unit_campaign(
+          units::UnitKind::kAdder, fp::FpFormat::binary32(), ucfg, unit, ctl);
+      EXPECT_TRUE(u.run.interrupted);
+      EXPECT_GT(u.injected, 4);
+      EXPECT_LT(u.injected, unit.faults);
+      out.tallies = {u.injected, u.masked, u.detected, u.corrected, u.silent,
+                     u.corrupted};
+      out.status = status_of(u.run);
+
+      kernel::PeConfig pe;
+      pe.adder_stages = 4;
+      pe.mult_stages = 3;
+      MatmulSeuConfig matmul;
+      matmul.n = 4;
+      matmul.faults = 96;
+      matmul.threads = threads;
+      matmul.backend = rtl::EvalBackend::kInterpreted;
+      if (budget) {
+        ctl.trial_budget = 10;
+      } else {
+        ctl.stop_half_width = 0.12;
+      }
+      const MatmulSeuResult m = run_matmul_campaign(pe, matmul, ctl);
+      EXPECT_TRUE(m.run.interrupted);
+      EXPECT_GT(m.injected, 4);
+      EXPECT_LT(m.injected, matmul.faults);
+      for (const int v : {m.injected, m.masked, m.detected, m.corrected,
+                          m.silent, m.acc_injected, m.acc_silent,
+                          m.latch_injected, m.latch_silent}) {
+        out.tallies.push_back(v);
+      }
+      for (const long v : status_of(m.run)) out.status.push_back(v);
+      out.sidecars = sidecars_of(dir);
+      EXPECT_EQ(out.sidecars.size(), 2u);
+    }
+    for (const int threads : kThreadCounts) {
+      SCOPED_TRACE(std::string(budget ? "budget" : "stop") +
+                   " threads=" + std::to_string(threads));
+      EXPECT_EQ(by_threads[threads].tallies, by_threads[1].tallies);
+      EXPECT_EQ(by_threads[threads].status, by_threads[1].status);
+      EXPECT_EQ(by_threads[threads].sidecars, by_threads[1].sidecars);
+    }
+  }
+}
+
 // The sidecar file stem is the campaign's spec key, which folds every
 // drawn fault: pinned for the scrubbed config leg, whose faults carry
 // masks, stuck values and repair clocks.

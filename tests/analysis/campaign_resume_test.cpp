@@ -213,7 +213,7 @@ TEST(CampaignResume, MatmulInterruptResumeMatchesUninterrupted) {
   expect_same_matmul(resumed, baseline);
 
   // The sidecar is engine-neutral: a campaign interrupted under the
-  // full-array reference resumes under the single-PE replay, and back.
+  // clock-by-clock reference resumes under the replay, and back.
   const rtl::EvalBackend engines[][2] = {
       {rtl::EvalBackend::kInterpreted, rtl::EvalBackend::kBitsliced},
       {rtl::EvalBackend::kBitsliced, rtl::EvalBackend::kInterpreted},

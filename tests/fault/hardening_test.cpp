@@ -2,6 +2,7 @@
 // single-bit latch upset, and the cost model stays within sane bounds.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,6 +72,81 @@ TEST(Hardening, ParityDetectsEverySingleBitUpset) {
     SCOPED_TRACE("s" + std::to_string(stages));
     EXPECT_EQ(r.silent, 0);
   }
+}
+
+// A campaign worker's clone shares the chain the original built, starts
+// fresh (reset and disarmed), and steps like a freshly built unit: armed
+// with the same upset, every scheme's clone gives the same raw output,
+// hardened output and checker verdict on every clock.
+TEST(Hardening, ClonesShareTheChainAndStepLikeAFreshUnit) {
+  const units::UnitKind kind = units::UnitKind::kMultiplier;
+  const fp::FpFormat fmt = fp::FpFormat::binary32();
+  units::UnitConfig cfg;
+  cfg.stages = 4;
+  const int vectors = 12;
+  const std::vector<units::UnitInput> workload =
+      campaign_workload(kind, fmt, vectors, 0x5eed);
+  const units::FpUnit probe(kind, fmt, cfg);
+  const LatchProfile profile = profile_unit_latches(probe, vectors, 0x5eed);
+  const ProfileSites sites(profile);
+  CampaignSpec spec;
+  spec.source = CampaignSpec::Source::kRandom;
+  spec.sites = &sites;
+  spec.horizon = vectors + probe.latency();
+  spec.count = 24;
+  spec.seed = 41;
+  const FaultCampaign drawn = FaultCampaign::make(spec);
+  ASSERT_FALSE(drawn.empty());
+  const auto input = [&](int t) {
+    return t < vectors ? std::optional<units::UnitInput>(
+                             workload[static_cast<std::size_t>(t)])
+                       : std::nullopt;
+  };
+  int struck = 0;  // upsets that change the raw output on some clock
+  for (const Scheme scheme : {Scheme::kNone, Scheme::kParity,
+                              Scheme::kResidue, Scheme::kDuplicate,
+                              Scheme::kTmr, Scheme::kEcc}) {
+    SCOPED_TRACE(to_string(scheme));
+    HardenedUnit orig(kind, fmt, cfg, scheme);
+    // The original has stepped under an armed upset; its clone has not.
+    orig.arm(FaultCampaign::from_list({drawn.faults().front()}));
+    for (int t = 0; t < 4; ++t) orig.step(input(t));
+    HardenedUnit clone = orig.clone();
+    EXPECT_EQ(&clone.primary().pieces(), &orig.primary().pieces());
+    EXPECT_EQ(clone.scheme(), scheme);
+    EXPECT_EQ(clone.detections(), 0);
+    HardenedUnit fresh(kind, fmt, cfg, scheme);
+    HardenedUnit clean(kind, fmt, cfg, scheme);
+    for (const Fault& f : drawn.faults()) {
+      clone.reset();
+      fresh.reset();
+      clean.reset();
+      clone.arm(FaultCampaign::from_list({f}));
+      fresh.arm(FaultCampaign::from_list({f}));
+      bool differs = false;
+      for (int t = 0; t < spec.horizon + 2; ++t) {
+        const HardenedUnit::Output a = clone.step(input(t));
+        const HardenedUnit::Output b = fresh.step(input(t));
+        const HardenedUnit::Output g = clean.step(input(t));
+        ASSERT_EQ(a.raw.has_value(), b.raw.has_value()) << "clock " << t;
+        ASSERT_EQ(a.out.has_value(), b.out.has_value()) << "clock " << t;
+        if (a.raw) {
+          EXPECT_EQ(a.raw->result, b.raw->result) << "clock " << t;
+          EXPECT_EQ(a.raw->flags, b.raw->flags) << "clock " << t;
+          differs |= !g.raw || g.raw->result != a.raw->result ||
+                     g.raw->flags != a.raw->flags;
+        }
+        if (a.out) {
+          EXPECT_EQ(a.out->result, b.out->result) << "clock " << t;
+          EXPECT_EQ(a.out->flags, b.out->flags) << "clock " << t;
+        }
+        EXPECT_EQ(a.mismatch, b.mismatch) << "clock " << t;
+      }
+      EXPECT_EQ(clone.detections(), fresh.detections());
+      if (differs) ++struck;
+    }
+  }
+  EXPECT_GT(struck, 0) << "the upsets must reach the output";
 }
 
 TEST(Hardening, SchemeNamesRoundTrip) {

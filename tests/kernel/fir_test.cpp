@@ -38,7 +38,10 @@ struct FirCase {
   int taps;
   int add_stages;
   int mult_stages;
-  const char* name;
+  // Held inline, not as a pointer, and filling the case to its last
+  // byte: gtest prints the case's raw bytes into each test name, and a
+  // pointer or padding would make the names differ per process.
+  char name[12];
 };
 
 class FirTest : public ::testing::TestWithParam<FirCase> {};

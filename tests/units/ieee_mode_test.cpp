@@ -4,6 +4,8 @@
 // quantifying the cost the paper declined to pay.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "fp/ops.hpp"
 #include "units/fp_unit.hpp"
 #include "../fp/test_util.hpp"
@@ -27,13 +29,17 @@ struct IeeeCase {
   UnitKind kind;
   FpFormat fmt;
   RoundingMode rounding;
-  const char* name;
+  // The unit kind and width ("add64"); the test name appends the
+  // rounding. Held inline, not as a pointer, and filling the case to its
+  // last byte: gtest prints the case's raw bytes into each test name, and
+  // a pointer or padding would make the names differ per process.
+  char label[11];
 };
 
 class IeeeModeTest : public ::testing::TestWithParam<IeeeCase> {};
 
 TEST_P(IeeeModeTest, MatchesSoftfloatIncludingSubnormalsAndNaNs) {
-  const auto [kind, fmt, rounding, name] = GetParam();
+  const auto [kind, fmt, rounding, label] = GetParam();
   UnitConfig cfg;
   cfg.ieee_mode = true;
   cfg.rounding = rounding;
@@ -57,7 +63,7 @@ TEST_P(IeeeModeTest, MatchesSoftfloatIncludingSubnormalsAndNaNs) {
 }
 
 TEST_P(IeeeModeTest, SubnormalHeavyOperands) {
-  const auto [kind, fmt, rounding, name] = GetParam();
+  const auto [kind, fmt, rounding, label] = GetParam();
   UnitConfig cfg;
   cfg.ieee_mode = true;
   cfg.rounding = rounding;
@@ -80,7 +86,7 @@ TEST_P(IeeeModeTest, SubnormalHeavyOperands) {
 }
 
 TEST_P(IeeeModeTest, EveryDepthSameBits) {
-  const auto [kind, fmt, rounding, name] = GetParam();
+  const auto [kind, fmt, rounding, label] = GetParam();
   UnitConfig base;
   base.ieee_mode = true;
   base.rounding = rounding;
@@ -114,19 +120,21 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, IeeeModeTest,
     ::testing::Values(
         IeeeCase{UnitKind::kAdder, FpFormat::binary32(),
-                 RoundingMode::kNearestEven, "add32_rne"},
+                 RoundingMode::kNearestEven, "add32"},
         IeeeCase{UnitKind::kAdder, FpFormat::binary64(),
-                 RoundingMode::kNearestEven, "add64_rne"},
+                 RoundingMode::kNearestEven, "add64"},
         IeeeCase{UnitKind::kAdder, FpFormat::binary64(),
-                 RoundingMode::kTowardZero, "add64_trunc"},
+                 RoundingMode::kTowardZero, "add64"},
         IeeeCase{UnitKind::kMultiplier, FpFormat::binary32(),
-                 RoundingMode::kNearestEven, "mul32_rne"},
+                 RoundingMode::kNearestEven, "mul32"},
         IeeeCase{UnitKind::kMultiplier, FpFormat::binary64(),
-                 RoundingMode::kNearestEven, "mul64_rne"},
+                 RoundingMode::kNearestEven, "mul64"},
         IeeeCase{UnitKind::kMultiplier, FpFormat::binary48(),
-                 RoundingMode::kTowardZero, "mul48_trunc"}),
+                 RoundingMode::kTowardZero, "mul48"}),
     [](const ::testing::TestParamInfo<IeeeCase>& info) {
-      return info.param.name;
+      return std::string(info.param.label) +
+             (info.param.rounding == RoundingMode::kTowardZero ? "_trunc"
+                                                               : "_rne");
     });
 
 TEST(IeeeMode, ExhaustiveTinyFormat) {

@@ -18,7 +18,10 @@ using fp::testing::ValueGen;
 struct SqrtCase {
   FpFormat fmt;
   RoundingMode rounding;
-  const char* name;
+  // Held inline, not as a pointer, and filling the case to its last
+  // byte: gtest prints the case's raw bytes into each test name, and a
+  // pointer or padding would make the names differ per process.
+  char name[15];
 };
 
 class SqrtExactnessTest : public ::testing::TestWithParam<SqrtCase> {};

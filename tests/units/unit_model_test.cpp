@@ -21,7 +21,10 @@ FpUnit make(UnitKind kind, FpFormat fmt, int stages,
 struct KindFmt {
   UnitKind kind;
   FpFormat fmt;
-  const char* name;
+  // Held inline, not as a pointer, and filling the case to its last
+  // byte: gtest prints the case's raw bytes into each test name, and a
+  // pointer or padding would make the names differ per process.
+  char name[12];
 };
 
 class UnitModelTest : public ::testing::TestWithParam<KindFmt> {};

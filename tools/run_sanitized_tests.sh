@@ -9,6 +9,7 @@
 # threads, and the full suite under it is painfully slow — so it builds the
 # tree with -fsanitize=thread but runs only the `tsan`-labelled suites (the
 # exec pool, the campaign determinism and backend equivalence suites, the
+# matmul replay suite, whose reference re-runs go to eight workers, the
 # threaded obs and serve suites, and lints on several pool workers at once)
 # with enough workers to exercise the parallel trial loops.
 #
